@@ -61,9 +61,10 @@ void SetCurrentThreadName(std::string name);
 // The service stamps each admitted request with a monotonically increasing
 // id and threads it through every span recorded while the request runs:
 // spans begun while a nonzero id is installed carry `args: {"rid": N}` in
-// the exported trace, so one request's work is filterable across the
-// reader thread, its executor task, and any parallel-scan grains (the
-// executor captures the submitter's id into each task).
+// the exported trace, so one request's work is filterable across its
+// executor task (or the admin thread, for admin verbs) and any
+// parallel-scan grains (the executor captures the submitter's id into
+// each task).
 
 // The calling thread's current request id; 0 = none.
 uint64_t CurrentRequestId();

@@ -67,11 +67,16 @@ bool WindowedAggregator::PickWindow(double window_sec,
   *latest = &ring_.back();
   // Newest retained sample at least window_sec old; the ring is in time
   // order, so scan backwards from the end. Falls back to the oldest when
-  // history is shorter than the window.
+  // history is shorter than the window. The window is clamped to the
+  // retained history first: a wider one (callers pass 1e12 for "all of
+  // it") would overflow the nanosecond conversion.
+  const double history_sec =
+      std::chrono::duration<double>((*latest)->at - ring_.front().at).count();
   const auto cutoff = (*latest)->at - std::chrono::duration_cast<
                                           std::chrono::steady_clock::duration>(
                                           std::chrono::duration<double>(
-                                              std::max(0.0, window_sec)));
+                                              std::clamp(window_sec, 0.0,
+                                                         history_sec)));
   *base = &ring_.front();
   for (size_t i = ring_.size() - 1; i-- > 0;) {
     if (ring_[i].at <= cutoff) {

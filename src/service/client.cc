@@ -1,13 +1,7 @@
 #include "service/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "service/json.h"
@@ -37,36 +31,9 @@ void Client::Close() {
 }
 
 util::Result<Client> Client::Connect(const std::string& host, uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return util::Status::IoError(std::string("socket: ") +
-                                 std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return util::Status::InvalidArgument("unparseable IPv4 host '" + host +
-                                         "'");
-  }
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    const util::Status status = util::Status::IoError(
-        "connect " + host + ":" + std::to_string(port) + ": " +
-        std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  // Frames are written as a 4-byte length prefix then the payload; with
-  // Nagle enabled the payload write stalls on the peer's delayed ACK of
-  // the prefix (~40ms per request).
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return Client(fd);
+  auto fd = ConnectTcp(host, port);
+  if (!fd.ok()) return fd.status();
+  return Client(fd.value());
 }
 
 util::Result<Response> Client::Call(const Request& request) {

@@ -21,6 +21,8 @@ namespace {
 
 constexpr uint64_t kListenId = 0;
 constexpr uint64_t kEventId = 1;
+constexpr size_t kMaxPendingWriteBytes = 64u << 20;
+constexpr auto kDrainGrace = std::chrono::milliseconds(5000);
 
 uint32_t DecodeLen(const char* p) {
   const auto* b = reinterpret_cast<const unsigned char*>(p);
@@ -169,8 +171,7 @@ void EventLoop::LoopMain() {
     if (shutdown_requested_.load(std::memory_order_acquire)) {
       if (!draining) {
         draining = true;
-        drain_deadline =
-            Clock::now() + std::chrono::milliseconds(options_.drain_grace_ms);
+        drain_deadline = Clock::now() + kDrainGrace;
       }
       DrainMailbox();
       bool pending = false;
@@ -349,7 +350,6 @@ void EventLoop::CloseConn(uint64_t id) {
   ::close(conn.fd);
   conns_.erase(it);
   conn_count_.store(conns_.size(), std::memory_order_release);
-  if (options_.on_close) options_.on_close(id);
 }
 
 void EventLoop::DrainMailbox() {
@@ -367,7 +367,7 @@ void EventLoop::DrainMailbox() {
     Conn* conn = &it->second;
     conn->pending_bytes += framed.size();
     conn->write_queue.push_back(std::move(framed));
-    if (conn->pending_bytes > options_.max_pending_write_bytes) {
+    if (conn->pending_bytes > kMaxPendingWriteBytes) {
       // Pipelines requests, never reads responses: cut it loose.
       CloseConn(id);
       continue;

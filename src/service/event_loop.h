@@ -16,40 +16,33 @@
 namespace hinpriv::service {
 
 // Non-blocking epoll front-end for the attack service: one thread owning
-// every socket, replacing the thread-per-connection accept/reader pair.
-// The loop accepts, assembles length-prefixed frames from readiness-driven
-// reads, and hands each complete frame to the server's handler *on the
-// loop thread*; responses are enqueued from any thread via Send() (workers
-// finish a request, enqueue, and wake the loop through an eventfd) and
-// flushed by the loop, with EPOLLOUT armed only while a connection has
-// unsent bytes.
+// every socket. The loop accepts, assembles length-prefixed frames from
+// readiness-driven reads, and hands each complete frame to the server's
+// handler *on the loop thread*; responses are enqueued from any thread via
+// Send() (a worker or the admin thread finishes a request, enqueues, and
+// wakes the loop through an eventfd) and flushed by the loop, with
+// EPOLLOUT armed only while a connection has unsent bytes.
 //
-// Contract with the handler: it runs on the loop thread, so it must either
-// answer inline without blocking (admin verbs — exactly the existing
-// "answers under saturation" property, now load-shielded by construction
-// because the loop never runs attack work) or hand off to the executor and
-// return (serving verbs: parse, admit into the bounded queue or shed BUSY,
-// submit a drain task).
+// Contract with the handler: it runs on the loop thread, so it only
+// parses and hands off, and never computes or blocks. Serving verbs are
+// admitted into the bounded queue (or shed BUSY) and run on the
+// executor; admin verbs go to the server's admin thread. The loop never
+// runs request work, so one slow answer cannot stall the other
+// connections' reads and writes.
 //
 // Backpressure and hygiene:
 //   * a frame whose length prefix exceeds kMaxFrameBytes closes the
-//     connection (same policy as the blocking reader);
-//   * a connection holding more than max_pending_write_bytes of unsent
-//     responses is disconnected — a client that pipelines requests but
-//     never reads cannot grow the write queues unboundedly;
-//   * Shutdown() drains: pending writes are flushed (bounded by
-//     drain_grace_ms), then every socket is closed and the thread joined.
+//     connection;
+//   * a connection holding more than kMaxPendingWriteBytes (64 MB) of
+//     unsent responses is disconnected — a client that pipelines requests
+//     but never reads cannot grow the write queues unboundedly;
+//   * Shutdown() drains: pending writes are flushed (bounded by a 5 s
+//     grace), then every socket is closed and the thread joined.
 class EventLoop {
  public:
   struct Options {
-    // Disconnect a connection whose queued unsent bytes exceed this.
-    size_t max_pending_write_bytes = 64u << 20;
-    // How long Shutdown() keeps flushing queued responses to slow readers
-    // before closing regardless.
-    int drain_grace_ms = 5000;
-    // Loop-thread callbacks around connection lifecycle (telemetry).
+    // Loop-thread callback on every accepted connection (telemetry).
     std::function<void(uint64_t)> on_accept;
-    std::function<void(uint64_t)> on_close;
     // Called when a queued response is discarded — its connection died
     // first, or the write failed (the peer hung up without waiting).
     std::function<void()> on_dropped_response;
@@ -85,7 +78,7 @@ class EventLoop {
   // Thread-safe, idempotent.
   void StopAccepting();
 
-  // Flushes pending writes (up to drain_grace_ms), closes every socket,
+  // Flushes pending writes (up to the drain grace), closes every socket,
   // stops and joins the loop thread. Idempotent.
   void Shutdown();
 

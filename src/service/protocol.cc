@@ -1,9 +1,13 @@
 #include "service/protocol.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -238,6 +242,28 @@ util::Result<Response> DecodeResponse(const JsonValue& doc) {
   return response;
 }
 
+Response AttackAnswer(hin::VertexId target, int max_distance,
+                      uint64_t num_candidates,
+                      const std::vector<uint64_t>& sorted_ids) {
+  const size_t encoded = std::min<size_t>(
+      std::min<uint64_t>(num_candidates, sorted_ids.size()),
+      kMaxEncodedCandidates);
+  JsonValue list = JsonValue::Array();
+  for (size_t i = 0; i < encoded; ++i) {
+    list.Append(JsonValue::Int(static_cast<int64_t>(sorted_ids[i])));
+  }
+  Response response;
+  response.result = JsonValue::Object();
+  response.result.Set("target", JsonValue::Int(target));
+  response.result.Set("max_distance", JsonValue::Int(max_distance));
+  response.result.Set("num_candidates",
+                      JsonValue::Int(static_cast<int64_t>(num_candidates)));
+  response.result.Set("deanonymized", JsonValue::Bool(num_candidates == 1));
+  response.result.Set("candidates", std::move(list));
+  response.result.Set("truncated", JsonValue::Bool(encoded < num_candidates));
+  return response;
+}
+
 util::Status WriteFrame(int fd, std::string_view payload) {
   if (payload.size() > kMaxFrameBytes) {
     return util::Status::InvalidArgument("frame payload too large");
@@ -281,6 +307,35 @@ util::Result<std::optional<std::string>> ReadFrame(int fd) {
         ReadAll(fd, payload.data(), payload.size(), &bytes_read));
   }
   return std::optional<std::string>(std::move(payload));
+}
+
+util::Result<int> ConnectTcp(const std::string& host, uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    return util::Status::InvalidArgument("unparseable IPv4 host '" + host +
+                                         "'");
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    return util::Status::IoError(std::string("socket: ") +
+                                 std::strerror(errno));
+  }
+  int rc = 0;
+  do {
+    rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  } while (rc != 0 && errno == EINTR);
+  if (rc != 0) {
+    const util::Status status = util::Status::IoError(
+        "connect " + host + ":" + std::to_string(port) + ": " +
+        std::strerror(errno));
+    ::close(fd);
+    return status;
+  }
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
 }
 
 }  // namespace hinpriv::service

@@ -5,6 +5,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "hin/types.h"
 #include "service/json.h"
@@ -37,9 +39,9 @@ namespace hinpriv::service {
 //   {"id": 17, "method": "apply_delta", "path": "/tmp/deltas.hinpriv"}
 //
 // The introspection verbs (stats, health, metrics, trace_*) are *admin
-// methods*: the server answers them inline on the connection's reader
-// thread, bypassing the admission queue, so they respond within deadline
-// even while the serving path is saturated and shedding.
+// methods*: the server answers them on its admin thread, bypassing the
+// admission queue, so they respond within deadline even while the
+// serving path is saturated and shedding.
 //
 // apply_delta is NOT an admin method: it mutates the auxiliary graph and
 // the warm attack state, so it rides the admission queue and the same
@@ -58,6 +60,12 @@ namespace hinpriv::service {
 // length prefix must not drive a giant allocation.
 inline constexpr uint32_t kMaxFrameBytes = 16u << 20;
 
+// Candidate sets can be nearly the whole auxiliary graph for weakly
+// identified targets; an attack_one answer encodes at most this many so
+// one response cannot approach kMaxFrameBytes. The count and the
+// `truncated` flag are always exact.
+inline constexpr size_t kMaxEncodedCandidates = 1024;
+
 enum class Method {
   kAttackOne,
   kRisk,
@@ -74,8 +82,8 @@ enum class Method {
 const char* MethodName(Method method);
 std::optional<Method> ParseMethod(std::string_view name);
 
-// True for the introspection verbs that the server processes inline on the
-// reader thread instead of through the admission queue.
+// True for the introspection verbs that the server answers on its admin
+// thread instead of through the admission queue.
 bool IsAdminMethod(Method method);
 
 enum class ResponseCode {
@@ -118,11 +126,30 @@ struct Response {
   JsonValue result;   // method-specific payload (object) for kOk
 };
 
+// A failed response: `code` with its human-readable reason.
+inline Response ErrorResponse(ResponseCode code, std::string error,
+                              uint64_t id = 0) {
+  Response response;
+  response.id = id;
+  response.code = code;
+  response.error = std::move(error);
+  return response;
+}
+
 JsonValue EncodeRequest(const Request& request);
 util::Result<Request> DecodeRequest(const JsonValue& doc);
 
 JsonValue EncodeResponse(const Response& response);
 util::Result<Response> DecodeResponse(const JsonValue& doc);
+
+// An OK attack_one answer: `num_candidates` is the exact candidate count
+// and `sorted_ids` the candidates' auxiliary-graph ids ascending, of which
+// the first kMaxEncodedCandidates are encoded. De-anonymization succeeded
+// iff the count is one; the entity's risk is then 1/k with k the count
+// (Definition 7 with loss 1).
+Response AttackAnswer(hin::VertexId target, int max_distance,
+                      uint64_t num_candidates,
+                      const std::vector<uint64_t>& sorted_ids);
 
 // Frame I/O over a socket (or any stream) fd. Writes are complete-or-error
 // (short writes retried, EINTR transparent, SIGPIPE suppressed via
@@ -130,6 +157,12 @@ util::Result<Response> DecodeResponse(const JsonValue& doc);
 // boundary and Corruption/IoError otherwise.
 util::Status WriteFrame(int fd, std::string_view payload);
 util::Result<std::optional<std::string>> ReadFrame(int fd);
+
+// A blocking, close-on-exec TCP connection to an IPv4 host, with
+// TCP_NODELAY set: frames go out as a 4-byte prefix then the payload, and
+// with Nagle on the payload write stalls on the peer's delayed ACK of the
+// prefix (~40ms per request).
+util::Result<int> ConnectTcp(const std::string& host, uint16_t port);
 
 }  // namespace hinpriv::service
 

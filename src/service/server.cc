@@ -1,41 +1,30 @@
 #include "service/server.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <thread>
 #include <utility>
 
 #include "core/matchers.h"
 #include "core/privacy_risk.h"
 #include "core/signature.h"
-#include "hin/graph_builder.h"
-#include "hin/graph_delta.h"
 #include "obs/prometheus.h"
 #include "obs/trace.h"
 #include "service/json.h"
+#include "service/local_scan.h"
 
 namespace hinpriv::service {
 
 namespace {
 
-// Candidate sets can be nearly the whole auxiliary graph for weakly
-// identified targets; cap the encoded list so one response cannot approach
-// kMaxFrameBytes. The count and a `truncated` flag are always exact.
-constexpr size_t kMaxEncodedCandidates = 1024;
-
-// Grace added to a coordinator's per-shard receive timeout on top of the
-// request's remaining deadline: the shard enforces the deadline itself and
-// answers DEADLINE_EXCEEDED, so the socket timeout only has to catch a
-// wedged or dead shard, not race the deadline.
-constexpr double kShardRecvGraceMs = 250.0;
-// Receive timeouts for the coordinator's admin fan-outs (the shard side
-// answers these inline on its event loop, so they are fast even under
-// compute saturation).
-constexpr double kShardStatsTimeoutMs = 2000.0;
-constexpr double kShardHealthTimeoutMs = 1000.0;
+// Upper bound on the sleep debug method (load testing aid).
+constexpr double kMaxSleepMs = 10'000.0;
+// Snapshots retained in the windowed ring; tick * ring bounds the widest
+// answerable window (the default tick covers a 60s window with headroom).
+constexpr size_t kIntrospectionRing = 256;
+// Health policy beyond the shed window (see ServerConfig::shed_window_sec).
+constexpr double kMissWindowSec = 10.0;
+constexpr double kDegradedQueueFraction = 0.75;
+constexpr double kDegradedMissRate = 0.10;
 
 std::chrono::steady_clock::duration MillisToDuration(double ms) {
   return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -74,20 +63,25 @@ std::string Server::MetricName(const char* base) const {
 
 Server::Server(const hin::Graph* target, const hin::Graph* auxiliary,
                ServerConfig config)
+    : Server(target, std::unique_ptr<Handler>(), std::move(config)) {
+  // Built here rather than passed to the delegate: it reads config_,
+  // which the delegate has moved in.
+  handler_ = std::make_unique<LocalScan>(target, auxiliary, config_);
+}
+
+Server::Server(const hin::Graph* target, std::unique_ptr<Handler> handler,
+               ServerConfig config)
     : target_(target),
-      aux_(auxiliary),
       config_(std::move(config)),
+      handler_(std::move(handler)),
       queue_(config_.queue_capacity),
       window_(nullptr,
               obs::WindowedAggregatorOptions{
                   std::chrono::milliseconds(
                       std::max(1, config_.introspection_tick_ms)),
-                  std::max<size_t>(2, config_.introspection_ring),
+                  kIntrospectionRing,
                   {}}),
       slow_log_(config_.slow_log_capacity) {
-  if (!coordinator()) {
-    dehin_ = std::make_unique<core::Dehin>(aux_, config_.dehin);
-  }
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   requests_received_ =
       registry.GetCounter(MetricName("service/requests_received"));
@@ -127,17 +121,11 @@ util::Status Server::Start() {
   if (started_.exchange(true)) {
     return util::Status::InvalidArgument("server already started");
   }
-  // The delta path mutates through mutable_aux while queries read through
-  // the auxiliary pointer; anything but an exact alias would split them
-  // into two diverging graphs.
-  if (config_.mutable_aux != nullptr && config_.mutable_aux != aux_) {
-    return util::Status::InvalidArgument(
-        "mutable_aux must alias the auxiliary graph");
-  }
+  executor_ = std::make_unique<exec::Executor>(
+      exec::ResolveThreads(config_.num_workers));
+  HINPRIV_RETURN_IF_ERROR(handler_->Start(executor_.get()));
 
   EventLoop::Options loop_options;
-  loop_options.max_pending_write_bytes = config_.max_pending_write_bytes;
-  loop_options.drain_grace_ms = config_.drain_grace_ms;
   loop_options.on_accept = [this](uint64_t) {
     connections_accepted_->Increment();
   };
@@ -154,25 +142,8 @@ util::Status Server::Start() {
   HINPRIV_RETURN_IF_ERROR(loop_->Listen(config_.host, config_.port));
   port_ = loop_->port();
 
-  // Build the expensive per-target Dehin state (prefilter tables, shared
-  // match cache shell) before the first request pays for it. A coordinator
-  // owns no scan state — its shards warmed their own at their Start().
-  if (dehin_ != nullptr && target_->num_vertices() > 0) {
-    HINPRIV_SPAN("service/warm_target_state");
-    (void)dehin_->Deanonymize(*target_, 0, 0);
-  }
-
-  executor_ = config_.executor;
-  if (executor_ == nullptr) {
-    owned_executor_ = std::make_unique<exec::Executor>(
-        exec::ResolveThreads(config_.num_workers));
-    executor_ = owned_executor_.get();
-  }
-  if (coordinator()) {
-    router_ = std::make_unique<ShardRouter>(config_.shard_endpoints);
-    admin_thread_ = std::thread([this] { AdminLoop(); });
-  }
   started_at_ = std::chrono::steady_clock::now();
+  admin_thread_ = std::thread([this] { AdminLoop(); });
   if (config_.introspection_tick_ms > 0) {
     // Seed the ring before serving so the first stats/health query already
     // has a baseline sample to difference against.
@@ -207,19 +178,17 @@ void Server::EvaluateHealth() {
   const auto shed =
       window_.CounterRate(MetricName("service/shed"), config_.shed_window_sec);
   const auto miss = window_.CounterRate(MetricName("service/deadline_exceeded"),
-                                        config_.miss_window_sec);
+                                        kMissWindowSec);
   const auto received = window_.CounterRate(
-      MetricName("service/requests_received"), config_.miss_window_sec);
+      MetricName("service/requests_received"), kMissWindowSec);
   if (shed.delta > 0 || (capacity > 0 && depth >= capacity)) {
     next = HealthState::kShedding;
   } else if ((capacity > 0 &&
               static_cast<double>(depth) >=
-                  config_.degraded_queue_fraction *
-                      static_cast<double>(capacity)) ||
+                  kDegradedQueueFraction * static_cast<double>(capacity)) ||
              (received.delta > 0 &&
               static_cast<double>(miss.delta) >
-                  config_.degraded_miss_rate *
-                      static_cast<double>(received.delta))) {
+                  kDegradedMissRate * static_cast<double>(received.delta))) {
     next = HealthState::kDegraded;
   }
   const int prev = health_.exchange(static_cast<int>(next));
@@ -253,84 +222,69 @@ void Server::OnFrame(uint64_t conn_id, std::string frame) {
   requests_received_->Increment();
   auto doc = JsonValue::Parse(frame);
   if (!doc.ok()) {
-    invalid_->Increment();
-    Respond(conn_id, Response{0, ResponseCode::kInvalidRequest,
-                              doc.status().message(), JsonValue()});
+    Reply(conn_id, ErrorResponse(ResponseCode::kInvalidRequest,
+                                 doc.status().message()));
     return;
   }
   auto request = DecodeRequest(doc.value());
   if (!request.ok()) {
-    invalid_->Increment();
-    Respond(conn_id,
-            Response{static_cast<uint64_t>(doc.value().GetInt("id", 0)),
-                     ResponseCode::kInvalidRequest, request.status().message(),
-                     JsonValue()});
-    return;
-  }
-  const uint64_t rid = next_rid_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (IsAdminMethod(request.value().method)) {
-    // Introspection verbs bypass the admission queue: they answer within
-    // deadline even when the serving path is saturated and shedding —
-    // exactly when an operator needs them. Local admin verbs run right
-    // here on the loop thread (pure computation, no blocking); the
-    // coordinator's stats/health fan-outs block on shard I/O, so they go
-    // to the dedicated admin thread instead of stalling the loop.
-    if (coordinator() && (request.value().method == Method::kStats ||
-                          request.value().method == Method::kHealth)) {
-      PendingRequest pending;
-      pending.conn_id = conn_id;
-      pending.request = std::move(request).value();
-      pending.admitted = std::chrono::steady_clock::now();
-      pending.rid = rid;
-      {
-        std::lock_guard<std::mutex> lock(admin_mu_);
-        admin_queue_.push_back(std::move(pending));
-      }
-      admin_cv_.notify_one();
-      return;
-    }
-    obs::ScopedRequestId rid_scope(rid);
-    HINPRIV_SPAN("service/admin");
-    admin_requests_->Increment();
-    Response response = ProcessAdmin(request.value());
-    if (response.code == ResponseCode::kOk) {
-      responses_ok_->Increment();
-    } else if (response.code == ResponseCode::kInvalidRequest) {
-      invalid_->Increment();
-    } else if (response.code == ResponseCode::kInternal) {
-      internal_errors_->Increment();
-    }
-    Respond(conn_id, response);
-    return;
-  }
-  if (stopping_.load(std::memory_order_acquire)) {
-    Respond(conn_id, Response{request.value().id, ResponseCode::kShuttingDown,
-                              "server is draining", JsonValue()});
+    Reply(conn_id,
+          ErrorResponse(ResponseCode::kInvalidRequest,
+                        request.status().message(),
+                        static_cast<uint64_t>(doc.value().GetInt("id", 0))));
     return;
   }
   PendingRequest pending;
   pending.conn_id = conn_id;
   pending.request = std::move(request).value();
   pending.admitted = std::chrono::steady_clock::now();
-  pending.rid = rid;
+  pending.rid = next_rid_.fetch_add(1, std::memory_order_relaxed) + 1;
   const uint64_t id = pending.request.id;
-  if (!queue_.TryPush(std::move(pending))) {
-    // Admission control: a full queue sheds immediately instead of
-    // building a backlog that would blow every queued deadline.
-    shed_->Increment();
-    Respond(conn_id, Response{id, ResponseCode::kBusy, "request queue full",
-                              JsonValue()});
+  if (IsAdminMethod(pending.request.method)) {
+    // Introspection verbs bypass the admission queue: they answer within
+    // deadline even when the serving path is saturated and shedding —
+    // exactly when an operator needs them. They run on the admin thread,
+    // never here, so a slow one (a coordinator's shard fan-out) cannot
+    // stall the loop.
+    std::unique_lock<std::mutex> lock(admin_mu_);
+    if (!admin_stop_) {
+      admin_queue_.push_back(std::move(pending));
+      lock.unlock();
+      admin_cv_.notify_one();
+      return;
+    }
+  }
+  if (stopping_.load(std::memory_order_acquire)) {
+    Reply(conn_id, ErrorResponse(ResponseCode::kShuttingDown,
+                                 "server is draining", id));
     return;
   }
-  queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
   // One high-priority drain task per admitted request: requests are
-  // admitted ahead of any queued intra-query scan grains (kNormal), so
-  // a long parallel scan cannot starve the request path.
+  // admitted ahead of any queued intra-query scan grains (kNormal), so a
+  // long parallel scan cannot starve the request path. The task is counted
+  // before the push: once Shutdown has closed the queue it waits for the
+  // count to reach zero, so an item must hold the count up (and with it
+  // the pool) from the moment it becomes visible.
   {
     std::lock_guard<std::mutex> drain_lock(drain_mu_);
     ++drain_tasks_;
   }
+  if (!queue_.TryPush(std::move(pending))) {
+    FinishDrainTask();
+    // Admission control: a full queue sheds immediately instead of
+    // building a backlog that would blow every queued deadline.
+    shed_->Increment();
+    Reply(conn_id,
+          ErrorResponse(ResponseCode::kBusy, "request queue full", id));
+    return;
+  }
+  queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
   executor_->Submit([this] { DrainOne(); }, exec::Priority::kHigh);
+}
+
+void Server::FinishDrainTask() {
+  std::lock_guard<std::mutex> lock(drain_mu_);
+  if (--drain_tasks_ == 0) drain_cv_.notify_all();
 }
 
 void Server::AdminLoop() {
@@ -349,14 +303,8 @@ void Server::AdminLoop() {
     HINPRIV_SPAN("service/admin");
     admin_requests_->Increment();
     Response response = ProcessAdmin(pending.request);
-    if (response.code == ResponseCode::kOk) {
-      responses_ok_->Increment();
-    } else if (response.code == ResponseCode::kInvalidRequest) {
-      invalid_->Increment();
-    } else if (response.code == ResponseCode::kInternal) {
-      internal_errors_->Increment();
-    }
-    Respond(pending.conn_id, response);
+    response.id = pending.request.id;
+    Reply(pending.conn_id, response);
   }
 }
 
@@ -377,27 +325,9 @@ void Server::DrainOne() {
       HINPRIV_SPAN("service/handle_request");
       const auto popped = std::chrono::steady_clock::now();
       Response response = Process(pending);
+      response.id = pending.request.id;
       const auto processed = std::chrono::steady_clock::now();
-      switch (response.code) {
-        case ResponseCode::kOk:
-          responses_ok_->Increment();
-          break;
-        case ResponseCode::kDeadlineExceeded:
-          deadline_exceeded_->Increment();
-          break;
-        case ResponseCode::kCancelled:
-          cancelled_->Increment();
-          break;
-        case ResponseCode::kInvalidRequest:
-          invalid_->Increment();
-          break;
-        case ResponseCode::kInternal:
-          internal_errors_->Increment();
-          break;
-        default:
-          break;
-      }
-      Respond(pending.conn_id, response);
+      Reply(pending.conn_id, response);
       const auto responded = std::chrono::steady_clock::now();
       latency_us_->Record(ElapsedUs(pending.admitted, responded));
 
@@ -415,8 +345,7 @@ void Server::DrainOne() {
       slow_log_.Record(record);
     }
   }
-  std::lock_guard<std::mutex> lock(drain_mu_);
-  if (--drain_tasks_ == 0) drain_cv_.notify_all();
+  FinishDrainTask();
 }
 
 int Server::ResolveMaxDistance(const Request& request) const {
@@ -426,9 +355,6 @@ int Server::ResolveMaxDistance(const Request& request) const {
 
 Response Server::Process(const PendingRequest& pending) {
   const Request& request = pending.request;
-  Response response;
-  response.id = request.id;
-
   // The deadline runs from admission: time burned waiting in the queue
   // counts against the request, which is what makes a saturated server
   // fail fast instead of serving answers nobody is waiting for anymore.
@@ -439,270 +365,75 @@ Response Server::Process(const PendingRequest& pending) {
   if (deadline_ms > 0) {
     token.SetDeadline(pending.admitted + MillisToDuration(deadline_ms));
     if (token.deadline_exceeded()) {
-      response.code = ResponseCode::kDeadlineExceeded;
-      response.error = "deadline expired while queued";
-      return response;
+      return ErrorResponse(ResponseCode::kDeadlineExceeded,
+                           "deadline expired while queued");
     }
   }
-
   switch (request.method) {
     case Method::kAttackOne:
-      return coordinator() ? ProcessAttackOneSharded(pending, token)
-                           : ProcessAttackOne(pending, token);
+      return ProcessAttackOne(request, token);
     case Method::kRisk:
       return ProcessRisk(request);
     case Method::kApplyDelta:
-      return ProcessApplyDelta(pending, token);
+      return handler_->ApplyDelta(request.path, token);
     case Method::kSleep:
       return ProcessSleep(request, token);
-    case Method::kStats:
-    case Method::kHealth:
-    case Method::kMetrics:
-    case Method::kTraceStart:
-    case Method::kTraceStop:
-    case Method::kTraceDump:
-      // Admin verbs are normally answered inline by the event loop (or the
-      // coordinator's admin thread) and never reach the queue; handle them
-      // anyway for robustness.
-      return ProcessAdmin(request);
+    default:
+      // Admin verbs go to the admin thread and never reach the queue.
+      return ErrorResponse(ResponseCode::kInternal, "unhandled method");
   }
-  response.code = ResponseCode::kInternal;
-  response.error = "unhandled method";
-  return response;
 }
 
 Response Server::ProcessAdmin(const Request& request) {
   switch (request.method) {
     case Method::kStats:
-      return ProcessStats(request);
+      return ProcessStats();
     case Method::kHealth:
-      return ProcessHealth(request);
+      return ProcessHealth();
     case Method::kMetrics:
       return ProcessMetrics(request);
-    case Method::kTraceStart:
-      return ProcessTraceStart(request);
-    case Method::kTraceStop:
-      return ProcessTraceStop(request);
+    case Method::kTraceStart: {
+      obs::StartTracing();
+      Response response;
+      response.result = JsonValue::Object();
+      response.result.Set("tracing", JsonValue::Bool(true));
+      return response;
+    }
+    case Method::kTraceStop: {
+      obs::StopTracing();
+      Response response;
+      response.result = JsonValue::Object();
+      response.result.Set("tracing", JsonValue::Bool(false));
+      response.result.Set(
+          "events",
+          JsonValue::Int(static_cast<int64_t>(obs::NumRecordedTraceEvents())));
+      return response;
+    }
     case Method::kTraceDump:
       return ProcessTraceDump(request);
     default:
-      break;
+      return ErrorResponse(ResponseCode::kInternal, "not an admin method");
   }
-  Response response;
-  response.id = request.id;
-  response.code = ResponseCode::kInternal;
-  response.error = "not an admin method";
-  return response;
 }
 
-Response Server::ProcessAttackOne(const PendingRequest& pending,
+Response Server::ProcessAttackOne(const Request& request,
                                   const util::CancelToken& token) {
   HINPRIV_SPAN("service/attack_one");
-  // Shared against apply_delta's exclusive hold: a query never observes a
-  // half-applied growth batch. Uncontended when no deltas are in flight.
-  std::shared_lock<std::shared_mutex> warm_lock(warm_mu_);
-  const Request& request = pending.request;
-  Response response;
-  response.id = request.id;
   if (request.target >= target_->num_vertices()) {
-    response.code = ResponseCode::kInvalidRequest;
-    response.error = "target vertex out of range";
-    return response;
+    return ErrorResponse(ResponseCode::kInvalidRequest,
+                         "target vertex out of range");
   }
   const int max_distance = ResolveMaxDistance(request);
+  Response response = handler_->AttackOne(request.target, max_distance, token);
+  if (response.code == ResponseCode::kInvalidRequest) return response;
   const size_t distance_slot =
       max_distance >= 0 && max_distance <= kMaxDistanceBucket
           ? static_cast<size_t>(max_distance)
           : kDistanceSlots - 1;
   attack_by_distance_[distance_slot]->Increment();
-  // With more than one executor worker, a single query fans its candidate
-  // scan out across the pool (grains run at kNormal priority, below the
-  // kHigh drain tasks); the result is bit-identical to the serial path.
-  util::Result<std::vector<hin::VertexId>> result =
-      (config_.parallel_scan && executor_ != nullptr &&
-       executor_->num_workers() > 1)
-          ? [&] {
-              core::Dehin::ParallelScanOptions scan;
-              scan.executor = executor_;
-              scan.cancel = &token;
-              return dehin_->DeanonymizeParallel(*target_, request.target,
-                                                 max_distance, scan);
-            }()
-          : dehin_->Deanonymize(*target_, request.target, max_distance, &token);
-  if (!result.ok()) {
-    response.code =
-        result.status().code() == util::Status::Code::kDeadlineExceeded
-            ? ResponseCode::kDeadlineExceeded
-            : ResponseCode::kCancelled;
-    response.error = result.status().message();
-    return response;
-  }
-  const std::vector<hin::VertexId>& candidates = result.value();
-  JsonValue payload = JsonValue::Object();
-  payload.Set("target", JsonValue::Int(request.target));
-  payload.Set("max_distance", JsonValue::Int(max_distance));
-  payload.Set("num_candidates",
-              JsonValue::Int(static_cast<int64_t>(candidates.size())));
-  // De-anonymization succeeded iff the candidate set is a singleton; risk
-  // for the entity is 1/k with k the candidate count (Definition 7 with
-  // loss 1).
-  payload.Set("deanonymized", JsonValue::Bool(candidates.size() == 1));
-  if (candidates.size() == 1) {
+  if (response.result.GetBool("deanonymized")) {
     deanon_by_distance_[distance_slot]->Increment();
   }
-  const size_t encoded = std::min(candidates.size(), kMaxEncodedCandidates);
-  // A shard worker serves a slice whose vertex ids are slice-local;
-  // translate accepted candidates back to auxiliary-graph ids so the
-  // coordinator merges in one id space. The map is monotone over the
-  // owned prefix, so the list stays sorted.
-  const std::vector<hin::VertexId>& id_map = config_.aux_id_map;
-  JsonValue list = JsonValue::Array();
-  for (size_t i = 0; i < encoded; ++i) {
-    const hin::VertexId c = candidates[i];
-    list.Append(JsonValue::Int(
-        !id_map.empty() && c < id_map.size() ? id_map[c] : c));
-  }
-  payload.Set("candidates", std::move(list));
-  payload.Set("truncated", JsonValue::Bool(encoded < candidates.size()));
-  response.result = std::move(payload);
-  return response;
-}
-
-Response Server::ProcessAttackOneSharded(const PendingRequest& pending,
-                                         const util::CancelToken& token) {
-  HINPRIV_SPAN("service/attack_one_sharded");
-  const Request& request = pending.request;
-  Response response;
-  response.id = request.id;
-  if (request.target >= target_->num_vertices()) {
-    response.code = ResponseCode::kInvalidRequest;
-    response.error = "target vertex out of range";
-    return response;
-  }
-  const int max_distance = ResolveMaxDistance(request);
-  if (config_.shard_halo_depth >= 0 &&
-      max_distance > config_.shard_halo_depth) {
-    // Beyond the extracted halo a shard's verdicts would silently diverge
-    // from the unsharded scan; refusing is the only honest answer.
-    response.code = ResponseCode::kInvalidRequest;
-    response.error = "max_distance " + std::to_string(max_distance) +
-                     " exceeds the shard tier's halo depth " +
-                     std::to_string(config_.shard_halo_depth);
-    return response;
-  }
-  const size_t distance_slot =
-      max_distance >= 0 && max_distance <= kMaxDistanceBucket
-          ? static_cast<size_t>(max_distance)
-          : kDistanceSlots - 1;
-  attack_by_distance_[distance_slot]->Increment();
-
-  // Scatter with the remaining deadline budget: the shard measures its
-  // deadline from its own admission, so passing the remaining-from-here
-  // milliseconds preserves the end-to-end budget (minus network time,
-  // which on the loopback tier is microseconds).
-  Request shard_request = request;
-  shard_request.id = pending.rid;  // unique per pooled connection lifetime
-  shard_request.max_distance = max_distance;
-  double recv_timeout_ms = 0.0;
-  const double deadline_ms = request.deadline_ms > 0
-                                 ? request.deadline_ms
-                                 : config_.default_deadline_ms;
-  if (deadline_ms > 0) {
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - pending.admitted)
-            .count();
-    const double remaining_ms = deadline_ms - elapsed_ms;
-    if (remaining_ms <= 0 || token.deadline_exceeded()) {
-      response.code = ResponseCode::kDeadlineExceeded;
-      response.error = "deadline expired before scatter";
-      return response;
-    }
-    shard_request.deadline_ms = remaining_ms;
-    recv_timeout_ms = remaining_ms + kShardRecvGraceMs;
-  }
-  const std::vector<ShardReply> replies =
-      router_->ScatterToAll(shard_request, recv_timeout_ms);
-
-  // Merge. Every shard owns a disjoint span of the auxiliary vertex space
-  // and returns its accepted candidates sorted ascending in parent ids,
-  // so the union sorted ascending IS the unsharded candidate list; the
-  // exact counts sum because ownership is a partition. The first
-  // kMaxEncodedCandidates of the sorted union equal the unsharded
-  // encoding even when shards truncated: a candidate with global rank
-  // <= 1024 has within-shard rank <= 1024 and is therefore present.
-  std::vector<uint64_t> merged;
-  uint64_t total = 0;
-  size_t shards_ok = 0;
-  JsonValue failed = JsonValue::Array();
-  bool all_deadline = true;
-  bool all_busy = true;
-  std::string first_error;
-  for (const ShardReply& reply : replies) {
-    if (reply.transport_ok && reply.response.code == ResponseCode::kOk) {
-      ++shards_ok;
-      const JsonValue& result = reply.response.result;
-      total += static_cast<uint64_t>(result.GetInt("num_candidates", 0));
-      if (const JsonValue* list = result.Find("candidates");
-          list != nullptr && list->is_array()) {
-        for (const JsonValue& c : list->items()) {
-          merged.push_back(static_cast<uint64_t>(c.AsInt()));
-        }
-      }
-      continue;
-    }
-    const ResponseCode code =
-        reply.transport_ok ? reply.response.code : ResponseCode::kInternal;
-    if (code != ResponseCode::kDeadlineExceeded) all_deadline = false;
-    if (code != ResponseCode::kBusy) all_busy = false;
-    const std::string reason =
-        reply.transport_ok
-            ? (reply.response.error.empty() ? ResponseCodeName(code)
-                                            : reply.response.error)
-            : reply.error;
-    if (first_error.empty()) {
-      first_error = "shard " + std::to_string(reply.shard) + ": " + reason;
-    }
-    JsonValue entry = JsonValue::Object();
-    entry.Set("shard", JsonValue::Int(static_cast<int64_t>(reply.shard)));
-    entry.Set("code", JsonValue::Str(ResponseCodeName(code)));
-    entry.Set("error", JsonValue::Str(reason));
-    failed.Append(std::move(entry));
-  }
-  if (shards_ok == 0) {
-    response.code = all_deadline ? ResponseCode::kDeadlineExceeded
-                    : all_busy  ? ResponseCode::kBusy
-                                : ResponseCode::kInternal;
-    response.error = "all " + std::to_string(replies.size()) +
-                     " shards failed (" + first_error + ")";
-    return response;
-  }
-  std::sort(merged.begin(), merged.end());
-  const size_t encoded =
-      std::min<size_t>(std::min<uint64_t>(total, merged.size()),
-                       kMaxEncodedCandidates);
-
-  JsonValue payload = JsonValue::Object();
-  payload.Set("target", JsonValue::Int(request.target));
-  payload.Set("max_distance", JsonValue::Int(max_distance));
-  payload.Set("num_candidates", JsonValue::Int(static_cast<int64_t>(total)));
-  payload.Set("deanonymized", JsonValue::Bool(total == 1));
-  if (total == 1) deanon_by_distance_[distance_slot]->Increment();
-  JsonValue list = JsonValue::Array();
-  for (size_t i = 0; i < encoded; ++i) {
-    list.Append(JsonValue::Int(static_cast<int64_t>(merged[i])));
-  }
-  payload.Set("candidates", std::move(list));
-  payload.Set("truncated", JsonValue::Bool(encoded < total));
-  payload.Set("shards", JsonValue::Int(static_cast<int64_t>(replies.size())));
-  if (shards_ok < replies.size()) {
-    // Partial degradation: the answer covers only the responsive shards'
-    // spans. `deanonymized` may be a false positive here (a missing shard
-    // could hold more candidates), so the partial flag is load-bearing.
-    payload.Set("partial", JsonValue::Bool(true));
-    payload.Set("failed_shards", std::move(failed));
-  }
-  response.result = std::move(payload);
   return response;
 }
 
@@ -738,19 +469,14 @@ util::Result<const Server::RiskEntry*> Server::RiskForDistance(
 
 Response Server::ProcessRisk(const Request& request) {
   HINPRIV_SPAN("service/risk");
-  Response response;
-  response.id = request.id;
   if (request.has_target && request.target >= target_->num_vertices()) {
-    response.code = ResponseCode::kInvalidRequest;
-    response.error = "target vertex out of range";
-    return response;
+    return ErrorResponse(ResponseCode::kInvalidRequest,
+                         "target vertex out of range");
   }
   const int max_distance = ResolveMaxDistance(request);
   auto entry = RiskForDistance(max_distance);
   if (!entry.ok()) {
-    response.code = ResponseCode::kInternal;
-    response.error = entry.status().message();
-    return response;
+    return ErrorResponse(ResponseCode::kInternal, entry.status().message());
   }
   JsonValue payload = JsonValue::Object();
   payload.Set("max_distance", JsonValue::Int(max_distance));
@@ -765,269 +491,22 @@ Response Server::ProcessRisk(const Request& request) {
     payload.Set("num_entities",
                 JsonValue::Int(static_cast<int64_t>(target_->num_vertices())));
   }
+  Response response;
   response.result = std::move(payload);
   return response;
 }
 
-Response Server::ProcessApplyDelta(const PendingRequest& pending,
-                                   const util::CancelToken& token) {
-  HINPRIV_SPAN("service/apply_delta");
-  const Request& request = pending.request;
-  Response response;
-  response.id = request.id;
-  response.code = ResponseCode::kInvalidRequest;
-  if (coordinator()) {
-    response.error = "apply_delta is not supported in coordinator mode";
-    return response;
-  }
-  if (config_.mutable_aux == nullptr || dehin_ == nullptr) {
-    response.error = "server has no mutable auxiliary graph";
-    return response;
-  }
-  if (config_.mutable_aux->is_mapped()) {
-    response.error =
-        "auxiliary graph is an mmap snapshot; deltas need the heap arena";
-    return response;
-  }
-  if (request.path.empty()) {
-    response.error = "apply_delta requires a server-side 'path'";
-    return response;
-  }
-  auto stream = hin::LoadDeltaStreamFromFile(request.path);
-  if (!stream.ok()) {
-    response.error = stream.status().message();
-    return response;
-  }
-  response.code = ResponseCode::kOk;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  size_t batches_applied = 0;
-  uint64_t new_vertices = 0, new_edges = 0, attr_bumps = 0;
-  for (const hin::GraphDelta& delta : stream.value()) {
-    // Deadline between batches: already-applied batches are fully
-    // reflected in the warm state (graph + index + stats + caches commit
-    // under one exclusive hold), so stopping here leaves the server
-    // consistent at a batch boundary.
-    if (token.ShouldStop()) {
-      response.code = token.deadline_exceeded()
-                          ? ResponseCode::kDeadlineExceeded
-                          : ResponseCode::kCancelled;
-      response.error = "stopped after " + std::to_string(batches_applied) +
-                       " of " + std::to_string(stream.value().size()) +
-                       " batches (each applied batch is fully committed)";
-      return response;
-    }
-    {
-      std::unique_lock<std::shared_mutex> warm_lock(warm_mu_);
-      // ApplyDelta validates before mutating, so a rejected batch leaves
-      // the graph exactly as the previous batch committed it.
-      util::Status applied =
-          hin::GraphBuilder::ApplyDelta(config_.mutable_aux, delta);
-      if (!applied.ok()) {
-        response.code = ResponseCode::kInvalidRequest;
-        response.error = "batch " + std::to_string(batches_applied) + ": " +
-                         applied.message();
-        return response;
-      }
-      util::Status warmed = dehin_->ApplyAuxDelta(delta);
-      if (!warmed.ok()) {
-        // Graph mutated but the warm state refresh failed — can only be a
-        // programming error (precondition mismatch); surface it loudly.
-        response.code = ResponseCode::kInternal;
-        response.error = warmed.message();
-        return response;
-      }
-    }
-    ++batches_applied;
-    new_vertices += delta.new_vertices.size();
-    new_edges += delta.edge_adds.size();
-    attr_bumps += delta.attr_bumps.size();
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-
-  JsonValue payload = JsonValue::Object();
-  payload.Set("batches_applied",
-              JsonValue::Int(static_cast<int64_t>(batches_applied)));
-  payload.Set("new_vertices",
-              JsonValue::Int(static_cast<int64_t>(new_vertices)));
-  payload.Set("new_edges", JsonValue::Int(static_cast<int64_t>(new_edges)));
-  payload.Set("attr_bumps", JsonValue::Int(static_cast<int64_t>(attr_bumps)));
-  payload.Set("num_vertices",
-              JsonValue::Int(
-                  static_cast<int64_t>(config_.mutable_aux->num_vertices())));
-  payload.Set("num_edges",
-              JsonValue::Int(
-                  static_cast<int64_t>(config_.mutable_aux->num_edges())));
-  payload.Set("apply_us", JsonValue::Number(ElapsedUs(t0, t1)));
-  response.result = std::move(payload);
-  return response;
-}
-
-void Server::AppendShardStats(JsonValue* payload) {
-  Request fanout;
-  fanout.id = next_rid_.fetch_add(1, std::memory_order_relaxed) + 1;
-  fanout.method = Method::kStats;
-  const std::vector<ShardReply> replies =
-      router_->ScatterToAll(fanout, kShardStatsTimeoutMs);
-
-  // Honest aggregation (see DESIGN.md §12): shard windows may cover
-  // different spans (a restarted shard's ring is shorter), so per-window
-  // rate sums are reported alongside the min/max covered seconds instead
-  // of pretending uniform coverage. Consumers that need a single number
-  // should use qps_sum only when min/max coverage agree.
-  JsonValue shards = JsonValue::Array();
-  size_t shards_ok = 0;
-  struct WindowAgg {
-    double requested = 0.0;
-    double min_covered = 0.0;
-    double max_covered = 0.0;
-    double qps_sum = 0.0;
-    size_t reporting = 0;
-  };
-  std::vector<WindowAgg> aggs;
-  for (const ShardReply& reply : replies) {
-    JsonValue entry = JsonValue::Object();
-    entry.Set("shard", JsonValue::Int(static_cast<int64_t>(reply.shard)));
-    const ShardEndpoint& ep = router_->endpoint(reply.shard);
-    entry.Set("endpoint",
-              JsonValue::Str(ep.host + ":" + std::to_string(ep.port)));
-    const bool ok =
-        reply.transport_ok && reply.response.code == ResponseCode::kOk;
-    entry.Set("ok", JsonValue::Bool(ok));
-    if (!ok) {
-      entry.Set("error", JsonValue::Str(reply.transport_ok
-                                            ? reply.response.error
-                                            : reply.error));
-      shards.Append(std::move(entry));
-      continue;
-    }
-    ++shards_ok;
-    const JsonValue& stats = reply.response.result;
-    if (const JsonValue* windows = stats.Find("windows");
-        windows != nullptr && windows->is_array()) {
-      for (const JsonValue& w : windows->items()) {
-        const double requested = w.GetDouble("requested_window_sec");
-        const double covered = w.GetDouble("window_sec");
-        const double qps = w.GetDouble("qps");
-        WindowAgg* agg = nullptr;
-        for (WindowAgg& candidate : aggs) {
-          if (candidate.requested == requested) {
-            agg = &candidate;
-            break;
-          }
-        }
-        if (agg == nullptr) {
-          aggs.push_back(WindowAgg{requested, covered, covered, 0.0, 0});
-          agg = &aggs.back();
-        }
-        agg->min_covered = std::min(agg->min_covered, covered);
-        agg->max_covered = std::max(agg->max_covered, covered);
-        agg->qps_sum += qps;
-        ++agg->reporting;
-      }
-    }
-    entry.Set("stats", stats);
-    shards.Append(std::move(entry));
-  }
-  payload->Set("shards", std::move(shards));
-
-  JsonValue aggregate = JsonValue::Object();
-  aggregate.Set("num_shards",
-                JsonValue::Int(static_cast<int64_t>(replies.size())));
-  aggregate.Set("shards_ok", JsonValue::Int(static_cast<int64_t>(shards_ok)));
-  JsonValue agg_windows = JsonValue::Array();
-  for (const WindowAgg& agg : aggs) {
-    JsonValue w = JsonValue::Object();
-    w.Set("requested_window_sec", JsonValue::Number(agg.requested));
-    w.Set("min_window_sec", JsonValue::Number(agg.min_covered));
-    w.Set("max_window_sec", JsonValue::Number(agg.max_covered));
-    w.Set("shards_reporting",
-          JsonValue::Int(static_cast<int64_t>(agg.reporting)));
-    w.Set("qps_sum", JsonValue::Number(agg.qps_sum));
-    agg_windows.Append(std::move(w));
-  }
-  aggregate.Set("windows", std::move(agg_windows));
-  payload->Set("aggregate", std::move(aggregate));
-}
-
-HealthState Server::AppendShardHealth(JsonValue* payload) {
-  Request fanout;
-  fanout.id = next_rid_.fetch_add(1, std::memory_order_relaxed) + 1;
-  fanout.method = Method::kHealth;
-  const std::vector<ShardReply> replies =
-      router_->ScatterToAll(fanout, kShardHealthTimeoutMs);
-  HealthState worst = health();
-  JsonValue shards = JsonValue::Array();
-  for (const ShardReply& reply : replies) {
-    JsonValue entry = JsonValue::Object();
-    entry.Set("shard", JsonValue::Int(static_cast<int64_t>(reply.shard)));
-    const bool ok =
-        reply.transport_ok && reply.response.code == ResponseCode::kOk;
-    if (!ok) {
-      // An unreachable shard means partial answers: that is shedding-grade
-      // degradation regardless of the coordinator's own condition.
-      worst = HealthState::kShedding;
-      entry.Set("health", JsonValue::Str("unreachable"));
-      entry.Set("error", JsonValue::Str(reply.transport_ok
-                                            ? reply.response.error
-                                            : reply.error));
-      shards.Append(std::move(entry));
-      continue;
-    }
-    const std::string state = reply.response.result.GetString("health", "ok");
-    entry.Set("health", JsonValue::Str(state));
-    if (state == "shedding") {
-      worst = std::max(worst, HealthState::kShedding);
-    } else if (state == "degraded") {
-      worst = std::max(worst, HealthState::kDegraded);
-    }
-    shards.Append(std::move(entry));
-  }
-  payload->Set("shards", std::move(shards));
-  return worst;
-}
-
-Response Server::ProcessStats(const Request& request) {
-  Response response;
-  response.id = request.id;
+Response Server::ProcessStats() {
   JsonValue payload = JsonValue::Object();
   payload.Set("target_vertices",
               JsonValue::Int(static_cast<int64_t>(target_->num_vertices())));
   payload.Set("target_edges",
               JsonValue::Int(static_cast<int64_t>(target_->num_edges())));
-  payload.Set("aux_vertices",
-              JsonValue::Int(static_cast<int64_t>(
-                  aux_ != nullptr ? aux_->num_vertices() : 0)));
-  payload.Set("aux_edges", JsonValue::Int(static_cast<int64_t>(
-                               aux_ != nullptr ? aux_->num_edges() : 0)));
   payload.Set("queue_depth", JsonValue::Int(static_cast<int64_t>(queue_.size())));
   payload.Set("queue_capacity",
               JsonValue::Int(static_cast<int64_t>(queue_.capacity())));
   payload.Set("num_workers",
-              JsonValue::Int(static_cast<int64_t>(
-                  executor_ != nullptr ? executor_->num_workers() : 0)));
-  payload.Set("parallel_scan",
-              JsonValue::Bool(dehin_ != nullptr && config_.parallel_scan &&
-                              executor_ != nullptr &&
-                              executor_->num_workers() > 1));
-  if (dehin_ != nullptr) {
-    const core::DehinStats stats = dehin_->stats();
-    JsonValue dehin = JsonValue::Object();
-    dehin.Set("prefilter_rejects",
-              JsonValue::Int(static_cast<int64_t>(stats.prefilter_rejects)));
-    dehin.Set("cache_hits",
-              JsonValue::Int(static_cast<int64_t>(stats.cache_hits)));
-    dehin.Set("full_tests",
-              JsonValue::Int(static_cast<int64_t>(stats.full_tests)));
-    const uint64_t cache_lookups = stats.cache_hits + stats.full_tests;
-    dehin.Set("cache_hit_rate",
-              JsonValue::Number(cache_lookups > 0
-                                    ? static_cast<double>(stats.cache_hits) /
-                                          static_cast<double>(cache_lookups)
-                                    : 0.0));
-    dehin.Set("dominance_kernel", JsonValue::Str(stats.dominance_kernel));
-    payload.Set("dehin", std::move(dehin));
-  }
+              JsonValue::Int(static_cast<int64_t>(executor_->num_workers())));
 
   // --- live introspection: uptime, health, windowed rates/percentiles,
   // per-distance counters, slow queries, tracing state.
@@ -1107,27 +586,16 @@ Response Server::ProcessStats(const Request& request) {
     slow.Append(std::move(entry));
   }
   payload.Set("slow_queries", std::move(slow));
+  handler_->AppendStats(&payload);
 
-  // Coordinator: per-shard stats plus the honestly-covered aggregate.
-  // Runs on the dedicated admin thread (OnFrame routed it there), so the
-  // shard fan-out below never blocks the event loop.
-  if (coordinator() && router_ != nullptr) {
-    AppendShardStats(&payload);
-  }
-
+  Response response;
   response.result = std::move(payload);
   return response;
 }
 
-Response Server::ProcessHealth(const Request& request) {
-  Response response;
-  response.id = request.id;
+Response Server::ProcessHealth() {
   JsonValue payload = JsonValue::Object();
-  HealthState state = health();
-  if (coordinator() && router_ != nullptr) {
-    // Worst-of tier health; also appends the per-shard breakdown.
-    state = AppendShardHealth(&payload);
-  }
+  const HealthState state = handler_->AppendHealth(health(), &payload);
   payload.Set("health", JsonValue::Str(HealthStateName(state)));
   payload.Set("queue_depth",
               JsonValue::Int(static_cast<int64_t>(queue_.size())));
@@ -1137,9 +605,9 @@ Response Server::ProcessHealth(const Request& request) {
       window_.CounterRate(MetricName("service/shed"), config_.shed_window_sec);
   payload.Set("shed_per_sec", JsonValue::Number(shed.rate));
   const auto miss = window_.CounterRate(MetricName("service/deadline_exceeded"),
-                                        config_.miss_window_sec);
+                                        kMissWindowSec);
   const auto received = window_.CounterRate(
-      MetricName("service/requests_received"), config_.miss_window_sec);
+      MetricName("service/requests_received"), kMissWindowSec);
   payload.Set("deadline_miss_rate",
               JsonValue::Number(
                   received.delta > 0
@@ -1151,22 +619,19 @@ Response Server::ProcessHealth(const Request& request) {
                                     std::chrono::steady_clock::now() -
                                     started_at_)
                                     .count()));
+  Response response;
   response.result = std::move(payload);
   return response;
 }
 
 Response Server::ProcessMetrics(const Request& request) {
-  Response response;
-  response.id = request.id;
   const obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
   JsonValue payload = JsonValue::Object();
   if (!request.path.empty()) {
     const util::Status status =
         obs::WritePrometheusText(snapshot, request.path);
     if (!status.ok()) {
-      response.code = ResponseCode::kInternal;
-      response.error = status.message();
-      return response;
+      return ErrorResponse(ResponseCode::kInternal, status.message());
     }
     payload.Set("path", JsonValue::Str(request.path));
   } else {
@@ -1175,91 +640,79 @@ Response Server::ProcessMetrics(const Request& request) {
                 JsonValue::Str("text/plain; version=0.0.4"));
     payload.Set("text", JsonValue::Str(text));
   }
-  response.result = std::move(payload);
-  return response;
-}
-
-Response Server::ProcessTraceStart(const Request& request) {
   Response response;
-  response.id = request.id;
-  obs::StartTracing();
-  JsonValue payload = JsonValue::Object();
-  payload.Set("tracing", JsonValue::Bool(true));
-  response.result = std::move(payload);
-  return response;
-}
-
-Response Server::ProcessTraceStop(const Request& request) {
-  Response response;
-  response.id = request.id;
-  obs::StopTracing();
-  JsonValue payload = JsonValue::Object();
-  payload.Set("tracing", JsonValue::Bool(false));
-  payload.Set("events",
-              JsonValue::Int(
-                  static_cast<int64_t>(obs::NumRecordedTraceEvents())));
   response.result = std::move(payload);
   return response;
 }
 
 Response Server::ProcessTraceDump(const Request& request) {
-  Response response;
-  response.id = request.id;
   JsonValue payload = JsonValue::Object();
   if (!request.path.empty()) {
     const util::Status status = obs::WriteChromeTrace(request.path);
     if (!status.ok()) {
-      response.code = ResponseCode::kInternal;
-      response.error = status.message();
-      return response;
+      return ErrorResponse(ResponseCode::kInternal, status.message());
     }
     payload.Set("path", JsonValue::Str(request.path));
   } else {
     std::string trace = obs::ChromeTraceJson();
     if (trace.size() > kMaxInlineTraceBytes) {
-      response.code = ResponseCode::kInvalidRequest;
-      response.error =
-          "trace too large for an inline dump (" +
-          std::to_string(trace.size()) +
-          " bytes); pass 'path' to write it server-side";
-      return response;
+      return ErrorResponse(ResponseCode::kInvalidRequest,
+                           "trace too large for an inline dump (" +
+                               std::to_string(trace.size()) +
+                               " bytes); pass 'path' to write it server-side");
     }
     payload.Set("trace", JsonValue::Str(std::move(trace)));
   }
   payload.Set("events",
               JsonValue::Int(
                   static_cast<int64_t>(obs::NumRecordedTraceEvents())));
+  Response response;
   response.result = std::move(payload);
   return response;
 }
 
 Response Server::ProcessSleep(const Request& request,
                               const util::CancelToken& token) {
-  Response response;
-  response.id = request.id;
-  const double sleep_ms =
-      std::clamp(request.sleep_ms, 0.0, config_.max_sleep_ms);
+  const double sleep_ms = std::clamp(request.sleep_ms, 0.0, kMaxSleepMs);
   // Sleep in 1ms slices so a deadline mid-sleep is honored promptly — this
   // is the load-testing method the integration test uses to hold a worker
   // busy deterministically.
   const auto end = std::chrono::steady_clock::now() + MillisToDuration(sleep_ms);
   while (std::chrono::steady_clock::now() < end) {
     if (token.ShouldStop()) {
-      response.code = token.deadline_exceeded()
-                          ? ResponseCode::kDeadlineExceeded
-                          : ResponseCode::kCancelled;
-      response.error = "sleep interrupted";
-      return response;
+      return ErrorResponse(token.deadline_exceeded()
+                               ? ResponseCode::kDeadlineExceeded
+                               : ResponseCode::kCancelled,
+                           "sleep interrupted");
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  JsonValue payload = JsonValue::Object();
-  payload.Set("slept_ms", JsonValue::Number(sleep_ms));
-  response.result = std::move(payload);
+  Response response;
+  response.result = JsonValue::Object();
+  response.result.Set("slept_ms", JsonValue::Number(sleep_ms));
   return response;
 }
 
-void Server::Respond(uint64_t conn_id, const Response& response) {
+void Server::Reply(uint64_t conn_id, const Response& response) {
+  switch (response.code) {
+    case ResponseCode::kOk:
+      responses_ok_->Increment();
+      break;
+    case ResponseCode::kDeadlineExceeded:
+      deadline_exceeded_->Increment();
+      break;
+    case ResponseCode::kCancelled:
+      cancelled_->Increment();
+      break;
+    case ResponseCode::kInvalidRequest:
+      invalid_->Increment();
+      break;
+    case ResponseCode::kInternal:
+      internal_errors_->Increment();
+      break;
+    default:  // BUSY and SHUTTING_DOWN; admission counts its own sheds
+      break;
+  }
   if (loop_ == nullptr ||
       !loop_->Send(conn_id, EncodeResponse(response).Serialize())) {
     write_errors_->Increment();
@@ -1280,13 +733,12 @@ void Server::Shutdown() {
   //    still go out through the loop.
   if (loop_ != nullptr) loop_->StopAccepting();
 
-  // 2. Drain: stopping_ refuses new admissions, so the set of admitted
-  //    requests — and therefore of submitted drain tasks — is final
-  //    modulo frames already in flight on the loop thread, each of which
-  //    observes stopping_. Each push submitted one task and every task
-  //    pops at least one item whenever the queue is nonempty, so
-  //    outstanding-tasks >= queued-items always holds: once the count
-  //    hits zero, every admitted request has been answered.
+  // 2. Drain: stopping_ and the closed queue refuse new admissions, and a
+  //    frame already past the stopping_ check on the loop thread counted
+  //    its drain task before its push could land. Each push submitted one
+  //    task and every task pops at least one item whenever the queue is
+  //    nonempty, so outstanding-tasks >= queued-items always holds: once
+  //    the count hits zero, every admitted request has been answered.
   queue_.Close();
   {
     std::unique_lock<std::mutex> drain_lock(drain_mu_);
@@ -1294,9 +746,9 @@ void Server::Shutdown() {
   }
   queue_depth_gauge_->Set(0.0);
 
-  // 3. Stop the coordinator's admin thread after the serving drain (it
-  //    drains its own queue before exiting, so queued stats fan-outs are
-  //    still answered).
+  // 3. Stop the admin thread after the serving drain; it answers what it
+  //    already holds before exiting, and OnFrame answers later admin
+  //    verbs SHUTTING_DOWN.
   if (admin_thread_.joinable()) {
     {
       std::lock_guard<std::mutex> admin_lock(admin_mu_);
@@ -1306,10 +758,9 @@ void Server::Shutdown() {
     admin_thread_.join();
   }
 
-  // Joining an owned pool here (rather than at destruction) keeps the
-  // post-Shutdown server inert; a shared executor is left running.
-  owned_executor_.reset();
-  executor_ = nullptr;
+  // Joining the pool here (rather than at destruction) keeps the
+  // post-Shutdown server inert.
+  executor_.reset();
 
   // Stop the introspection watchdog after the drain so the last health
   // evaluation saw the final counter values.
@@ -1321,10 +772,9 @@ void Server::Shutdown() {
   if (watchdog_.joinable()) watchdog_.join();
 
   // 4. Flush: every response above was enqueued into the loop; Shutdown
-  //    keeps writing until the queues empty (bounded by drain_grace_ms),
-  //    then closes every socket and joins the loop thread.
+  //    keeps writing until the queues empty (bounded by the loop's drain
+  //    grace), then closes every socket and joins the loop thread.
   if (loop_ != nullptr) loop_->Shutdown();
-  router_.reset();
 
   // 5. Final telemetry snapshot, after all request processing quiesced.
   if (!config_.metrics_json_path.empty()) {

@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +20,6 @@
 #include "service/event_loop.h"
 #include "service/protocol.h"
 #include "service/request_queue.h"
-#include "service/shard_router.h"
 #include "service/slow_query_log.h"
 #include "util/cancellation.h"
 #include "util/status.h"
@@ -35,22 +33,14 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   // 0 = kernel-assigned ephemeral port (read back via Server::port()).
   uint16_t port = 0;
-  // Size of the execution pool the server creates when `executor` is
-  // null (0 = hardware concurrency). Requests run as high-priority tasks
-  // on that pool, so this bounds request concurrency; Dehin::Deanonymize
-  // is thread-safe over the shared per-target state and match cache.
+  // Size of the execution pool every server owns (0 = hardware
+  // concurrency). Request drain tasks run on it at Priority::kHigh and
+  // intra-query scan grains at kNormal, so admitted requests never starve
+  // behind another query's scan work. A pool is never shared between
+  // servers: a coordinator's drain tasks block on shard replies, and a
+  // pool shared with its shards would deadlock once every worker held one.
   size_t num_workers = 4;
-  // Shared work-stealing executor to run on instead of an owned pool;
-  // borrowed, must outlive the server. Request drain tasks are submitted
-  // at Priority::kHigh and intra-query scan grains at kNormal, so
-  // admitted requests never starve behind another query's scan work.
-  //
-  // A coordinator and its shard servers must NEVER share one executor:
-  // coordinator drain tasks block on shard network I/O, so a shared pool
-  // deadlocks the moment every worker holds a coordinator task waiting on
-  // shard replies that have no worker left to compute them.
-  exec::Executor* executor = nullptr;
-  // When the executor has more than one worker, serve attack_one with the
+  // When the pool has more than one worker, serve attack_one with the
   // intra-query parallel candidate scan (Dehin::DeanonymizeParallel);
   // results are bit-identical to the serial path.
   bool parallel_scan = true;
@@ -65,8 +55,6 @@ struct ServerConfig {
   int default_max_distance = 1;
   // Default per-request deadline for requests that omit it; 0 = none.
   double default_deadline_ms = 0.0;
-  // Upper bound on the sleep debug method (load testing aid).
-  double max_sleep_ms = 10'000.0;
   // When nonempty, Shutdown() writes a final hinpriv-metrics-v1 snapshot
   // of the global registry here after the drain completes.
   std::string metrics_json_path;
@@ -79,27 +67,15 @@ struct ServerConfig {
   // in place under the warm-state lock, refreshing the candidate index,
   // prefilter tables, and match caches incrementally (O(|delta|) instead
   // of a full rebuild). Null (the default) rejects apply_delta with
-  // INVALID_REQUEST; mmap-backed snapshots and coordinator mode must
-  // leave it null (the heap arena is the only appendable representation).
+  // INVALID_REQUEST; mmap-backed snapshots must leave it null (the heap
+  // arena is the only appendable representation).
   hin::Graph* mutable_aux = nullptr;
 
-  // --- sharded tier (see DESIGN.md §12) -------------------------------------
-  // Nonempty switches this server into *coordinator* mode: attack_one is
-  // scattered to every endpoint (position i = shard i) and the verdicts
-  // merged into an answer bit-identical to the unsharded scan. The
-  // coordinator runs no local candidate scan, so `auxiliary` may be null;
-  // risk and sleep stay local (risk needs only the target graph).
-  std::vector<ShardEndpoint> shard_endpoints;
-  // Halo depth the shard slices were extracted with. A coordinator rejects
-  // attack_one whose resolved max_distance exceeds it (INVALID_REQUEST):
-  // beyond the halo, shard verdicts would silently diverge from the
-  // unsharded scan. < 0 = don't enforce (unsharded mode, or full-graph
-  // shards in tests).
-  int shard_halo_depth = -1;
-  // Shard-worker side: sub-id -> parent-id translation applied to accepted
-  // candidates before they are encoded (ShardSlice::to_parent). The map is
-  // monotone over the owned prefix, so per-shard candidate lists stay
-  // sorted after translation. Empty = serve ids untranslated.
+  // Shard-worker side (see DESIGN.md §12): sub-id -> parent-id
+  // translation applied to accepted candidates before they are encoded
+  // (ShardSlice::to_parent). The map is monotone over the owned prefix, so
+  // per-shard candidate lists stay sorted after translation. Empty = serve
+  // ids untranslated.
   std::vector<hin::VertexId> aux_id_map;
   // >= 0 labels every service/* instrument of this server with a
   // `|shard=N` suffix (rendered as a real `shard="N"` Prometheus label),
@@ -107,12 +83,6 @@ struct ServerConfig {
   // fighting over one set of counters. -1 = unlabeled (the coordinator and
   // standalone servers).
   int metric_shard = -1;
-  // Event-loop front-end: disconnect a connection whose queued unsent
-  // response bytes exceed this (a client that pipelines requests but never
-  // reads).
-  size_t max_pending_write_bytes = 64u << 20;
-  // How long Shutdown() keeps flushing queued responses to slow readers.
-  int drain_grace_ms = 5000;
 
   // --- live introspection ---------------------------------------------------
   // Watchdog tick: every tick the global registry is sampled into the
@@ -120,20 +90,14 @@ struct ServerConfig {
   // watchdog thread entirely (stats still answers, with empty windows and
   // health pinned at "ok").
   int introspection_tick_ms = 250;
-  // Snapshots retained in the windowed ring; tick * ring bounds the widest
-  // answerable window (the defaults cover a 60s window with headroom).
-  size_t introspection_ring = 256;
   // Worst-N slow-query log returned by the `stats` verb.
   size_t slow_log_capacity = 16;
   // Health policy (see DESIGN.md §11): "shedding" when any request was
-  // shed within shed_window_sec or the queue is full; otherwise "degraded"
-  // when the queue sits at or above degraded_queue_fraction of capacity or
-  // the deadline-miss fraction over miss_window_sec exceeds
-  // degraded_miss_rate; otherwise "ok".
+  // shed within shed_window_sec or the queue is full; otherwise
+  // "degraded" when the queue sits at three quarters of capacity or more
+  // than 10% of the requests of the last 10 s missed their deadline;
+  // otherwise "ok".
   double shed_window_sec = 1.0;
-  double miss_window_sec = 10.0;
-  double degraded_queue_fraction = 0.75;
-  double degraded_miss_rate = 0.10;
 };
 
 // Watchdog-derived serving condition, exported as the service/health_state
@@ -146,37 +110,59 @@ enum class HealthState {
 
 const char* HealthStateName(HealthState state);
 
-// The resident de-anonymization attack service. Loads nothing itself: the
-// caller provides the anonymized target graph and the adversary's
-// auxiliary graph (both must outlive the server), and the server builds
-// the expensive `Dehin` state — candidate index, neighborhood prefilter
-// tables, shared match cache — once at Start(), then answers queries as
-// high-priority tasks on a work-stealing executor fed by a bounded
-// queue. The same executor runs the intra-query parallel candidate scan
-// (at normal priority), so a lone expensive query can saturate the pool
-// without starving newly admitted requests.
-//
-// The front-end is a single-threaded epoll event loop (EventLoop): one
-// thread owns every socket, assembles frames from readiness-driven reads,
-// answers admin verbs inline (they never block on compute, so `stats`
-// responds while the pool is saturated), and admits serving verbs into
-// the bounded queue — shedding BUSY on overflow exactly as before.
+// The role half of a server. Server is the front-end every role shares;
+// a handler answers the verbs that depend on where the auxiliary graph
+// lives. LocalScan (service/local_scan.h) scans it in process;
+// shard::ScatterGather fans attack_one out to shard servers that each
+// own a slice of it. attack_one and apply_delta run concurrently on the
+// server's workers; the stats and health additions run on its admin
+// thread.
+class Handler {
+ public:
+  Handler() = default;
+  virtual ~Handler() = default;
+  Handler(const Handler&) = delete;
+  Handler& operator=(const Handler&) = delete;
+
+  // Once from Server::Start(), before the first request. `executor` is the
+  // server's pool and outlives every later call.
+  virtual util::Status Start(exec::Executor*) { return util::Status::OK(); }
+  // attack_one for a target the front-end has range-checked, at the
+  // resolved distance; an OK answer is built with AttackAnswer().
+  // INVALID_REQUEST means the handler refused the request outright, and
+  // the per-distance attack counters skip it.
+  virtual Response AttackOne(hin::VertexId target, int max_distance,
+                             const util::CancelToken& token) = 0;
+  // apply_delta of the server-side hinpriv-delta stream at `path`; a role
+  // that cannot grow its graph refuses INVALID_REQUEST.
+  virtual Response ApplyDelta(const std::string& path,
+                              const util::CancelToken& token) = 0;
+  // Adds the role's fields to a stats payload.
+  virtual void AppendStats(JsonValue* payload) = 0;
+  // Adds the role's fields to a health payload and returns the state to
+  // report, given the server's own.
+  virtual HealthState AppendHealth(HealthState own, JsonValue*) {
+    return own;
+  }
+};
+
+// The resident de-anonymization attack service, the front-end of every
+// role. It owns the sockets (a single-threaded epoll EventLoop that only
+// parses frames and hands them off), the bounded admission queue and
+// its drain tasks on an owned work-stealing pool, deadlines, the `risk`
+// and `sleep` verbs, the admin verbs (answered on a dedicated admin
+// thread so they respond while the pool is saturated), the health
+// watchdog, the slow-query log and the graceful drain. attack_one and
+// apply_delta go to the role's Handler.
 //
 // Production semantics (see DESIGN.md §7):
 //   * admission control — a full queue sheds with BUSY immediately;
 //   * per-request deadlines — enforced both while queued and inside the
-//     Dehin recursion via util::CancelToken (DEADLINE_EXCEEDED);
+//     handler via util::CancelToken (DEADLINE_EXCEEDED);
 //   * micro-batching — same-method runs pop together for cache locality;
 //   * graceful drain — Shutdown() stops accepting, finishes every
 //     admitted request, flushes every queued response, joins all threads,
 //     and writes a final metrics snapshot.
-//
-// Coordinator mode (config.shard_endpoints nonempty, DESIGN.md §12):
-// attack_one fans out to the shard tier over the same wire protocol and
-// the per-shard verdicts merge into the unsharded answer; stats/health
-// aggregate the tier with honest per-shard window coverage. Coordinator
-// stats/health fan-outs block on shard I/O, so they run on a dedicated
-// admin thread instead of the event loop.
 //
 // Telemetry: service/* counters (received, ok, shed, deadline_exceeded,
 // invalid, connections, batches, write_errors), the service/queue_depth
@@ -186,23 +172,27 @@ const char* HealthStateName(HealthState state);
 // config.metric_shard >= 0 every instrument carries a `|shard=N` label.
 class Server {
  public:
+  // The local-scan role: both graphs are borrowed and must outlive the
+  // server, which builds the expensive Dehin state over `auxiliary` once
+  // at Start() and answers attack_one from it.
   Server(const hin::Graph* target, const hin::Graph* auxiliary,
+         ServerConfig config);
+  // Any role: `handler` answers attack_one and apply_delta. `target` is
+  // borrowed (risk needs only the target graph).
+  Server(const hin::Graph* target, std::unique_ptr<Handler> handler,
          ServerConfig config);
   ~Server();  // implies Shutdown()
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds, listens, spawns the event loop and worker threads, and warms
-  // the per-target Dehin state so the first request does not pay the
-  // build.
+  // Binds, listens, spawns the event loop, admin, watchdog and worker
+  // threads, and starts the handler (which warms its state so the first
+  // request does not pay the build).
   util::Status Start();
 
   // The actually-bound port (differs from config.port when that was 0).
   uint16_t port() const { return port_; }
-
-  // Instantaneous queue depth (observability).
-  size_t queue_depth() const { return queue_.size(); }
 
   // Current watchdog health verdict (kOk until the first watchdog tick).
   HealthState health() const;
@@ -239,49 +229,37 @@ class Server {
     uint64_t rid = 0;
   };
 
-  // EventLoop frame handler: parse, answer admin inline (or hand the
-  // coordinator fan-out verbs to the admin thread), admit into the queue
-  // or shed. Runs on the loop thread — never blocks on compute.
+  // EventLoop frame handler: parse, then hand admin verbs to the admin
+  // thread and admit serving verbs into the queue (or shed). Runs on the
+  // loop thread — never blocks on compute.
   void OnFrame(uint64_t conn_id, std::string frame);
   // One executor task per admitted request: drains up to max_batch
   // compatible head items non-blockingly (another task may already have
   // batched this task's item away, in which case it pops nothing).
   void DrainOne();
-  // Coordinator-only: serves the admin verbs that block on shard fan-out
-  // (stats, health) off the event loop.
+  void FinishDrainTask();
+  // Serves the admin verbs off the event loop, in arrival order.
   void AdminLoop();
 
+  // Serving verbs; the id is set by the caller.
   Response Process(const PendingRequest& pending);
-  Response ProcessAttackOne(const PendingRequest& pending,
+  Response ProcessAttackOne(const Request& request,
                             const util::CancelToken& token);
-  Response ProcessAttackOneSharded(const PendingRequest& pending,
-                                   const util::CancelToken& token);
   Response ProcessRisk(const Request& request);
-  Response ProcessApplyDelta(const PendingRequest& pending,
-                             const util::CancelToken& token);
-  Response ProcessStats(const Request& request);
   Response ProcessSleep(const Request& request,
                         const util::CancelToken& token);
-  // Admin verbs, dispatched inline on the loop thread (never queued) so
-  // they answer while the serving path is saturated.
+  // Admin verbs; the id is set by the caller.
   Response ProcessAdmin(const Request& request);
-  Response ProcessHealth(const Request& request);
+  Response ProcessStats();
+  Response ProcessHealth();
   Response ProcessMetrics(const Request& request);
-  Response ProcessTraceStart(const Request& request);
-  Response ProcessTraceStop(const Request& request);
   Response ProcessTraceDump(const Request& request);
-  // Coordinator fan-out aggregation for stats/health (admin thread).
-  void AppendShardStats(JsonValue* payload);
-  HealthState AppendShardHealth(JsonValue* payload);
 
   void WatchdogLoop();
   void EvaluateHealth();
 
-  void Respond(uint64_t conn_id, const Response& response);
-
-  // True when this server coordinates a shard tier instead of scanning
-  // locally.
-  bool coordinator() const { return !config_.shard_endpoints.empty(); }
+  // Counts `response` under its code's service/* counter and sends it.
+  void Reply(uint64_t conn_id, const Response& response);
 
   // The registry instrument name for `base` under this server's shard
   // label (config_.metric_shard). Every instrument resolution AND every
@@ -302,10 +280,8 @@ class Server {
   int ResolveMaxDistance(const Request& request) const;
 
   const hin::Graph* target_;
-  const hin::Graph* aux_;
   ServerConfig config_;
-  // Null in coordinator mode — the coordinator owns no candidate scan.
-  std::unique_ptr<core::Dehin> dehin_;
+  std::unique_ptr<Handler> handler_;
 
   uint16_t port_ = 0;
 
@@ -316,35 +292,25 @@ class Server {
 
   BoundedQueue<PendingRequest> queue_;
   std::unique_ptr<EventLoop> loop_;
-  // Coordinator mode only: scatter-gather fabric + dedicated admin thread.
-  std::unique_ptr<ShardRouter> router_;
   std::thread admin_thread_;
   std::mutex admin_mu_;
   std::condition_variable admin_cv_;
   std::deque<PendingRequest> admin_queue_;
   bool admin_stop_ = false;
 
-  // Execution pool: config_.executor when the caller shares one, else an
-  // owned pool sized from config_.num_workers. Outstanding drain tasks
-  // are counted so Shutdown can wait for the queue to empty: every push
-  // submits exactly one task and a task pops at least one item whenever
-  // the queue is nonempty, so tasks-outstanding >= items-queued always
-  // holds and drain_tasks_ == 0 implies the queue is drained.
-  exec::Executor* executor_ = nullptr;
-  std::unique_ptr<exec::Executor> owned_executor_;
+  // The owned execution pool. Outstanding drain tasks are counted so
+  // Shutdown can wait for the queue to empty: every push is counted (before
+  // it happens) and submits exactly one task, and a task pops at least one
+  // item whenever the queue is nonempty, so tasks-outstanding >=
+  // items-queued always holds and drain_tasks_ == 0 implies the queue is
+  // drained.
+  std::unique_ptr<exec::Executor> executor_;
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
   size_t drain_tasks_ = 0;
 
   std::mutex risk_mu_;
   std::map<int, RiskEntry> risk_cache_;
-
-  // Warm-state lock for streaming growth: apply_delta holds it exclusively
-  // while mutating the auxiliary graph + Dehin warm state batch by batch;
-  // attack_one and risk hold it shared. Uncontended in the common case (no
-  // deltas in flight), and the unique_lock acquire/release per batch gives
-  // queries a window between batches of a long stream.
-  std::shared_mutex warm_mu_;
 
   // Introspection plane: a windowed view over the global registry, fed by
   // the watchdog thread (which also re-evaluates the health verdict each

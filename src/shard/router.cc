@@ -1,19 +1,16 @@
-#include "service/shard_router.h"
+#include "shard/router.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cmath>
-#include <cstring>
 
 #include "obs/trace.h"
 #include "service/json.h"
 
-namespace hinpriv::service {
+namespace hinpriv::shard {
+
+using service::JsonValue;
 
 namespace {
 
@@ -37,18 +34,14 @@ void ClearRecvTimeout(int fd) {
 ShardRouter::ShardRouter(std::vector<ShardEndpoint> endpoints)
     : endpoints_(std::move(endpoints)), idle_(endpoints_.size()) {}
 
-ShardRouter::~ShardRouter() { CloseIdle(); }
-
-void ShardRouter::CloseIdle() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::vector<int>& pool : idle_) {
+ShardRouter::~ShardRouter() {
+  for (const std::vector<int>& pool : idle_) {
     for (int fd : pool) ::close(fd);
-    pool.clear();
   }
 }
 
-int ShardRouter::Checkout(size_t shard, std::string* error) {
-  {
+int ShardRouter::Checkout(size_t shard, bool pooled, std::string* error) {
+  if (pooled) {
     std::lock_guard<std::mutex> lock(mu_);
     if (!idle_[shard].empty()) {
       const int fd = idle_[shard].back();
@@ -57,34 +50,12 @@ int ShardRouter::Checkout(size_t shard, std::string* error) {
     }
   }
   const ShardEndpoint& ep = endpoints_[shard];
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    *error = std::string("socket: ") + std::strerror(errno);
+  auto fd = service::ConnectTcp(ep.host, ep.port);
+  if (!fd.ok()) {
+    *error = fd.status().message();
     return -1;
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(ep.port);
-  if (::inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    *error = "unparseable IPv4 host '" + ep.host + "'";
-    return -1;
-  }
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    *error = "connect " + ep.host + ":" + std::to_string(ep.port) + ": " +
-             std::strerror(errno);
-    ::close(fd);
-    return -1;
-  }
-  // Scatter frames are small; coalescing them behind Nagle only adds a
-  // round-trip of latency to every fan-out.
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
+  return fd.value();
 }
 
 void ShardRouter::Return(size_t shard, int fd) {
@@ -92,42 +63,33 @@ void ShardRouter::Return(size_t shard, int fd) {
   idle_[shard].push_back(fd);
 }
 
-std::vector<ShardReply> ShardRouter::ScatterToAll(const Request& request,
+std::vector<ShardReply> ShardRouter::ScatterToAll(service::Request request,
                                                   double recv_timeout_ms) {
-  HINPRIV_SPAN("service/scatter");
+  HINPRIV_SPAN("shard/scatter");
+  request.id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   const size_t n = endpoints_.size();
   std::vector<ShardReply> replies(n);
   std::vector<int> fds(n, -1);
-  const std::string payload = EncodeRequest(request).Serialize();
+  const std::string payload = service::EncodeRequest(request).Serialize();
 
   // Scatter: write the frame to every reachable shard before reading any
   // reply, so all shards compute concurrently.
   for (size_t s = 0; s < n; ++s) {
     replies[s].shard = s;
-    const int fd = Checkout(s, &replies[s].error);
-    if (fd < 0) continue;
-    const util::Status wrote = WriteFrame(fd, payload);
-    if (!wrote.ok()) {
-      // A pooled fd may be stale (shard restarted under us); one fresh
-      // connection is a cheap second chance before reporting the shard
-      // down.
+    // A pooled fd may be stale (the shard restarted under us); one fresh
+    // connection is a cheap second chance before reporting the shard down.
+    for (const bool pooled : {true, false}) {
+      const int fd = Checkout(s, pooled, &replies[s].error);
+      if (fd < 0) break;
+      const util::Status wrote = service::WriteFrame(fd, payload);
+      if (wrote.ok()) {
+        fds[s] = fd;
+        replies[s].error.clear();
+        break;
+      }
       ::close(fd);
-      std::string retry_error;
-      const int fresh = Checkout(s, &retry_error);
-      if (fresh < 0) {
-        replies[s].error = retry_error;
-        continue;
-      }
-      const util::Status rewrote = WriteFrame(fresh, payload);
-      if (!rewrote.ok()) {
-        ::close(fresh);
-        replies[s].error = rewrote.ToString();
-        continue;
-      }
-      fds[s] = fresh;
-      continue;
+      replies[s].error = wrote.ToString();
     }
-    fds[s] = fd;
   }
 
   // Gather: one reply per shard, in shard order. Later shards keep
@@ -137,7 +99,7 @@ std::vector<ShardReply> ShardRouter::ScatterToAll(const Request& request,
     const int fd = fds[s];
     if (fd < 0) continue;
     SetRecvTimeout(fd, recv_timeout_ms);
-    auto frame = ReadFrame(fd);
+    auto frame = service::ReadFrame(fd);
     if (!frame.ok() || !frame.value().has_value()) {
       replies[s].error = frame.ok() ? "shard closed connection mid-call"
                                     : frame.status().ToString();
@@ -150,7 +112,7 @@ std::vector<ShardReply> ShardRouter::ScatterToAll(const Request& request,
       ::close(fd);
       continue;
     }
-    auto response = DecodeResponse(doc.value());
+    auto response = service::DecodeResponse(doc.value());
     if (!response.ok() || response.value().id != request.id) {
       // An id mismatch means the stream is desynchronized (a previous
       // timed-out reply surfacing late); the connection is poisoned.
@@ -167,4 +129,4 @@ std::vector<ShardReply> ShardRouter::ScatterToAll(const Request& request,
   return replies;
 }
 
-}  // namespace hinpriv::service
+}  // namespace hinpriv::shard

@@ -1,15 +1,15 @@
-#ifndef HINPRIV_SERVICE_SHARD_ROUTER_H_
-#define HINPRIV_SERVICE_SHARD_ROUTER_H_
+#ifndef HINPRIV_SHARD_ROUTER_H_
+#define HINPRIV_SHARD_ROUTER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "service/protocol.h"
-#include "util/status.h"
 
-namespace hinpriv::service {
+namespace hinpriv::shard {
 
 // One shard worker's address. The coordinator never learns the shard plan
 // itself — partition membership is baked into each worker's slice — so the
@@ -26,7 +26,7 @@ struct ShardEndpoint {
 struct ShardReply {
   size_t shard = 0;
   bool transport_ok = false;
-  Response response;
+  service::Response response;
   std::string error;
 };
 
@@ -37,6 +37,8 @@ struct ShardReply {
 // frame first, then reads the replies in shard order — the shards compute
 // concurrently during the sequential gather. A connection that errors is
 // closed, not returned, so a restarted shard heals on the next call.
+// Request ids on these connections are the router's own, so a reply that
+// surfaces late on a reused connection never matches a later request.
 //
 // Thread-safe: concurrent callers each hold their own checked-out
 // connections; only the idle pool is locked.
@@ -48,31 +50,30 @@ class ShardRouter {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  size_t num_shards() const { return endpoints_.size(); }
   const ShardEndpoint& endpoint(size_t shard) const {
     return endpoints_[shard];
   }
 
-  // Fans `request` (same id, same body) to every shard and gathers one
-  // reply per shard, indexed by shard. recv_timeout_ms > 0 bounds each
-  // read via SO_RCVTIMEO — the coordinator passes its remaining deadline
-  // plus a grace margin so a wedged shard cannot hold a worker hostage.
-  std::vector<ShardReply> ScatterToAll(const Request& request,
+  // Fans `request` (under a fresh id, same body) to every shard and
+  // gathers one reply per shard, indexed by shard. recv_timeout_ms > 0
+  // bounds each read via SO_RCVTIMEO — the coordinator passes its
+  // remaining deadline plus a grace margin so a wedged shard cannot hold
+  // a worker hostage.
+  std::vector<ShardReply> ScatterToAll(service::Request request,
                                        double recv_timeout_ms);
 
-  // Drops all pooled connections (tests; shard-restart hygiene).
-  void CloseIdle();
-
  private:
-  // Pooled fd or fresh connect; -1 with `error` set on failure.
-  int Checkout(size_t shard, std::string* error);
+  // An idle pooled fd when `pooled` and one exists, else a fresh
+  // connection; -1 with `error` set on failure.
+  int Checkout(size_t shard, bool pooled, std::string* error);
   void Return(size_t shard, int fd);
 
   std::vector<ShardEndpoint> endpoints_;
+  std::atomic<uint64_t> next_id_{0};
   std::mutex mu_;
   std::vector<std::vector<int>> idle_;
 };
 
-}  // namespace hinpriv::service
+}  // namespace hinpriv::shard
 
-#endif  // HINPRIV_SERVICE_SHARD_ROUTER_H_
+#endif  // HINPRIV_SHARD_ROUTER_H_

@@ -2,8 +2,8 @@
 
 #include <utility>
 
-#include "obs/prometheus.h"
 #include "obs/trace.h"
+#include "shard/scatter_gather.h"
 
 namespace hinpriv::shard {
 
@@ -59,39 +59,32 @@ util::Status ShardTier::Start() {
   }
 
   shard_ports_.reserve(config_.num_shards);
-  std::vector<service::ShardEndpoint> endpoints;
+  std::vector<ShardEndpoint> endpoints;
   endpoints.reserve(config_.num_shards);
   for (size_t s = 0; s < config_.num_shards; ++s) {
     service::ServerConfig cfg = config_.shard_server;
     cfg.host = "127.0.0.1";
     cfg.port = 0;  // ephemeral; the coordinator learns the bound port
-    cfg.executor = nullptr;  // own pool — never share with the coordinator
-    cfg.shard_endpoints.clear();
-    cfg.shard_halo_depth = -1;
     // Only owned vertices are root candidates; halo vertices exist solely
     // so owned verdicts match the full graph bit for bit.
     cfg.dehin.candidate_limit = slices_[s].num_owned;
     cfg.aux_id_map = slices_[s].to_parent;
-    cfg.metric_shard = static_cast<int>(
-        s < static_cast<size_t>(obs::kMaxShardLabel)
-            ? s
-            : static_cast<size_t>(obs::kMaxShardLabel) - 1);
+    cfg.metric_shard = static_cast<int>(s);  // ShardMetricName clamps it
     auto server = std::make_unique<service::Server>(
         target_, &slices_[s].graph, std::move(cfg));
     HINPRIV_RETURN_IF_ERROR(server->Start());
     shard_ports_.push_back(server->port());
-    endpoints.push_back(
-        service::ShardEndpoint{"127.0.0.1", server->port()});
+    endpoints.push_back(ShardEndpoint{"127.0.0.1", server->port()});
     shard_servers_.push_back(std::move(server));
   }
 
   service::ServerConfig coord_cfg = config_.coordinator;
-  coord_cfg.shard_endpoints = std::move(endpoints);
-  coord_cfg.shard_halo_depth = config_.halo_depth;
-  coord_cfg.aux_id_map.clear();
   coord_cfg.metric_shard = -1;
-  coordinator_ =
-      std::make_unique<service::Server>(target_, aux_, std::move(coord_cfg));
+  coordinator_ = std::make_unique<service::Server>(
+      target_,
+      std::make_unique<ScatterGather>(std::move(endpoints), config_.halo_depth,
+                                      aux_),
+      std::move(coord_cfg));
   return coordinator_->Start();
 }
 

@@ -14,11 +14,12 @@
 
 namespace hinpriv::shard {
 
-// Assembly of a complete in-process scatter-gather tier: N shard servers,
-// each owning its slice of the auxiliary graph (own CandidateIndex,
-// prefilter tables, MatchCache, executor pool), fronted by one
-// coordinator that scatters attack_one over the loopback wire protocol
-// and merges the verdicts bit-identically to the unsharded scan.
+// Assembly of a complete in-process scatter-gather tier: N local-scan
+// shard servers, each owning its slice of the auxiliary graph (own
+// CandidateIndex, prefilter tables, MatchCache, executor pool), fronted by
+// one coordinator — a server with the ScatterGather handler — that
+// scatters attack_one over the loopback wire protocol and merges the
+// verdicts bit-identically to the unsharded scan.
 struct ShardTierConfig {
   size_t num_shards = 2;
   // Halo depth extracted around each shard's owned vertices; the tier
@@ -35,11 +36,11 @@ struct ShardTierConfig {
   // Template for every shard server. Host/port are overridden (loopback,
   // ephemeral), as are dehin.candidate_limit, aux_id_map and metric_shard;
   // everything else (num_workers, queue bounds, deadlines, match options)
-  // applies per shard. executor must stay null: a coordinator sharing a
-  // pool with its shards deadlocks (see ServerConfig::executor).
+  // applies per shard.
   service::ServerConfig shard_server;
   // The coordinator's config; its host/port are the tier's public
-  // endpoint. shard_endpoints/shard_halo_depth are filled in by Start().
+  // endpoint. Its local-scan fields (dehin, mutable_aux, aux_id_map) are
+  // unused.
   service::ServerConfig coordinator;
 };
 

@@ -45,6 +45,13 @@ class CancelToken {
     SetDeadline(std::chrono::steady_clock::now() + timeout);
   }
   void ClearDeadline() { deadline_ns_.store(0, std::memory_order_relaxed); }
+  // The armed deadline; a default-constructed time_point when none is.
+  std::chrono::steady_clock::time_point deadline() const {
+    return std::chrono::steady_clock::time_point(
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::nanoseconds(
+                deadline_ns_.load(std::memory_order_relaxed))));
+  }
 
   bool deadline_exceeded() const {
     const int64_t deadline = deadline_ns_.load(std::memory_order_relaxed);

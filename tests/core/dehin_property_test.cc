@@ -4,7 +4,9 @@
 // homogenization and bucketing, at every distance.
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -22,11 +24,16 @@ namespace {
 
 enum class Defense { kKdda, kCga, kVwCga, kKDegree, kBucketing };
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: uninitialised padding bytes made the discovered ctest
+// names change from one build to the next.
 struct PropertyParams {
   Defense defense;
-  bool reconfigured;  // strip + saturation fallback
+  uint32_t reconfigured;  // nonzero: strip + saturation fallback
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<PropertyParams>,
+              "PropertyParams must not contain padding bytes");
 
 std::unique_ptr<anon::Anonymizer> MakeAnonymizer(Defense defense) {
   switch (defense) {

@@ -2,7 +2,6 @@
 // loopback socket, concurrent clients, and parity against the batch
 // evaluator on the same anonymized/auxiliary pair.
 
-#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <sstream>
@@ -18,7 +17,6 @@
 #include "core/privacy_risk.h"
 #include "core/signature.h"
 #include "eval/metrics.h"
-#include "exec/executor.h"
 #include "service/client.h"
 #include "service/json.h"
 #include "service/server.h"
@@ -76,6 +74,17 @@ TEST(ServiceIntegrationTest, ConcurrentQueriesMatchBatchEvaluator) {
   Server server(&net.anonymized, &net.aux, config);
   ASSERT_TRUE(server.Start().ok());
   ASSERT_GT(server.port(), 0);
+
+  // The server owns a pool of num_workers, and with more than one worker
+  // attack_one runs the intra-query parallel scan.
+  {
+    auto client = Client::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok());
+    auto stats = client.value().Stats();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats.value().result.GetInt("num_workers", -1), 3);
+    EXPECT_TRUE(stats.value().result.GetBool("parallel_scan", false));
+  }
 
   // Reference answers from the library the batch evaluator uses.
   core::Dehin reference(&net.aux, MakeDehinConfig());
@@ -218,7 +227,7 @@ TEST(ServiceIntegrationTest, SaturatedQueueShedsWithBusy) {
             500);
 
   // Admin verbs bypass the admission queue entirely: stats answers OK on
-  // the reader thread even while the worker and queue are both occupied.
+  // the admin thread even while the worker and queue are both occupied.
   const auto stats_start = std::chrono::steady_clock::now();
   auto stats = prober.value().Stats();
   const auto stats_elapsed = std::chrono::steady_clock::now() - stats_start;
@@ -314,46 +323,6 @@ TEST(ServiceIntegrationTest, CancelledTokenStopsDehinWithoutPoisoningCache) {
     EXPECT_EQ(with_token.value(), fresh.Deanonymize(net.anonymized, v, 1))
         << "divergence at vertex " << v;
   }
-}
-
-// The server can run on a caller-shared executor: request drain tasks and
-// intra-query scan grains ride the same pool, answers stay identical to a
-// direct library call, and the pool survives Shutdown for other users.
-TEST(ServiceIntegrationTest, SharedExecutorServesParallelScansCorrectly) {
-  const TestNetwork net = MakeNetwork(80, 16);
-  exec::Executor shared(3);
-  ServerConfig config;
-  config.executor = &shared;
-  config.parallel_scan = true;
-  config.dehin = MakeDehinConfig();
-  Server server(&net.anonymized, &net.aux, config);
-  ASSERT_TRUE(server.Start().ok());
-
-  core::Dehin reference(&net.aux, MakeDehinConfig());
-  auto client = Client::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(client.ok());
-  auto stats = client.value().Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().result.GetInt("num_workers", -1), 3);
-  EXPECT_TRUE(stats.value().result.GetBool("parallel_scan", false));
-  for (hin::VertexId v = 0; v < net.anonymized.num_vertices(); v += 7) {
-    auto response = client.value().AttackOne(v, 1);
-    ASSERT_TRUE(response.ok());
-    ASSERT_EQ(response.value().code, ResponseCode::kOk);
-    const auto expected = reference.Deanonymize(net.anonymized, v, 1);
-    EXPECT_EQ(response.value().result.GetInt("num_candidates", -1),
-              static_cast<int64_t>(expected.size()))
-        << "vertex " << v;
-  }
-  server.Shutdown();
-  EXPECT_TRUE(server.finished());
-
-  // The shared pool is untouched by the server's drain.
-  std::atomic<int> ran{0};
-  exec::TaskGroup group(&shared);
-  group.Run([&] { ran.fetch_add(1); });
-  group.Wait();
-  EXPECT_EQ(ran.load(), 1);
 }
 
 TEST(ServiceIntegrationTest, ShutdownWithIdleConnectionsCompletes) {

@@ -6,7 +6,10 @@
 // BUSY).
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +21,9 @@
 #include "core/matchers.h"
 #include "service/client.h"
 #include "service/json.h"
+#include "obs/metrics.h"
 #include "service/server.h"
+#include "shard/scatter_gather.h"
 #include "shard/shard_plan.h"
 #include "shard/tier.h"
 #include "synth/tqq_generator.h"
@@ -186,6 +191,113 @@ TEST(ShardDifferentialTest, ExpiredDeadlineFailsBeforeScatter) {
   EXPECT_EQ(response.value().code, service::ResponseCode::kDeadlineExceeded);
 }
 
+// The value of the sample line `series` in a Prometheus text exposition,
+// or -1 when the series is absent.
+int64_t SampleValue(const std::string& text, const std::string& series) {
+  std::istringstream lines(text);
+  const std::string prefix = series + " ";
+  for (std::string line; std::getline(lines, line);) {
+    if (line.compare(0, prefix.size(), prefix) == 0) {
+      return std::stoll(line.substr(prefix.size()));
+    }
+  }
+  return -1;
+}
+
+// Every shard server of a live tier registers its service/* instruments
+// under its own `|shard=N` label and the coordinator under none, and each
+// shard's stats windows read the same labeled instruments its counters
+// feed — a server that sampled one name and queried another would report
+// another server's traffic (or none) here.
+TEST(ShardDifferentialTest, TierExportsOneLabeledSeriesPerServer) {
+  const TestNetwork net = MakeNetwork(80, 43);
+  ShardTierConfig config = MakeTierConfig(2, 1);
+  config.shard_server.introspection_tick_ms = 20;
+  ShardTier tier(&net.anonymized, &net.aux, config);
+  ASSERT_TRUE(tier.Start().ok());
+  ASSERT_EQ(tier.shard_ports().size(), 2u);
+
+  // Other tests in this process may have counted into the same registry
+  // names already; every expectation is relative to these baselines.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const std::string base = "service/requests_received";
+  const uint64_t coordinator_before = registry.GetCounter(base)->Value();
+  const uint64_t shard_before[2] = {
+      registry.GetCounter(base + "|shard=0")->Value(),
+      registry.GetCounter(base + "|shard=1")->Value()};
+
+  auto client = service::Client::Connect("127.0.0.1", tier.port());
+  ASSERT_TRUE(client.ok());
+  constexpr uint64_t kCalls = 12;
+  for (hin::VertexId vt = 0; vt < kCalls; ++vt) {
+    auto response = client.value().AttackOne(vt, 1);
+    ASSERT_TRUE(response.ok());
+    ASSERT_EQ(response.value().code, service::ResponseCode::kOk)
+        << response.value().error;
+  }
+  // Traffic only the coordinator sees (sleep is never scattered), so its
+  // series and the shards' differ.
+  constexpr uint64_t kCoordinatorOnly = 5;
+  for (uint64_t i = 0; i < kCoordinatorOnly; ++i) {
+    auto response = client.value().Sleep(0.0);
+    ASSERT_TRUE(response.ok());
+    ASSERT_EQ(response.value().code, service::ResponseCode::kOk);
+  }
+
+  // Each attack_one reached every shard once; the metrics request is the
+  // coordinator's own last one.
+  auto metrics = client.value().Metrics();
+  ASSERT_TRUE(metrics.ok());
+  ASSERT_EQ(metrics.value().code, service::ResponseCode::kOk);
+  const std::string text = metrics.value().result.GetString("text");
+  const std::string series = "hinpriv_service_requests_received_total";
+  EXPECT_EQ(SampleValue(text, series),
+            static_cast<int64_t>(coordinator_before + kCalls +
+                                 kCoordinatorOnly + 1))
+      << text;
+  for (size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(
+        SampleValue(text, series + "{shard=\"" + std::to_string(s) + "\"}"),
+        static_cast<int64_t>(shard_before[s] + kCalls))
+        << text;
+  }
+
+  // Let a few watchdog ticks sample the shards' windows, then ask each
+  // shard port directly. Its stats count its own requests (plus this
+  // stats call), its 1 s window sees them, and its widest window — which
+  // reaches back to the sample taken at Start — holds exactly its own
+  // attack_one traffic: kCalls requests, give or take the stats call
+  // itself landing in the last sample.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (size_t s = 0; s < 2; ++s) {
+    auto shard_client =
+        service::Client::Connect("127.0.0.1", tier.shard_ports()[s]);
+    ASSERT_TRUE(shard_client.ok());
+    auto stats = shard_client.value().Stats();
+    ASSERT_TRUE(stats.ok());
+    ASSERT_EQ(stats.value().code, service::ResponseCode::kOk);
+    const service::JsonValue& result = stats.value().result;
+    EXPECT_EQ(result.GetInt("requests_received", -1),
+              static_cast<int64_t>(shard_before[s] + kCalls + 1))
+        << "shard " << s;
+    const service::JsonValue* windows = result.Find("windows");
+    ASSERT_NE(windows, nullptr);
+    ASSERT_EQ(windows->items().size(), 3u);
+    const service::JsonValue& one_second = windows->items().front();
+    EXPECT_EQ(one_second.GetDouble("requested_window_sec"), 1.0);
+    EXPECT_GT(one_second.GetDouble("qps"), 0.0) << "shard " << s;
+    const service::JsonValue& widest = windows->items().back();
+    const int64_t received = std::llround(widest.GetDouble("qps") *
+                                          widest.GetDouble("window_sec"));
+    EXPECT_GE(received, static_cast<int64_t>(kCalls)) << "shard " << s;
+    EXPECT_LE(received, static_cast<int64_t>(kCalls + 1)) << "shard " << s;
+    const service::JsonValue* latency = widest.Find("latency");
+    ASSERT_NE(latency, nullptr);
+    EXPECT_EQ(latency->GetInt("count", -1), static_cast<int64_t>(kCalls))
+        << "shard " << s;
+  }
+}
+
 // Build the two-shard topology by hand (the pieces ShardTier assembles) so
 // one shard can be killed / saturated while the coordinator stays up.
 class PartialDegradationTest : public ::testing::Test {
@@ -215,13 +327,14 @@ class PartialDegradationTest : public ::testing::Test {
     coord.port = 0;
     coord.num_workers = 2;
     coord.default_max_distance = 1;
-    coord.shard_halo_depth = 1;
+    std::vector<ShardEndpoint> endpoints;
     for (size_t s = 0; s < 2; ++s) {
-      coord.shard_endpoints.push_back(
-          service::ShardEndpoint{"127.0.0.1", shards_[s]->port()});
+      endpoints.push_back(ShardEndpoint{"127.0.0.1", shards_[s]->port()});
     }
-    coordinator_ = std::make_unique<service::Server>(&net_->anonymized,
-                                                     &net_->aux, coord);
+    coordinator_ = std::make_unique<service::Server>(
+        &net_->anonymized,
+        std::make_unique<ScatterGather>(std::move(endpoints), 1, &net_->aux),
+        coord);
     ASSERT_TRUE(coordinator_->Start().ok());
   }
 

@@ -4,7 +4,7 @@
 # verbs WHILE the load runs — stats must answer with monotonically
 # nondecreasing counters, health must report a known state, the metrics
 # verb must emit parseable Prometheus text, and the `stats --port`
-# operator view must render. This exercises the inline admin fast path
+# operator view must render. This exercises the admin-thread path
 # end to end (process boundary + TCP), complementing
 # tests/service/service_introspection_test.cc.
 #

@@ -822,11 +822,9 @@ int RunServe(int argc, char** argv) {
                "IPv4 listen address (keep the service on loopback: it hands "
                "out de-anonymization results)");
   flags.Define("port", "7470", "TCP port (0 = kernel-assigned, printed)");
-  flags.Define("workers", "4", "worker pool size");
-  flags.Define("threads", "-1",
+  flags.Define("workers", "4",
                "execution pool size shared by request handling and "
-               "intra-query scans (-1 = use --workers, 0 = hardware "
-               "concurrency)");
+               "intra-query scans (0 = hardware concurrency)");
   flags.Define("parallel_scan", "true",
                "fan one attack_one query's candidate scan out across the "
                "pool (needs >1 thread; results identical either way)");
@@ -896,11 +894,6 @@ int RunServe(int argc, char** argv) {
   config.host = flags.GetString("host");
   config.port = static_cast<uint16_t>(flags.GetInt("port"));
   config.num_workers = static_cast<size_t>(flags.GetInt("workers"));
-  const int64_t serve_threads = flags.GetInt("threads");
-  if (serve_threads >= 0) {
-    config.num_workers =
-        exec::ResolveThreads(static_cast<size_t>(serve_threads));
-  }
   config.parallel_scan = flags.GetBool("parallel_scan");
   config.queue_capacity = static_cast<size_t>(flags.GetInt("queue_capacity"));
   config.max_batch = static_cast<size_t>(flags.GetInt("max_batch"));
