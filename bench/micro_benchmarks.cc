@@ -28,7 +28,7 @@
 #include "core/dominance_kernels.h"
 #include "core/signature.h"
 #include "eval/metrics.h"
-#include "hin/binary_io.h"
+#include "hin/io.h"
 #include "hin/snapshot.h"
 #include "hin/subgraph.h"
 #include "hin/tqq_schema.h"
@@ -113,23 +113,9 @@ void BM_GraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphBuild)->Arg(1000)->Arg(10000)->Arg(50000);
 
-// --- Storage-path contrast: heap deserialization vs. mmap warm-start ------
-// Both load the same SharedNetwork() persisted once per process; the file
-// is in the page cache for both, so the delta is purely materialization
-// cost (allocate + copy + CSR rebuild vs. map + O(V) validation).
-
-const std::string& SharedBinaryFile() {
-  static const std::string* path = [] {
-    auto* p = new std::string("/tmp/hinpriv_micro_bench.bin");
-    auto status = hin::SaveGraphBinaryToFile(SharedNetwork(), *p);
-    if (!status.ok()) {
-      std::fprintf(stderr, "save binary: %s\n", status.ToString().c_str());
-      std::exit(1);
-    }
-    return p;
-  }();
-  return *path;
-}
+// --- Snapshot warm-start: map + O(V) structural validation ---------------
+// Loads SharedNetwork() persisted once per process; the file is in the
+// page cache, so this is the cost of mapping and validating it.
 
 const std::string& SharedSnapshotFile() {
   static const std::string* path = [] {
@@ -144,20 +130,10 @@ const std::string& SharedSnapshotFile() {
   return *path;
 }
 
-void BM_BinaryLoad(benchmark::State& state) {
-  const std::string& path = SharedBinaryFile();
-  for (auto _ : state) {
-    auto graph = hin::LoadGraphBinaryFromFile(path);
-    benchmark::DoNotOptimize(graph.value().num_edges());
-  }
-  state.SetItemsProcessed(state.iterations() * SharedNetwork().num_edges());
-}
-BENCHMARK(BM_BinaryLoad);
-
 void BM_SnapshotLoad(benchmark::State& state) {
   const std::string& path = SharedSnapshotFile();
   for (auto _ : state) {
-    auto graph = hin::LoadGraphSnapshot(path);
+    auto graph = hin::LoadGraphAuto(path);
     benchmark::DoNotOptimize(graph.value().num_edges());
   }
   state.SetItemsProcessed(state.iterations() * SharedNetwork().num_edges());

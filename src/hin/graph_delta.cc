@@ -1,5 +1,6 @@
 #include "hin/graph_delta.h"
 
+#include <algorithm>
 #include <fstream>
 #include <ostream>
 
@@ -12,7 +13,16 @@ namespace {
 constexpr char kMagic[] = "hinpriv-delta";
 constexpr int kVersion = 1;
 
-// Reads the next non-empty line; returns IoError at end of stream.
+// Section counts come from the file, so at most this many rows are
+// reserved up front: a false count then fails at its first missing row
+// instead of throwing from the allocator.
+constexpr uint64_t kMaxReservedRows = 1 << 16;
+
+size_t ReservedRows(uint64_t count) {
+  return static_cast<size_t>(std::min(count, kMaxReservedRows));
+}
+
+// Reads the next non-empty line; a stream that ends early is corrupt.
 util::Status NextLine(std::istream& is, std::string* line) {
   while (std::getline(is, *line)) {
     const std::string_view trimmed = util::Trim(*line);
@@ -21,7 +31,7 @@ util::Status NextLine(std::istream& is, std::string* line) {
       return util::Status::OK();
     }
   }
-  return util::Status::IoError("unexpected end of delta stream");
+  return util::Status::Corruption("unexpected end of delta stream");
 }
 
 util::Result<std::vector<std::string_view>> ExpectFields(
@@ -184,7 +194,7 @@ util::Result<std::vector<GraphDelta>> LoadDeltaStream(std::istream& is) {
 
     auto num_new = SectionCount(is, "new_vertices");
     if (!num_new.ok()) return num_new.status();
-    d.new_vertices.reserve(num_new.value());
+    d.new_vertices.reserve(ReservedRows(num_new.value()));
     for (uint64_t i = 0; i < num_new.value(); ++i) {
       HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
       auto row = ExpectFields(line, 1);
@@ -204,7 +214,7 @@ util::Result<std::vector<GraphDelta>> LoadDeltaStream(std::istream& is) {
 
     auto num_bumps = SectionCount(is, "attr_bumps");
     if (!num_bumps.ok()) return num_bumps.status();
-    d.attr_bumps.reserve(num_bumps.value());
+    d.attr_bumps.reserve(ReservedRows(num_bumps.value()));
     for (uint64_t i = 0; i < num_bumps.value(); ++i) {
       HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
       auto row = ExpectFields(line, 3);
@@ -224,7 +234,7 @@ util::Result<std::vector<GraphDelta>> LoadDeltaStream(std::istream& is) {
 
     auto num_edges = SectionCount(is, "edge_adds");
     if (!num_edges.ok()) return num_edges.status();
-    d.edge_adds.reserve(num_edges.value());
+    d.edge_adds.reserve(ReservedRows(num_edges.value()));
     for (uint64_t i = 0; i < num_edges.value(); ++i) {
       HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
       auto row = ExpectFields(line, 4);

@@ -4,9 +4,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "hin/binary_io.h"
 #include "hin/graph_builder.h"
-#include "hin/snapshot.h"
 #include "util/string_util.h"
 
 namespace hinpriv::hin {
@@ -252,29 +250,22 @@ util::Result<Graph> LoadGraphFromFile(const std::string& path) {
   return LoadGraph(in);
 }
 
-util::Result<Graph> LoadGraphAuto(const std::string& path) {
+util::Result<Graph> LoadGraphAuto(const std::string& path,
+                                  const SnapshotOptions& options) {
   {
     std::ifstream probe(path, std::ios::binary);
     if (!probe) return util::Status::IoError("cannot open for read: " + path);
     char magic[8] = {};
     probe.read(magic, sizeof(magic));
-    if (probe.gcount() == 8 && std::memcmp(magic, "HINPRIVB", 8) == 0) {
-      return LoadGraphBinaryFromFile(path);
-    }
     if (probe.gcount() == 8 && std::memcmp(magic, "HINPRIVS", 8) == 0) {
-      return LoadGraphSnapshot(path);
+      return LoadGraphSnapshot(path, options);
     }
   }
   return LoadGraphFromFile(path);
 }
 
 util::Status SaveGraphAuto(const Graph& graph, const std::string& path) {
-  if (path.ends_with(".bin") || path.ends_with(".bgraph")) {
-    return SaveGraphBinaryToFile(graph, path);
-  }
-  if (path.ends_with(".snap")) {
-    return SaveGraphSnapshot(graph, path);
-  }
+  if (path.ends_with(".snap")) return SaveGraphSnapshot(graph, path);
   return SaveGraphToFile(graph, path);
 }
 

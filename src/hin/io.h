@@ -5,6 +5,7 @@
 #include <string>
 
 #include "hin/graph.h"
+#include "hin/snapshot.h"
 #include "util/status.h"
 
 namespace hinpriv::hin {
@@ -34,15 +35,15 @@ util::Status SaveGraphToFile(const Graph& graph, const std::string& path);
 util::Result<Graph> LoadGraph(std::istream& is);
 util::Result<Graph> LoadGraphFromFile(const std::string& path);
 
-// Format-sniffing loader: reads the first 8 bytes and dispatches to the
-// binary loader (binary_io.h) on the "HINPRIVB" magic, the mmap'd snapshot
-// loader (snapshot.h) on "HINPRIVS", the text loader otherwise. Every
-// consumer of `convert` output (CLI subcommands, the attack service) goes
-// through this so callers never care which format a file happens to be in.
-util::Result<Graph> LoadGraphAuto(const std::string& path);
+// The one call that opens a graph file: reads the first 8 bytes and maps
+// the file as a snapshot (snapshot.h) on the "HINPRIVS" magic, with
+// `options` applied, or parses it as text otherwise. Every consumer of
+// `convert` output (CLI subcommands, the attack service, the shard tier)
+// goes through this so callers never care which format a file is in.
+util::Result<Graph> LoadGraphAuto(const std::string& path,
+                                  const SnapshotOptions& options = {});
 
-// Companion saver: ".bin" / ".bgraph" extensions write the binary format,
-// ".snap" the mmap-able snapshot format, anything else the text format.
+// Companion saver: ".snap" writes the snapshot format, anything else text.
 util::Status SaveGraphAuto(const Graph& graph, const std::string& path);
 
 }  // namespace hinpriv::hin

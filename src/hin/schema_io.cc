@@ -9,8 +9,8 @@ namespace hinpriv::hin {
 
 namespace {
 
-// Mirrors the string cap in binary_io.cc: keeps a corrupted length field
-// from driving a large allocation before validation can catch it.
+// Keeps a corrupted length field from driving a large allocation before
+// validation can catch it.
 constexpr uint64_t kMaxStringLength = 1 << 16;
 
 template <typename T>

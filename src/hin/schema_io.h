@@ -8,8 +8,7 @@
 
 namespace hinpriv::hin {
 
-// Shared binary codec for NetworkSchema, used verbatim by the HINPRIVB
-// graph format (binary_io.cc) and as the schema blob inside HINPRIVS
+// Binary codec for NetworkSchema, the schema blob inside HINPRIVS
 // snapshots (snapshot.cc):
 //
 //   u16 num_entity_types

@@ -1,8 +1,13 @@
 #include "hin/snapshot.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -177,8 +182,13 @@ util::Status SnapshotReader::Save(const Graph& graph,
   }
   header.file_bytes = pos;
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return util::Status::IoError("cannot open for write: " + path);
+  // Write-then-rename: a live MAP_SHARED mapping of `path` must never see
+  // its bytes change, and a failed write must not leave a torn file there.
+  static std::atomic<uint64_t> next_temp{0};
+  const std::string temp_path = path + ".tmp" + std::to_string(::getpid()) +
+                                "." + std::to_string(next_temp++);
+  std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
+  if (!out) return util::Status::IoError("cannot open for write: " + temp_path);
   uint64_t written = 0;
   auto pad_to = [&out, &written](uint64_t target) {
     static constexpr char kZeros[kAlignment] = {};
@@ -208,7 +218,17 @@ util::Status SnapshotReader::Save(const Graph& graph,
     }
     written += section.entry.bytes;
   }
-  if (!out) return util::Status::IoError("write failure (snapshot): " + path);
+  out.close();  // the final flush can fail too
+  if (!out) {
+    std::remove(temp_path.c_str());
+    return util::Status::IoError("write failure (snapshot): " + path);
+  }
+  if (std::rename(temp_path.c_str(), path.c_str()) != 0) {
+    const int err = errno;
+    std::remove(temp_path.c_str());
+    return util::Status::IoError("cannot rename snapshot into place: " + path +
+                                 ": " + std::strerror(err));
+  }
   return util::Status::OK();
 }
 
@@ -219,8 +239,6 @@ util::Result<Graph> SnapshotReader::Load(const std::string& path,
 
   util::MappedFile::Options map_options;
   map_options.lock = options.mlock;
-  map_options.willneed = options.willneed;
-  map_options.populate = options.populate;
   auto mapped = [&]() -> util::Result<util::MappedFile> {
     HINPRIV_SPAN("hin/snapshot_map");
     return util::MappedFile::Open(path, map_options);
@@ -517,19 +535,6 @@ util::Status SaveGraphSnapshot(const Graph& graph, const std::string& path) {
 util::Result<Graph> LoadGraphSnapshot(const std::string& path,
                                       const SnapshotOptions& options) {
   return SnapshotReader::Load(path, options);
-}
-
-util::Result<Graph> LoadGraphSnapshot(const std::string& path) {
-  return SnapshotReader::Load(path, SnapshotOptions());
-}
-
-bool SnapshotMagicMatches(const std::string& path) {
-  std::ifstream probe(path, std::ios::binary);
-  if (!probe) return false;
-  char magic[sizeof(kMagic)] = {};
-  probe.read(magic, sizeof(magic));
-  return probe.gcount() == sizeof(magic) &&
-         std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
 }
 
 }  // namespace hinpriv::hin

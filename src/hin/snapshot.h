@@ -47,26 +47,22 @@ namespace hinpriv::hin {
 struct SnapshotOptions {
   // Pin the mapping in RAM (mlock); failure is soft (see util::MappedFile).
   bool mlock = false;
-  // madvise(MADV_WILLNEED) the mapping so the kernel starts readahead.
-  bool willneed = true;
-  // Pre-fault every page at load time (MAP_POPULATE).
-  bool populate = false;
   // Also validate edge payloads (O(E), faults in the edge sections).
   bool verify_edges = false;
 };
 
-// Writes `graph` as a HINPRIVS snapshot at `path`.
+// Writes `graph` as a HINPRIVS snapshot at `path`. The bytes go to a
+// temporary file in the same directory that is renamed over `path` only
+// once every byte is flushed, so a process that still maps the old file
+// keeps reading the old graph, and a failed write leaves `path` untouched.
 util::Status SaveGraphSnapshot(const Graph& graph, const std::string& path);
 
 // Maps a HINPRIVS snapshot and returns a Graph whose storage is the
 // mapping itself (Graph::is_mapped() == true). The mapping lives exactly
-// as long as the Graph (and any Graphs moved from it).
+// as long as the Graph (and any Graphs moved from it). Callers outside
+// the format's own tests open files through hin::LoadGraphAuto (io.h).
 util::Result<Graph> LoadGraphSnapshot(const std::string& path,
-                                      const SnapshotOptions& options);
-util::Result<Graph> LoadGraphSnapshot(const std::string& path);
-
-// True when the first bytes of `path` carry the HINPRIVS magic.
-bool SnapshotMagicMatches(const std::string& path);
+                                      const SnapshotOptions& options = {});
 
 }  // namespace hinpriv::hin
 

@@ -380,7 +380,8 @@ void EventLoop::UpdateEvents(uint64_t id, Conn* conn) {
   const bool want_out = !conn->write_queue.empty();
   if (want_out == conn->epollout_armed) return;
   epoll_event ev{};
-  ev.events = EPOLLIN | (want_out ? EPOLLOUT : 0);
+  ev.events = EPOLLIN;
+  if (want_out) ev.events |= EPOLLOUT;
   ev.data.u64 = id;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) == 0) {
     conn->epollout_armed = want_out;

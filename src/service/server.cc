@@ -1,6 +1,7 @@
 #include "service/server.h"
 
 #include <algorithm>
+#include <exception>
 #include <thread>
 #include <utility>
 
@@ -324,7 +325,20 @@ void Server::DrainOne() {
       obs::ScopedRequestId rid_scope(pending.rid);
       HINPRIV_SPAN("service/handle_request");
       const auto popped = std::chrono::steady_clock::now();
-      Response response = Process(pending);
+      Response response;
+      // A throwing handler must still answer and count this task down:
+      // the pool would swallow the exception, leaving the client without
+      // a reply and Shutdown() waiting for a drain that never finishes.
+      try {
+        response = Process(pending);
+      } catch (const std::exception& e) {
+        response = ErrorResponse(ResponseCode::kInternal,
+                                 std::string("unhandled exception: ") +
+                                     e.what());
+      } catch (...) {
+        response = ErrorResponse(ResponseCode::kInternal,
+                                 "unhandled exception");
+      }
       response.id = pending.request.id;
       const auto processed = std::chrono::steady_clock::now();
       Reply(pending.conn_id, response);

@@ -67,8 +67,8 @@ struct ServerConfig {
   // in place under the warm-state lock, refreshing the candidate index,
   // prefilter tables, and match caches incrementally (O(|delta|) instead
   // of a full rebuild). Null (the default) rejects apply_delta with
-  // INVALID_REQUEST; mmap-backed snapshots must leave it null (the heap
-  // arena is the only appendable representation).
+  // INVALID_REQUEST, and so does a mapped snapshot (Graph::is_mapped()):
+  // the heap arena is the only appendable representation.
   hin::Graph* mutable_aux = nullptr;
 
   // Shard-worker side (see DESIGN.md §12): sub-id -> parent-id

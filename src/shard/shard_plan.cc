@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "hin/io.h"
 #include "hin/subgraph.h"
 #include "obs/trace.h"
 #include "util/hashing.h"
@@ -154,7 +155,7 @@ util::Result<ShardSlice> LoadShardSlice(const std::string& prefix,
     return util::Status::Corruption("truncated shard map: " + map_path);
   }
 
-  auto graph = hin::LoadGraphSnapshot(
+  auto graph = hin::LoadGraphAuto(
       ShardSlicePath(prefix, shard, num_shards, halo_depth), options);
   if (!graph.ok()) return graph.status();
   if (graph.value().num_vertices() != to_parent.size()) {

@@ -11,10 +11,6 @@
 
 namespace hinpriv::util {
 
-Result<MappedFile> MappedFile::Open(const std::string& path) {
-  return Open(path, Options());
-}
-
 Result<MappedFile> MappedFile::Open(const std::string& path,
                                     const Options& options) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -38,11 +34,7 @@ Result<MappedFile> MappedFile::Open(const std::string& path,
     return Status::Corruption("empty file cannot be mapped: " + path);
   }
   const size_t size = static_cast<size_t>(st.st_size);
-  int flags = MAP_SHARED;
-#ifdef MAP_POPULATE
-  if (options.populate) flags |= MAP_POPULATE;
-#endif
-  void* mapping = ::mmap(nullptr, size, PROT_READ, flags, fd, 0);
+  void* mapping = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
   // The mapping holds its own reference to the file; the descriptor is no
   // longer needed either way.
   ::close(fd);
@@ -50,9 +42,7 @@ Result<MappedFile> MappedFile::Open(const std::string& path,
     return Status::IoError("mmap failed: " + path + ": " +
                            std::strerror(errno));
   }
-  if (options.willneed) {
-    ::madvise(mapping, size, MADV_WILLNEED);  // advisory; ignore failure
-  }
+  ::madvise(mapping, size, MADV_WILLNEED);  // advisory; ignore failure
   bool mlocked = false;
   if (options.lock) {
     mlocked = ::mlock(mapping, size) == 0;

@@ -15,6 +15,11 @@ namespace hinpriv::util {
 // snapshot) may outlive any copy/move gymnastics as long as they do not
 // outlive the MappedFile itself.
 //
+// The mapping is MAP_SHARED, so stability assumes writers never rewrite a
+// mapped file in place: they write a new file and rename() it over the old
+// path (as hin::SaveGraphSnapshot does), which leaves this mapping on the
+// old inode. Truncating a mapped file raises SIGBUS on the next access.
+//
 // Move-only: moving transfers the mapping without remapping, so spans taken
 // from data() before a move remain valid afterwards.
 class MappedFile {
@@ -24,18 +29,12 @@ class MappedFile {
     // RLIMIT_MEMLOCK — is recorded in mlocked() but is not an error: the
     // mapping still works, pages just stay evictable.
     bool lock = false;
-    // Hint the kernel to start readahead for the whole range
-    // (madvise MADV_WILLNEED). Cheap and almost always what a loader wants.
-    bool willneed = true;
-    // Pre-fault every page at map time (MAP_POPULATE). Trades instant
-    // first-touch latency for a slower Open(); off by default because the
-    // zero-copy load path's whole point is lazy paging.
-    bool populate = false;
   };
 
+  // Maps `path` read-only and hints the kernel to start readahead for the
+  // whole range (madvise MADV_WILLNEED); pages still fault in lazily.
   static Result<MappedFile> Open(const std::string& path,
                                  const Options& options);
-  static Result<MappedFile> Open(const std::string& path);
 
   MappedFile(MappedFile&& other) noexcept;
   MappedFile& operator=(MappedFile&& other) noexcept;

@@ -24,7 +24,9 @@ hin::Graph CliqueyGraph() {
   EXPECT_TRUE(builder.AddEdge(0, 2, hin::kCommentLink, 1).ok());
   for (VertexId a = 3; a <= 6; ++a) {
     for (VertexId b = 3; b <= 6; ++b) {
-      if (a < b) EXPECT_TRUE(builder.AddEdge(a, b, hin::kFollowLink).ok());
+      if (a < b) {
+        EXPECT_TRUE(builder.AddEdge(a, b, hin::kFollowLink).ok());
+      }
     }
   }
   EXPECT_TRUE(builder.AddEdge(7, 0, hin::kFollowLink).ok());
@@ -71,7 +73,9 @@ TEST(FindCliquesTest, DegreeCapExcludesHubs) {
   EXPECT_TRUE(builder.AddEdge(0, 2, hin::kFollowLink).ok());
   for (VertexId a = 3; a <= 6; ++a) {
     for (VertexId b = 3; b <= 6; ++b) {
-      if (a < b) EXPECT_TRUE(builder.AddEdge(a, b, hin::kFollowLink).ok());
+      if (a < b) {
+        EXPECT_TRUE(builder.AddEdge(a, b, hin::kFollowLink).ok());
+      }
     }
   }
   auto graph = std::move(builder).Build();

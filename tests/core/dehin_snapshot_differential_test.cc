@@ -1,6 +1,6 @@
 // Differential proof that the zero-copy storage path changes nothing about
 // attack semantics: the same auxiliary network loaded two ways — the heap
-// arena built by the binary loader and the mmap'd HINPRIVS snapshot — must
+// arena built by the text loader and the mmap'd HINPRIVS snapshot — must
 // answer Deanonymize and DeanonymizeParallel bit-identically for every
 // target vertex, with and without the candidate index.
 
@@ -10,7 +10,7 @@
 
 #include "anon/kdd_anonymizer.h"
 #include "core/dehin.h"
-#include "hin/binary_io.h"
+#include "hin/io.h"
 #include "hin/snapshot.h"
 #include "synth/tqq_generator.h"
 #include "util/random.h"
@@ -29,16 +29,16 @@ LoadedPair LoadBothWays(size_t num_users, uint64_t seed) {
   util::Rng rng(seed);
   auto graph = synth::GenerateTqqNetwork(config, &rng);
   EXPECT_TRUE(graph.ok());
-  // Unique per test: concurrent ctest processes rewriting a file this
-  // process has mmap'd would SIGBUS on access past the new EOF.
+  // Unique per test: concurrent ctest processes share the temp directory,
+  // and each test loads its own network.
   const std::string stem =
       testing::TempDir() + "/hinpriv_diff_" +
       testing::UnitTest::GetInstance()->current_test_info()->name();
-  const std::string bin_path = stem + ".bin";
+  const std::string text_path = stem + ".graph";
   const std::string snap_path = stem + ".snap";
-  EXPECT_TRUE(hin::SaveGraphBinaryToFile(graph.value(), bin_path).ok());
+  EXPECT_TRUE(hin::SaveGraphToFile(graph.value(), text_path).ok());
   EXPECT_TRUE(hin::SaveGraphSnapshot(graph.value(), snap_path).ok());
-  auto heap = hin::LoadGraphBinaryFromFile(bin_path);
+  auto heap = hin::LoadGraphFromFile(text_path);
   auto mapped = hin::LoadGraphSnapshot(snap_path);
   EXPECT_TRUE(heap.ok());
   EXPECT_TRUE(mapped.ok());

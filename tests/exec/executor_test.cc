@@ -265,13 +265,15 @@ TEST(ParallelForTest, NestedInsideWorkerDoesNotDeadlock) {
 
 TEST(ParallelForTest, BodyExceptionPropagates) {
   Executor executor(4);
+  ParallelForOptions options;
+  options.grain = 10;
   EXPECT_THROW(executor.ParallelFor(1000,
                                     [&](size_t begin, size_t) {
                                       if (begin >= 100) {
                                         throw std::runtime_error("grain boom");
                                       }
                                     },
-                                    {.grain = 10}),
+                                    options),
                std::runtime_error);
 }
 

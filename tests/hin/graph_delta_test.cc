@@ -10,6 +10,7 @@
 #include "hin/graph_builder.h"
 #include "hin/schema.h"
 #include "hin/snapshot.h"
+#include "util/random.h"
 
 namespace hinpriv::hin {
 namespace {
@@ -86,17 +87,26 @@ void ExpectGraphsIdentical(const Graph& a, const Graph& b) {
   }
 }
 
-TEST(GraphDeltaTest, StreamRoundTrip) {
+// Two chained batches: SampleDelta() and an attr bump on its new vertex.
+std::string SampleStreamText() {
   std::vector<GraphDelta> deltas;
   deltas.push_back(SampleDelta());
   GraphDelta second;
   second.base_num_vertices = 6;
   second.attr_bumps.push_back({5, 1, 1});
   deltas.push_back(second);
-
   std::ostringstream out;
-  ASSERT_TRUE(SaveDeltaStream(deltas, out).ok());
-  std::istringstream in(out.str());
+  EXPECT_TRUE(SaveDeltaStream(deltas, out).ok());
+  return out.str();
+}
+
+util::Status LoadText(const std::string& text) {
+  std::istringstream in(text);
+  return LoadDeltaStream(in).status();
+}
+
+TEST(GraphDeltaTest, StreamRoundTrip) {
+  std::istringstream in(SampleStreamText());
   auto loaded = LoadDeltaStream(in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded.value().size(), 2u);
@@ -123,6 +133,59 @@ TEST(GraphDeltaTest, LoadRejectsCorruptStream) {
   std::istringstream truncated(
       "hinpriv-delta 1\nbatch 4\nnew_vertices 1\n");
   EXPECT_FALSE(LoadDeltaStream(truncated).ok());
+}
+
+// Section counts come from the file. A false one must fail at its first
+// missing row rather than reserve that many rows up front (which throws
+// length_error or bad_alloc out of the loader). One case per section.
+TEST(GraphDeltaTest, HostileNewVertexCountIsCorruption) {
+  EXPECT_EQ(LoadText("hinpriv-delta 1\nbatch 0\n"
+                     "new_vertices 18446744073709551615\n")
+                .code(),
+            util::Status::Code::kCorruption);
+}
+
+TEST(GraphDeltaTest, HostileAttrBumpCountIsCorruption) {
+  EXPECT_EQ(LoadText("hinpriv-delta 1\nbatch 0\nnew_vertices 0\n"
+                     "attr_bumps 18446744073709551615\n")
+                .code(),
+            util::Status::Code::kCorruption);
+}
+
+TEST(GraphDeltaTest, HostileEdgeAddCountIsCorruption) {
+  EXPECT_EQ(LoadText("hinpriv-delta 1\nbatch 0\nnew_vertices 0\n"
+                     "attr_bumps 0\nedge_adds 100000000000\n")
+                .code(),
+            util::Status::Code::kCorruption);
+}
+
+// Exhaustive truncation sweep: every prefix fails with a Status, except
+// the one that drops only the final newline ("done" still terminates).
+TEST(GraphDeltaTest, EveryTruncationLengthFailsCleanly) {
+  const std::string text = SampleStreamText();
+  ASSERT_EQ(text.substr(text.size() - 5), "done\n");
+  for (size_t keep = 0; keep < text.size(); ++keep) {
+    const util::Status status = LoadText(text.substr(0, keep));
+    EXPECT_EQ(status.ok(), keep == text.size() - 1)
+        << "prefix of " << keep << " bytes: " << status.ToString();
+  }
+}
+
+// Seeded byte-flip fuzz: overwriting any byte with any value must either
+// fail with a Status or still parse — never crash or throw.
+TEST(GraphDeltaTest, RandomByteCorruptionNeverCrashes) {
+  const std::string text = SampleStreamText();
+  util::Rng fuzz(17);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string corrupted = text;
+    corrupted[fuzz.UniformU64(corrupted.size())] =
+        static_cast<char>(fuzz.UniformU64(256));
+    std::istringstream in(corrupted);
+    auto loaded = LoadDeltaStream(in);
+    if (loaded.ok()) {
+      EXPECT_LE(loaded.value().size(), 2u);
+    }
+  }
 }
 
 // The tentpole identity: applying a delta in place is bit-identical to

@@ -1,11 +1,16 @@
 #include "hin/io.h"
 
+#include <cstdint>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "hin/graph_builder.h"
 #include "hin/tqq_schema.h"
+#include "synth/tqq_generator.h"
+#include "util/random.h"
 
 namespace hinpriv::hin {
 namespace {
@@ -154,6 +159,62 @@ TEST(GraphIoFailureTest, WrongAttributeCount) {
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, 12, "0 1 1980 0");
   EXPECT_EQ(LoadFrom(text).code(), util::Status::Code::kCorruption);
+}
+
+std::string SerializeNetwork(size_t num_users, uint64_t seed) {
+  synth::TqqConfig config;
+  config.num_users = num_users;
+  util::Rng rng(seed);
+  auto graph = synth::GenerateTqqNetwork(config, &rng);
+  EXPECT_TRUE(graph.ok());
+  return Serialize(graph.value());
+}
+
+// Exhaustive truncation sweep: every prefix fails with a Status, except
+// the one that drops only the final newline ("end" still terminates).
+TEST(GraphIoFailureTest, EveryTruncationLengthFailsCleanly) {
+  const std::string text = SerializeNetwork(30, 21);
+  ASSERT_EQ(text.substr(text.size() - 4), "end\n");
+  for (size_t keep = 0; keep < text.size(); ++keep) {
+    const util::Status status = LoadFrom(text.substr(0, keep));
+    EXPECT_EQ(status.ok(), keep == text.size() - 1)
+        << "prefix of " << keep << " bytes: " << status.ToString();
+  }
+}
+
+// Seeded byte-flip fuzz: overwriting any byte with any value must either
+// fail with a Status or still yield a valid graph — never crash, hang, or
+// allocate from a corrupted count before the rows behind it are read.
+TEST(GraphIoFailureTest, RandomByteCorruptionNeverCrashes) {
+  const std::string text = SerializeNetwork(50, 22);
+  util::Rng fuzz(23);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string corrupted = text;
+    corrupted[fuzz.UniformU64(corrupted.size())] =
+        static_cast<char>(fuzz.UniformU64(256));
+    std::stringstream stream(corrupted);
+    auto loaded = LoadGraph(stream);
+    if (loaded.ok()) {
+      EXPECT_LE(loaded.value().num_vertices(), 1u << 20);
+    }
+  }
+}
+
+// The retired HINPRIVB binary format is no longer recognized: its files
+// fall through to the text parser and are rejected as corrupt.
+TEST(GraphIoFailureTest, RetiredBinaryMagicIsCorruption) {
+  const std::string path =
+      testing::TempDir() + "/hinpriv_io_test_retired_magic.bin";
+  {
+    // Magic, u32 version 1, then the first schema bytes.
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "HINPRIVB"
+        << std::string("\x01\x00\x00\x00\x01\x00\x04\x00", 8);
+  }
+  auto loaded = LoadGraphAuto(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::Status::Code::kCorruption)
+      << loaded.status().ToString();
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// Hardening coverage for the HINPRIVS snapshot reader, mirroring the
-// HINPRIVB suite (binary_io_corruption_test.cc): every truncation length
-// and randomized bit flips must come back as a util::Status (or a
+// Hardening coverage for the HINPRIVS snapshot reader: every truncation
+// length and randomized bit flips must come back as a util::Status (or a
 // still-valid graph) — never a crash, hang, or out-of-mapping read. The
 // reader validates every count and section bound against the actual file
 // size before handing out any mapping-derived span, so all of these run

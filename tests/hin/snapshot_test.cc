@@ -1,5 +1,7 @@
 #include "hin/snapshot.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "hin/graph_builder.h"
@@ -90,7 +92,6 @@ TEST(SnapshotTest, VerifyEdgesAcceptsWellFormedSnapshot) {
   ASSERT_TRUE(SaveGraphSnapshot(graph, path).ok());
   SnapshotOptions options;
   options.verify_edges = true;
-  options.populate = true;
   auto loaded = LoadGraphSnapshot(path, options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectGraphsEqual(graph, loaded.value());
@@ -112,11 +113,55 @@ TEST(SnapshotTest, LoadGraphAutoSniffsSnapshotMagic) {
   const Graph graph = GenerateNetwork(200, 5);
   const std::string path = testing::TempDir() + "/hinpriv_snapshot_auto.snap";
   ASSERT_TRUE(SaveGraphAuto(graph, path).ok());  // .snap => snapshot format
-  ASSERT_TRUE(SnapshotMagicMatches(path));
   auto loaded = LoadGraphAuto(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded.value().is_mapped());
   ExpectGraphsEqual(graph, loaded.value());
+}
+
+// Out-edges of `mapped` that differ from `expected`, read across every
+// adjacency list, so every page of the edge sections is touched.
+size_t MismatchedEdges(const Graph& expected, const Graph& mapped) {
+  size_t mismatched = 0;
+  for (LinkTypeId lt = 0; lt < expected.num_link_types(); ++lt) {
+    for (VertexId v = 0; v < expected.num_vertices(); ++v) {
+      const auto want = expected.OutEdges(lt, v);
+      const auto got = mapped.OutEdges(lt, v);
+      if (want.size() != got.size()) {
+        mismatched += std::max(want.size(), got.size());
+        continue;
+      }
+      for (size_t i = 0; i < want.size(); ++i) {
+        if (!(want[i] == got[i])) ++mismatched;
+      }
+    }
+  }
+  return mismatched;
+}
+
+// Saving over a path that a live Graph still maps: the writer renames a
+// new file into place, so the old mapping keeps the bytes it validated at
+// load time and a fresh load sees the new graph. A rewrite in place would
+// fault the old mapping: SIGSEGV once a same-size rewrite moves the
+// sections, SIGBUS once a shorter one truncates the file.
+TEST(SnapshotTest, SaveOverLiveMappingLeavesItIntact) {
+  const Graph original = GenerateNetwork(5000, 8);
+  const std::string path =
+      testing::TempDir() + "/hinpriv_snapshot_rewrite.snap";
+  ASSERT_TRUE(SaveGraphSnapshot(original, path).ok());
+  auto mapped = LoadGraphSnapshot(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  ASSERT_TRUE(SaveGraphSnapshot(GenerateNetwork(5000, 9), path).ok());
+  EXPECT_EQ(MismatchedEdges(original, mapped.value()), 0u);
+  const Graph smaller = GenerateNetwork(200, 10);
+  ASSERT_TRUE(SaveGraphSnapshot(smaller, path).ok());
+  EXPECT_EQ(MismatchedEdges(original, mapped.value()), 0u);
+  ExpectGraphsEqual(original, mapped.value());
+
+  auto reloaded = LoadGraphSnapshot(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ExpectGraphsEqual(smaller, reloaded.value());
 }
 
 TEST(SnapshotTest, MissingFileIsIoError) {

@@ -5,6 +5,7 @@
 // warm-state lock exists for.
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -217,6 +218,38 @@ TEST(ServiceDeltaTest, RejectedOnUnreadableStream) {
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response.value().code, ResponseCode::kInvalidRequest);
   server.Shutdown();
+}
+
+// A hostile section count must not throw out of the stream loader on a
+// worker: the pool would swallow the exception, the client would never
+// get a reply, and Shutdown() would wait forever for the drain task. It
+// comes back as INVALID_REQUEST, and the server keeps serving and drains.
+TEST(ServiceDeltaTest, HostileSectionCountIsInvalidRequest) {
+  TestNetwork net = MakeNetwork(60, 40);
+  const std::string path =
+      testing::TempDir() + "/hinpriv_service_delta_hostile.deltas";
+  {
+    std::ofstream out(path);
+    out << "hinpriv-delta 1\nbatch 60\nnew_vertices 18446744073709551615\n";
+  }
+  ServerConfig config;
+  config.num_workers = 1;
+  config.dehin = MakeDehinConfig();
+  config.mutable_aux = &net.aux;
+  Server server(&net.anonymized, &net.aux, config);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  auto response = client.value().ApplyDelta(path);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().code, ResponseCode::kInvalidRequest)
+      << response.value().error;
+  auto attack = client.value().AttackOne(0, 1);
+  ASSERT_TRUE(attack.ok());
+  EXPECT_EQ(attack.value().code, ResponseCode::kOk);
+  server.Shutdown();
+  EXPECT_TRUE(server.finished());
+  std::remove(path.c_str());
 }
 
 // The race the warm-state lock exists for: apply_delta mutating the aux

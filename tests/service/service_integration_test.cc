@@ -4,7 +4,9 @@
 
 #include <chrono>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -338,6 +340,42 @@ TEST(ServiceIntegrationTest, ShutdownWithIdleConnectionsCompletes) {
   ASSERT_TRUE(a.ok() && b.ok());
   auto warm = a.value().Stats();
   ASSERT_TRUE(warm.ok());
+  server.Shutdown();
+  EXPECT_TRUE(server.finished());
+}
+
+// A role whose attack_one throws. The pool swallows task exceptions, so
+// the front-end itself must answer INTERNAL and count the drain task
+// down; otherwise the client never hears back and Shutdown() waits for
+// the task forever.
+class ThrowingHandler : public Handler {
+ public:
+  Response AttackOne(hin::VertexId, int, const util::CancelToken&) override {
+    throw std::runtime_error("handler failure");
+  }
+  Response ApplyDelta(const std::string&, const util::CancelToken&) override {
+    return ErrorResponse(ResponseCode::kInvalidRequest, "read-only role");
+  }
+  void AppendStats(JsonValue*) override {}
+};
+
+TEST(ServiceIntegrationTest, ThrowingHandlerAnswersInternalAndDrains) {
+  const TestNetwork net = MakeNetwork(30, 16);
+  ServerConfig config;
+  config.num_workers = 1;
+  Server server(&net.anonymized, std::make_unique<ThrowingHandler>(),
+                config);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto response = client.value().AttackOne(0, 1);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().code, ResponseCode::kInternal);
+    EXPECT_NE(response.value().error.find("handler failure"),
+              std::string::npos)
+        << response.value().error;
+  }
   server.Shutdown();
   EXPECT_TRUE(server.finished());
 }

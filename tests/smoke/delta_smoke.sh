@@ -5,8 +5,8 @@
 # cold-started from the fully grown graph. This is the end-to-end (process
 # boundary + TCP + delta stream file) complement to
 # tests/core/dehin_delta_differential_test and tests/service/
-# service_delta_test. Also asserts the negative path: a server warm-started
-# from a read-only mmap snapshot refuses apply_delta with INVALID_REQUEST.
+# service_delta_test. Also asserts the negative path: a server whose --aux
+# is a read-only mmap snapshot refuses apply_delta with INVALID_REQUEST.
 #
 # Usage: delta_smoke.sh <path-to-hinpriv_cli>
 set -euo pipefail
@@ -25,7 +25,7 @@ trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$WORK"' EXIT
 # the grown graph for the cold-start oracle below.
 "$CLI" grow --in="$WORK/net.graph" --batches=3 --seed=11 \
   --out="$WORK/grown.graph" --delta-out="$WORK/batches.deltas"
-"$CLI" snapshot --in="$WORK/net.graph" --out="$WORK/net.snap" --verify
+"$CLI" convert --in="$WORK/net.graph" --out="$WORK/net.snap" --verify
 
 wait_ready() { # port
   for _ in $(seq 1 100); do
@@ -73,7 +73,7 @@ kill "$COLD_PID" && wait "$COLD_PID" 2>/dev/null || true
 diff -u "$WORK/live.out" "$WORK/cold.out"
 
 # --- Negative path: mmap snapshots are immutable -------------------------
-"$CLI" serve --target="$WORK/pub.graph" --snapshot="$WORK/net.snap" \
+"$CLI" serve --target="$WORK/pub.graph" --aux="$WORK/net.snap" \
   --port="$SNAP_PORT" &
 SNAP_PID=$!
 wait_ready "$SNAP_PORT"

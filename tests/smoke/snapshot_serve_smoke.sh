@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Snapshot round-trip serving smoke, run as a CI step: compile a synthetic
-# network into a HINPRIVS snapshot, warm-start `serve` from the mmap'd file,
-# and assert the attack answers are identical to a server that loaded the
-# same network through the text path. This is the end-to-end (process
-# boundary + TCP) complement to tests/core/dehin_snapshot_differential_test.
+# Snapshot round-trip serving smoke, run as a CI step: convert a synthetic
+# network into a HINPRIVS snapshot, warm-start `serve --aux` from the mmap'd
+# file, and assert the attack answers are identical to a server that loaded
+# the same network through the text path. While the snapshot server runs,
+# net.snap is rewritten from a smaller graph: the writer renames a new file
+# into place, so the live mapping must keep answering from the old graph.
+# This is the end-to-end (process boundary + TCP) complement to
+# tests/core/dehin_snapshot_differential_test.
 #
 # Usage: snapshot_serve_smoke.sh <path-to-hinpriv_cli>
 set -euo pipefail
@@ -17,7 +20,7 @@ trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$WORK"' EXIT
 "$CLI" generate --users=2000 --seed=7 --out="$WORK/net.graph"
 "$CLI" anonymize --in="$WORK/net.graph" --scheme=kdda \
   --out="$WORK/pub.graph" --mapping="$WORK/secret.tsv"
-"$CLI" snapshot --in="$WORK/net.graph" --out="$WORK/net.snap" --verify
+"$CLI" convert --in="$WORK/net.graph" --out="$WORK/net.snap" --verify
 
 wait_ready() { # port
   for _ in $(seq 1 100); do
@@ -39,11 +42,15 @@ query_all() { # port outfile — normalized to just the candidate sets, so
   done
 }
 
-"$CLI" serve --target="$WORK/pub.graph" --snapshot="$WORK/net.snap" \
+"$CLI" serve --target="$WORK/pub.graph" --aux="$WORK/net.snap" \
   --port="$SNAP_PORT" &
 SNAP_PID=$!
 wait_ready "$SNAP_PORT"
 query_all "$SNAP_PORT" "$WORK/snap.out"
+# Rewrite net.snap under the live server, then query it again.
+"$CLI" generate --users=500 --seed=8 --out="$WORK/small.graph"
+"$CLI" convert --in="$WORK/small.graph" --out="$WORK/net.snap"
+query_all "$SNAP_PORT" "$WORK/rewritten.out"
 kill "$SNAP_PID" && wait "$SNAP_PID" 2>/dev/null || true
 
 "$CLI" serve --target="$WORK/pub.graph" --aux="$WORK/net.graph" \
@@ -55,4 +62,6 @@ kill "$TEXT_PID" && wait "$TEXT_PID" 2>/dev/null || true
 
 [ -s "$WORK/snap.out" ] || { echo "no candidate sets captured" >&2; exit 1; }
 diff -u "$WORK/snap.out" "$WORK/text.out"
-echo "snapshot serve smoke: $(wc -l < "$WORK/snap.out") answers, parity OK"
+diff -u "$WORK/rewritten.out" "$WORK/text.out"
+echo "snapshot serve smoke: $(wc -l < "$WORK/snap.out") answers, parity OK," \
+  "also after rewriting the served snapshot"

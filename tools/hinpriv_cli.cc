@@ -13,16 +13,16 @@
 //   hinpriv_cli audit     --in=net.graph [--max_distance=3]
 //   hinpriv_cli stats     --in=net.graph
 //   hinpriv_cli stats     --port=7470 [--watch=2]      # live server stats
-//   hinpriv_cli snapshot  --in=net.graph --out=net.snap [--verify]
-//   hinpriv_cli serve     --target=anon.graph --aux=net.graph [--port=7470]
+//   hinpriv_cli convert   --in=net.graph --out=net.snap [--verify]
+//   hinpriv_cli serve     --target=anon.graph --aux=net.snap [--port=7470]
 //                         [--workers=4] [--queue_capacity=128]
-//                         [--snapshot=net.snap] [--mlock] [--heartbeat_sec=10]
+//                         [--mlock] [--heartbeat_sec=10]
 //   hinpriv_cli query     --port=7470 --method=attack_one --target_id=123
 //
 // Every subcommand exchanges graphs through hin::LoadGraphAuto /
-// hin::SaveGraphAuto (text, HINPRIVB binary, or HINPRIVS mmap snapshot,
-// auto-detected); `generate` can additionally emit the KDD Cup 2012
-// three-file layout for tools built against the original release.
+// hin::SaveGraphAuto (text, or HINPRIVS mmap snapshot for a .snap path,
+// auto-detected on load); `generate` can additionally emit the KDD Cup
+// 2012 three-file layout for tools built against the original release.
 
 #include <algorithm>
 #include <chrono>
@@ -83,8 +83,7 @@ int Usage() {
       "  audit      privacy-risk audit of a graph before publication\n"
       "  stats      structural statistics of a graph, or (--port) live\n"
       "             introspection of a running serve instance\n"
-      "  convert    convert between text and binary graph formats\n"
-      "  snapshot   write a graph as an mmap-able HINPRIVS snapshot\n"
+      "  convert    convert between the text and HINPRIVS snapshot formats\n"
       "  project    meta-path projection of a full t.qq graph\n"
       "  serve      resident attack service over TCP (see DESIGN.md §7)\n"
       "  query      one request against a running serve instance\n"
@@ -720,7 +719,11 @@ int RunConvert(int argc, char** argv) {
   util::FlagParser flags;
   flags.Define("in", "", "input graph (either format, auto-detected)");
   flags.Define("out", "",
-               "output path (.bin/.bgraph => binary, else text)");
+               "output path (.snap => mmap-able HINPRIVS snapshot, else "
+               "text)");
+  flags.Define("verify", "false",
+               "re-open the written file (a snapshot with the full O(E) "
+               "edge payload scan) before reporting success");
   auto status = flags.Parse(argc, argv);
   if (!status.ok()) return Fail(status);
   if (flags.help_requested()) {
@@ -729,44 +732,21 @@ int RunConvert(int argc, char** argv) {
   }
   auto graph = hin::LoadGraphAuto(flags.GetString("in"));
   if (!graph.ok()) return Fail(graph.status());
-  const util::Status saved = hin::SaveGraphAuto(graph.value(), flags.GetString("out"));
-  if (!saved.ok()) return Fail(saved);
-  std::printf("converted %s -> %s (%zu vertices, %zu links)\n",
-              flags.GetString("in").c_str(), flags.GetString("out").c_str(),
-              graph.value().num_vertices(), graph.value().num_edges());
-  return 0;
-}
-
-int RunSnapshot(int argc, char** argv) {
-  util::FlagParser flags;
-  flags.Define("in", "", "input graph (any format, auto-detected)");
-  flags.Define("out", "", "snapshot output path (conventionally .snap)");
-  flags.Define("verify", "false",
-               "re-load the written snapshot with the full O(E) edge "
-               "payload scan before reporting success");
-  auto status = flags.Parse(argc, argv);
-  if (!status.ok()) return Fail(status);
-  if (flags.help_requested()) {
-    std::printf("%s", flags.Usage("hinpriv_cli snapshot").c_str());
-    return 0;
-  }
-  auto graph = hin::LoadGraphAuto(flags.GetString("in"));
-  if (!graph.ok()) return Fail(graph.status());
   const std::string out = flags.GetString("out");
-  const util::Status saved = hin::SaveGraphSnapshot(graph.value(), out);
+  const util::Status saved = hin::SaveGraphAuto(graph.value(), out);
   if (!saved.ok()) return Fail(saved);
   if (flags.GetBool("verify")) {
     hin::SnapshotOptions options;
     options.verify_edges = true;
-    auto reloaded = hin::LoadGraphSnapshot(out, options);
+    auto reloaded = hin::LoadGraphAuto(out, options);
     if (!reloaded.ok()) return Fail(reloaded.status());
     if (reloaded.value().num_vertices() != graph.value().num_vertices() ||
         reloaded.value().num_edges() != graph.value().num_edges()) {
       return Fail(util::Status::Corruption(
-          "snapshot verification found a vertex/edge count mismatch"));
+          "verification found a vertex/edge count mismatch in " + out));
     }
   }
-  std::printf("snapshot %s -> %s (%zu vertices, %zu links%s)\n",
+  std::printf("converted %s -> %s (%zu vertices, %zu links%s)\n",
               flags.GetString("in").c_str(), out.c_str(),
               graph.value().num_vertices(), graph.value().num_edges(),
               flags.GetBool("verify") ? ", verified" : "");
@@ -810,14 +790,14 @@ int RunProject(int argc, char** argv) {
 int RunServe(int argc, char** argv) {
   util::FlagParser flags;
   flags.Define("target", "", "published (anonymized) graph to serve");
-  flags.Define("aux", "", "adversary's auxiliary graph");
-  flags.Define("snapshot", "",
-               "mmap the auxiliary graph from this HINPRIVS snapshot "
-               "instead of --aux (instant warmstart; pages shared between "
-               "replicas mapping the same file)");
+  flags.Define("aux", "",
+               "adversary's auxiliary graph; a HINPRIVS snapshot (see "
+               "'convert') is mapped instead of parsed (instant warmstart; "
+               "pages shared between replicas mapping the same file)");
   flags.Define("mlock", "false",
-               "with --snapshot: pin the mapping in RAM so queries never "
-               "take a page-cache miss (soft-fails under RLIMIT_MEMLOCK)");
+               "for a snapshot --aux or shard slices: pin the mapping in RAM "
+               "so queries never take a page-cache miss (soft-fails under "
+               "RLIMIT_MEMLOCK)");
   flags.Define("host", "127.0.0.1",
                "IPv4 listen address (keep the service on loopback: it hands "
                "out de-anonymization results)");
@@ -872,22 +852,17 @@ int RunServe(int argc, char** argv) {
   }
   auto target = hin::LoadGraphAuto(flags.GetString("target"));
   if (!target.ok()) return Fail(target.status());
-  const std::string snapshot_path = flags.GetString("snapshot");
-  auto aux = [&]() -> util::Result<hin::Graph> {
-    if (!snapshot_path.empty()) {
-      hin::SnapshotOptions options;
-      options.mlock = flags.GetBool("mlock");
-      return hin::LoadGraphSnapshot(snapshot_path, options);
-    }
-    return hin::LoadGraphAuto(flags.GetString("aux"));
-  }();
+  const std::string aux_path = flags.GetString("aux");
+  hin::SnapshotOptions snapshot_options;
+  snapshot_options.mlock = flags.GetBool("mlock");
+  auto aux = hin::LoadGraphAuto(aux_path, snapshot_options);
   if (!aux.ok()) return Fail(aux.status());
-  if (!snapshot_path.empty()) {
+  if (aux.value().is_mapped()) {
     std::printf("auxiliary graph mapped from snapshot %s (%zu vertices, "
                 "%zu links%s)\n",
-                snapshot_path.c_str(), aux.value().num_vertices(),
+                aux_path.c_str(), aux.value().num_vertices(),
                 aux.value().num_edges(),
-                flags.GetBool("mlock") ? ", mlocked" : "");
+                snapshot_options.mlock ? ", mlocked" : "");
   }
 
   service::ServerConfig config;
@@ -923,7 +898,7 @@ int RunServe(int argc, char** argv) {
         halo >= 0 ? static_cast<int>(halo) : config.default_max_distance;
     const std::string shard_dir = flags.GetString("shard_dir");
     if (!shard_dir.empty()) tier_config.slice_prefix = shard_dir + "/aux";
-    tier_config.snapshot.mlock = flags.GetBool("mlock");
+    tier_config.snapshot = snapshot_options;
     tier_config.shard_server = config;
     tier_config.shard_server.num_workers =
         static_cast<size_t>(flags.GetInt("shard_workers"));
@@ -943,9 +918,7 @@ int RunServe(int argc, char** argv) {
     std::printf("serving %s (aux %s) on %s:%u — %zu shards (halo depth %zu, "
                 "owned %zu–%zu vertices, %lld workers each), coordinator "
                 "queue %zu; SIGINT/SIGTERM drains gracefully\n",
-                flags.GetString("target").c_str(),
-                (snapshot_path.empty() ? flags.GetString("aux")
-                                       : snapshot_path).c_str(),
+                flags.GetString("target").c_str(), aux_path.c_str(),
                 config.host.c_str(), static_cast<unsigned>(front->port()),
                 tier->num_shards(),
                 static_cast<size_t>(tier_config.halo_depth), min_owned,
@@ -953,11 +926,11 @@ int RunServe(int argc, char** argv) {
                 static_cast<long long>(flags.GetInt("shard_workers")),
                 config.queue_capacity);
   } else {
-    // Streaming growth works only against the heap arena — a mapped
-    // snapshot is immutable by construction and a shard tier would need
-    // re-partitioning. apply_delta against other configurations is
-    // rejected with INVALID_REQUEST.
-    if (snapshot_path.empty()) config.mutable_aux = &aux.value();
+    // Streaming growth: the local scan refuses apply_delta with
+    // INVALID_REQUEST while the graph is a mapped snapshot (the heap arena
+    // is the only appendable one); a shard tier would need re-partitioning
+    // and never takes it.
+    config.mutable_aux = &aux.value();
     server = std::make_unique<service::Server>(&target.value(), &aux.value(),
                                                config);
     status = server->Start();
@@ -965,9 +938,7 @@ int RunServe(int argc, char** argv) {
     front = server.get();
     std::printf("serving %s (aux %s) on %s:%u — %zu workers, queue %zu, "
                 "batch %zu; SIGINT/SIGTERM drains gracefully\n",
-                flags.GetString("target").c_str(),
-                (snapshot_path.empty() ? flags.GetString("aux")
-                                       : snapshot_path).c_str(),
+                flags.GetString("target").c_str(), aux_path.c_str(),
                 config.host.c_str(),
                 static_cast<unsigned>(front->port()), config.num_workers,
                 config.queue_capacity, config.max_batch);
@@ -1085,7 +1056,6 @@ int Main(int argc, char** argv) {
   if (command == "audit") return RunAudit(argc - 1, argv + 1);
   if (command == "stats") return RunStats(argc - 1, argv + 1);
   if (command == "convert") return RunConvert(argc - 1, argv + 1);
-  if (command == "snapshot") return RunSnapshot(argc - 1, argv + 1);
   if (command == "project") return RunProject(argc - 1, argv + 1);
   if (command == "serve") return RunServe(argc - 1, argv + 1);
   if (command == "query") return RunQuery(argc - 1, argv + 1);
