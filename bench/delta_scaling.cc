@@ -5,16 +5,23 @@
 //
 // At the paper's crawl size (2,320,895 t.qq users, Section 6.1) each
 // growth batch touches well under 1% of the vertex set, so the incremental
-// path — GraphBuilder::ApplyDelta on the heap arena followed by
-// Dehin::ApplyAuxDelta (O(|delta| log B) index maintenance, 1-hop patch
-// table for the prefilter, epoch-scoped cache invalidation) — should be
-// dramatically cheaper than re-running the O(V log V + E) constructor.
+// path — GraphBuilder::ApplyDelta into the graph's copy-on-write overlay
+// (only the touched adjacency runs are rewritten) followed by
+// Dehin::ApplyAuxDelta (O(|delta| log B) index maintenance, append-only
+// 1-hop patch table for the prefilter, epoch-scoped cache invalidation) —
+// should be dramatically cheaper than re-running the O(V log V + E)
+// constructor.
 //
 // The headline claim this bench pins: the incremental warm-state refresh
-// is >= 10x cheaper than a full rebuild for batches <= 1% of V. Every
-// batch also runs a differential guard — Deanonymize answers from the
-// incrementally-maintained Dehin must be bit-identical to a fresh one —
-// so the speedup can never come from silently serving stale state.
+// is >= 10x cheaper than a full rebuild for batches <= 1% of V. Each
+// batch row also records graph_apply_s, the graph half of the writer's
+// stall. Every batch runs a differential guard — Deanonymize answers from
+// the incrementally-maintained Dehin must be bit-identical to a fresh
+// one — so the speedup can never come from silently serving stale state.
+//
+// The committed BENCH_delta_scaling.json comes from the defaults below
+// (paper-scale network, 3 batches) in the default RelWithDebInfo build;
+// its context block records the host's hardware_concurrency.
 
 #include <algorithm>
 #include <chrono>

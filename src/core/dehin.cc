@@ -161,8 +161,12 @@ util::Status Dehin::ApplyAuxDelta(const hin::GraphDelta& delta) {
 
   // Epoch-invalidate every cached target state's shared match cache for
   // the delta's d-hop closure; per-call memos (shared cache ablated) need
-  // nothing — they never outlive a query.
+  // nothing — they never outlive a query. With no cache depth populated
+  // (no shared cache, or n = 1, whose root-only matches are never
+  // memoized) there is nothing to invalidate: the batch counts as
+  // skipped, not as a closure of zero vertices.
   uint64_t dirty_vertices = 0;
+  bool skipped_invalidation = true;
   {
     HINPRIV_SPAN("dehin/apply_delta/caches");
     std::vector<std::shared_ptr<const TargetState>> states;
@@ -180,6 +184,7 @@ util::Status Dehin::ApplyAuxDelta(const hin::GraphDelta& delta) {
       }
     }
     if (radius > 0) {
+      skipped_invalidation = false;
       const std::vector<std::vector<hin::VertexId>> dirty =
           DirtyClosure(delta, radius);
       for (const auto& state : states) {
@@ -196,6 +201,9 @@ util::Status Dehin::ApplyAuxDelta(const hin::GraphDelta& delta) {
   registry.GetCounter("dehin/delta_new_edges")->Add(delta.edge_adds.size());
   registry.GetCounter("dehin/delta_attr_bumps")->Add(delta.attr_bumps.size());
   registry.GetCounter("dehin/delta_dirty_vertices")->Add(dirty_vertices);
+  if (skipped_invalidation) {
+    registry.GetCounter("dehin/delta_invalidation_skips")->Increment();
+  }
   return util::Status::OK();
 }
 

@@ -14,6 +14,13 @@ NeighborhoodStats::NeighborhoodStats(
   BuildFull(graph);
 }
 
+std::span<const hin::Edge> NeighborhoodStats::SlotEdges(
+    const hin::Graph& graph, size_t slot, hin::VertexId v) const {
+  const hin::LinkTypeId lt = link_types_[use_in_edges_ ? slot / 2 : slot];
+  return use_in_edges_ && slot % 2 == 1 ? graph.InEdges(lt, v)
+                                        : graph.OutEdges(lt, v);
+}
+
 void NeighborhoodStats::BuildFull(const hin::Graph& graph) {
   const size_t n = graph.num_vertices();
   base_vertices_ = n;
@@ -24,135 +31,92 @@ void NeighborhoodStats::BuildFull(const hin::Graph& graph) {
   // strengths arena (slot boundaries are just where the previous slot's
   // running total left off).
   uint64_t total = 0;
-  size_t slot = 0;
-  auto lay_out_slot = [&](hin::LinkTypeId lt, bool incoming) {
+  for (size_t slot = 0; slot < num_slots_; ++slot) {
     uint64_t* off = offsets_.data() + slot * offsets_stride_;
     for (hin::VertexId v = 0; v < n; ++v) {
       off[v] = total;
-      total += incoming ? graph.InDegree(lt, v) : graph.OutDegree(lt, v);
+      total += SlotEdges(graph, slot, v).size();
     }
     off[n] = total;
-    ++slot;
-  };
-  for (hin::LinkTypeId lt : link_types_) {
-    lay_out_slot(lt, /*incoming=*/false);
-    if (use_in_edges_) lay_out_slot(lt, /*incoming=*/true);
   }
 
   // Pass 2: fill and sort each vertex's strength run in place.
   strengths_.Reset(total);
-  slot = 0;
-  auto fill_slot = [&](hin::LinkTypeId lt, bool incoming) {
+  for (size_t slot = 0; slot < num_slots_; ++slot) {
     const uint64_t* off = SlotOffsets(slot);
     for (hin::VertexId v = 0; v < n; ++v) {
-      const auto edges =
-          incoming ? graph.InEdges(lt, v) : graph.OutEdges(lt, v);
+      const auto edges = SlotEdges(graph, slot, v);
       hin::Strength* out = strengths_.data() + off[v];
       for (size_t i = 0; i < edges.size(); ++i) out[i] = edges[i].strength;
       std::sort(out, out + edges.size());
     }
-    ++slot;
-  };
-  for (hin::LinkTypeId lt : link_types_) {
-    fill_slot(lt, /*incoming=*/false);
-    if (use_in_edges_) fill_slot(lt, /*incoming=*/true);
   }
 
   // A full build supersedes any patch state.
   patch_rows_ = 0;
-  patch_stride_ = 0;
+  patched_vertices_ = 0;
   patch_row_.clear();
-  patch_offsets_.Reset(0);
-  patch_strengths_.Reset(0);
+  patch_spans_.clear();
+  patch_blocks_.clear();
 }
 
 void NeighborhoodStats::ApplyDelta(const hin::Graph& graph,
                                    const hin::GraphDelta& delta) {
   const size_t n = graph.num_vertices();
 
-  // Touched set = the delta's 1-hop strength closure: new vertices plus
-  // both endpoints of every added edge. Attribute bumps never change
-  // neighborhood strengths, so they are not part of it. The patch set
-  // accumulates: previously patched vertices stay patched (the base arenas
-  // no longer describe them).
-  std::vector<uint32_t> new_patch_row(n, kNoPatch);
-  for (size_t v = 0; v < patch_row_.size(); ++v) {
-    if (patch_row_[v] != kNoPatch) new_patch_row[v] = 0;  // marked, re-rowed
+  // Touched set = the vertices whose strength multisets can change: new
+  // vertices, the source of every added edge (its out-slots), and, when
+  // in-edge slots exist, the destination too. Attribute bumps never
+  // change neighborhood strengths, so they are not part of it.
+  std::vector<hin::VertexId> touched;
+  touched.reserve(n - delta.base_num_vertices + 2 * delta.edge_adds.size());
+  for (size_t v = delta.base_num_vertices; v < n; ++v) {
+    touched.push_back(static_cast<hin::VertexId>(v));
   }
-  for (size_t v = delta.base_num_vertices; v < n; ++v) new_patch_row[v] = 0;
   for (const hin::GraphDelta::EdgeAdd& e : delta.edge_adds) {
-    new_patch_row[e.src] = 0;
-    new_patch_row[e.dst] = 0;
+    touched.push_back(e.src);
+    if (use_in_edges_) touched.push_back(e.dst);
   }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
 
-  // One O(n) pass assigns rows in vertex-id order and collects the patched
-  // list; everything below iterates that list, not the vertex range, so a
-  // batch costs O(|patched| * degree), not O(V * slots).
-  std::vector<hin::VertexId> patched;
-  size_t rows = 0;
-  for (size_t v = 0; v < n; ++v) {
-    if (new_patch_row[v] != kNoPatch) {
-      new_patch_row[v] = static_cast<uint32_t>(rows++);
-      patched.push_back(static_cast<hin::VertexId>(v));
-    }
-  }
-
-  // Compaction: once a quarter of the graph reads through the patch table,
-  // fold everything back into one full build — amortized O(E) per O(V)
-  // patched vertices, and the hot path goes back to mostly-base reads.
-  if (rows > n / 4) {
+  // Compaction: once the table holds more rows than a quarter of the
+  // graph, orphaned rows included, fold everything back into one full
+  // build — amortized O(E) per O(V) appended rows, and the hot path goes
+  // back to mostly-base reads.
+  if (patch_rows_ + touched.size() > n / 4) {
     BuildFull(graph);
     return;
   }
 
-  // Rebuild the patch table wholesale for the merged patched set (the
-  // aligned arenas are Reset-then-fill only). Layout mirrors the base
-  // arenas with vertices replaced by rows, preserving the zero-padded
-  // alignment contract the dominance kernels rely on.
-  const size_t stride = rows + 1;
-  util::AlignedBuffer<uint64_t> offsets(num_slots_ * stride);
-
+  // One aligned arena holds the batch's rows, each row's slots in order,
+  // so the zero-padded alignment contract the dominance kernels rely on
+  // holds for every span in it.
+  std::vector<std::span<const hin::Edge>> runs;
+  runs.reserve(touched.size() * num_slots_);
   uint64_t total = 0;
-  size_t slot = 0;
-  auto lay_out_slot = [&](hin::LinkTypeId lt, bool incoming) {
-    uint64_t* off = offsets.data() + slot * stride;
-    uint32_t row = 0;
-    for (hin::VertexId v : patched) {
-      off[row++] = total;
-      total += incoming ? graph.InDegree(lt, v) : graph.OutDegree(lt, v);
+  for (hin::VertexId v : touched) {
+    for (size_t slot = 0; slot < num_slots_; ++slot) {
+      runs.push_back(SlotEdges(graph, slot, v));
+      total += runs.back().size();
     }
-    off[rows] = total;
-    ++slot;
-  };
-  for (hin::LinkTypeId lt : link_types_) {
-    lay_out_slot(lt, /*incoming=*/false);
-    if (use_in_edges_) lay_out_slot(lt, /*incoming=*/true);
   }
-
-  util::AlignedBuffer<hin::Strength> strengths(total);
-  slot = 0;
-  auto fill_slot = [&](hin::LinkTypeId lt, bool incoming) {
-    const uint64_t* off = offsets.data() + slot * stride;
-    uint32_t row = 0;
-    for (hin::VertexId v : patched) {
-      const auto edges =
-          incoming ? graph.InEdges(lt, v) : graph.OutEdges(lt, v);
-      hin::Strength* out = strengths.data() + off[row++];
+  util::AlignedBuffer<hin::Strength> block(total);
+  patch_row_.resize(n, kNoPatch);
+  hin::Strength* out = block.data();
+  auto run = runs.begin();
+  for (hin::VertexId v : touched) {
+    if (patch_row_[v] == kNoPatch) ++patched_vertices_;
+    patch_row_[v] = static_cast<uint32_t>(patch_rows_++);
+    for (size_t slot = 0; slot < num_slots_; ++slot) {
+      const std::span<const hin::Edge> edges = *run++;
       for (size_t i = 0; i < edges.size(); ++i) out[i] = edges[i].strength;
       std::sort(out, out + edges.size());
+      patch_spans_.push_back(PatchSpan{out, edges.size()});
+      out += edges.size();
     }
-    ++slot;
-  };
-  for (hin::LinkTypeId lt : link_types_) {
-    fill_slot(lt, /*incoming=*/false);
-    if (use_in_edges_) fill_slot(lt, /*incoming=*/true);
   }
-
-  patch_rows_ = rows;
-  patch_stride_ = stride;
-  patch_row_ = std::move(new_patch_row);
-  patch_offsets_ = std::move(offsets);
-  patch_strengths_ = std::move(strengths);
+  patch_blocks_.push_back(std::move(block));
 }
 
 bool NeighborhoodStats::StrengthMultisetDominates(

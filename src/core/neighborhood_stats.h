@@ -36,11 +36,12 @@ namespace hinpriv::core {
 // dominance kernels (core/dominance_kernels.h) can run full-width loads at
 // any span offset without faulting.
 //
-// Growth deltas are absorbed incrementally (ApplyDelta): vertices touched
-// by a delta move into a side patch table (same two-arena layout, same
-// alignment guarantees) rebuilt per batch from the touched set, while the
-// untouched majority keeps reading the original arenas. When the patched
-// fraction crosses a threshold the stats compact back into one full build.
+// Growth deltas are absorbed incrementally (ApplyDelta): each batch
+// appends rows for the vertices it touches to an append-only patch table
+// (one aligned arena per batch, same alignment guarantees), while the
+// untouched majority keeps reading the original arenas. When the patch
+// table's rows, orphaned ones included, cross a threshold the stats
+// compact back into one full build.
 class NeighborhoodStats {
  public:
   NeighborhoodStats(const hin::Graph& graph,
@@ -58,9 +59,9 @@ class NeighborhoodStats {
   std::span<const hin::Strength> SortedStrengths(size_t slot,
                                                  hin::VertexId v) const {
     if (v < patch_row_.size() && patch_row_[v] != kNoPatch) {
-      const uint64_t* off =
-          patch_offsets_.data() + slot * patch_stride_ + patch_row_[v];
-      return {patch_strengths_.data() + off[0], off[1] - off[0]};
+      const PatchSpan& patch =
+          patch_spans_[size_t{patch_row_[v]} * num_slots_ + slot];
+      return {patch.data, patch.size};
     }
     const uint64_t* off = SlotOffsets(slot) + v;
     return {strengths_.data() + off[0], off[1] - off[0]};
@@ -90,18 +91,24 @@ class NeighborhoodStats {
   }
 
   // Incrementally absorbs one growth batch after the graph has been
-  // mutated by hin::GraphBuilder::ApplyDelta. Only vertices in the delta's
-  // 1-hop closure — new vertices plus the endpoints of added edges (attr
-  // bumps do not touch strengths) — have their slots recomputed, into the
-  // patch arenas; the base arenas stay untouched, so cost is proportional
-  // to the patched set's degree sum, not E. The patch set accumulates
-  // across batches; once it exceeds ~1/4 of the graph the stats compact
-  // into a fresh full build (amortized O(E) every O(V) patched vertices).
+  // mutated by hin::GraphBuilder::ApplyDelta. Only vertices whose strength
+  // multisets can change — new vertices, sources of added edges, and
+  // their destinations when in-edge slots exist (attr bumps do not touch
+  // strengths) — get their slots recomputed, into one fresh row each
+  // appended to the patch table; the base arenas and the rows of earlier
+  // batches stay untouched, so cost is proportional to the touched set's
+  // degree sum, not E or the patched set. A vertex touched again gets a
+  // fresh row and its old row is orphaned. Once the table holds more rows
+  // than ~1/4 of the graph's vertex count, orphans included, the stats
+  // compact into a fresh full build (amortized O(E) every O(V) appended
+  // rows).
   void ApplyDelta(const hin::Graph& graph, const hin::GraphDelta& delta);
 
   // Observability for tests and the delta bench: how many vertices read
-  // from the patch table, and how many the base arenas cover.
-  size_t num_patched() const { return patch_rows_; }
+  // from the patch table, how many rows it holds (orphans included), and
+  // how many vertices the base arenas cover.
+  size_t num_patched() const { return patched_vertices_; }
+  size_t num_patch_rows() const { return patch_rows_; }
   size_t base_vertices() const { return base_vertices_; }
 
   // Necessary condition for Algorithm 2's per-type acceptance test: a
@@ -142,14 +149,25 @@ class NeighborhoodStats {
   util::AlignedBuffer<uint64_t> offsets_;
   util::AlignedBuffer<hin::Strength> strengths_;
 
-  // Patch table: row r of `slot` lives at patch_offsets_[slot *
-  // patch_stride_ + r .. +1], absolute into patch_strengths_. patch_row_
-  // maps vertex id -> row (kNoPatch when the base arenas are current).
+  // The edges behind `slot` of v: link type link_types_[slot / 2] (or
+  // [slot] without in-edges), in-edges on odd slots when in-edges are used.
+  std::span<const hin::Edge> SlotEdges(const hin::Graph& graph, size_t slot,
+                                       hin::VertexId v) const;
+
+  // Patch table, append-only: row r's span for `slot` is
+  // patch_spans_[r * num_slots_ + slot], pointing into one of
+  // patch_blocks_ (one arena per batch, never reallocated). patch_row_
+  // maps vertex id -> its current row (kNoPatch when the base arenas are
+  // current).
+  struct PatchSpan {
+    const hin::Strength* data;
+    size_t size;
+  };
   size_t patch_rows_ = 0;
-  size_t patch_stride_ = 0;  // patch_rows_ + 1
+  size_t patched_vertices_ = 0;
   std::vector<uint32_t> patch_row_;
-  util::AlignedBuffer<uint64_t> patch_offsets_;
-  util::AlignedBuffer<hin::Strength> patch_strengths_;
+  std::vector<PatchSpan> patch_spans_;
+  std::vector<util::AlignedBuffer<hin::Strength>> patch_blocks_;
 };
 
 }  // namespace hinpriv::core

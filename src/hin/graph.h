@@ -2,6 +2,7 @@
 #define HINPRIV_HIN_GRAPH_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -32,7 +33,7 @@ namespace internal {
 // Heap backing store for a Graph built by GraphBuilder. The Graph's spans
 // point into these vectors; a shared_ptr to the arena keeps them alive.
 // Mapped snapshots use a util::MappedFile as the arena instead — the Graph
-// never knows (or cares) which one backs it.
+// never knows (or cares) which one backs it. Never written after Build().
 struct GraphArena {
   struct Csr {
     std::vector<uint64_t> offsets;  // size num_vertices + 1
@@ -47,22 +48,62 @@ struct GraphArena {
   std::vector<Csr> in;   // one per link type
 };
 
+inline constexpr uint32_t kNoPatch = std::numeric_limits<uint32_t>::max();
+// Row 0 of every patched adjacency: the empty run all patched vertices
+// without edges share, so a new vertex costs a row index, not a vector.
+inline constexpr uint32_t kEmptyRun = 0;
+
+// Everything growth deltas (GraphBuilder::ApplyDelta) changed in a Graph,
+// kept on the heap beside the read-only base arena. The first delta copies
+// the per-vertex columns here; later ones append to and write the copies.
+// Every adjacency run a delta touches is merged into a vector of its own.
+// The Graph holds this through a pointer, so moving the Graph moves none
+// of the bytes its spans point into.
+struct GraphOverlay {
+  // One link type in one direction.
+  struct Adjacency {
+    // patch_row[v] is v's index in `runs`, or kNoPatch while v's run is
+    // the CSR's. Empty until the first patch, then one entry per vertex;
+    // vertices the CSR does not cover are always patched.
+    std::vector<uint32_t> patch_row;
+    // Each sorted by neighbor id; runs[kEmptyRun] stays empty.
+    std::vector<std::vector<Edge>> runs;
+    size_t run_edges = 0;  // entries across `runs`
+    // The heap CSR the last compaction folded the CSR and `runs` into; it
+    // replaces the base arena's CSR for this adjacency. Empty before.
+    std::vector<uint64_t> offsets;
+    std::vector<Edge> edges;
+  };
+
+  std::vector<EntityTypeId> vtype;
+  std::vector<uint32_t> dense_idx;
+  std::vector<std::vector<std::vector<AttrValue>>> attrs;
+  std::vector<Adjacency> out;  // one per link type
+  std::vector<Adjacency> in;   // one per link type
+  uint64_t compactions = 0;
+};
+
 }  // namespace internal
 
 class SnapshotReader;
+struct GraphDelta;
 
-// An immutable heterogeneous information network instance (Definition 1):
-// a directed graph whose vertices carry an entity type and per-type profile
+// A heterogeneous information network instance (Definition 1): a directed
+// graph whose vertices carry an entity type and per-type profile
 // attributes, and whose edges carry a link type and a strength.
 //
 // Storage is per-link-type CSR, with both out- and in-adjacency, entries
 // sorted by neighbor id; attributes are columnar per entity type. All bulk
 // data is exposed through std::span views over an owned arena — either a
 // heap arena filled by GraphBuilder (graph_builder.h) or an mmap'd snapshot
-// (snapshot.h) used in place with zero deserialization. Immutable after
-// construction, so const access is safe to share across threads; moving a
-// Graph does not invalidate spans already taken from it (the arena's bytes
-// never move).
+// (snapshot.h) used in place with zero deserialization. The arena is never
+// written. The graph is mutated only by GraphBuilder::ApplyDelta, under the
+// caller's exclusion, which puts every change into a heap overlay: a
+// patched vertex's adjacency run lives in its own vector, and the
+// accessors check a per-vertex patch row before the CSR (one compare when
+// nothing is patched). Between deltas const access is safe to share across
+// threads; moving a Graph does not invalidate spans already taken from it
+// (neither the arena's nor the overlay's bytes move).
 class Graph {
  public:
   Graph(const Graph&) = delete;
@@ -84,23 +125,19 @@ class Graph {
 
   // Out-neighbors of v via link type lt, sorted by neighbor id.
   std::span<const Edge> OutEdges(LinkTypeId lt, VertexId v) const {
-    const CsrView& adj = out_[lt];
-    return adj.edges.subspan(adj.offsets[v], adj.offsets[v + 1] -
-                                                 adj.offsets[v]);
+    return Run(out_[lt], v);
   }
   // In-neighbors of v via link type lt (edge.neighbor is the source vertex),
   // sorted by neighbor id.
   std::span<const Edge> InEdges(LinkTypeId lt, VertexId v) const {
-    const CsrView& adj = in_[lt];
-    return adj.edges.subspan(adj.offsets[v], adj.offsets[v + 1] -
-                                                 adj.offsets[v]);
+    return Run(in_[lt], v);
   }
 
   size_t OutDegree(LinkTypeId lt, VertexId v) const {
-    return out_[lt].offsets[v + 1] - out_[lt].offsets[v];
+    return OutEdges(lt, v).size();
   }
   size_t InDegree(LinkTypeId lt, VertexId v) const {
-    return in_[lt].offsets[v + 1] - in_[lt].offsets[v];
+    return InEdges(lt, v).size();
   }
   // Out-degree summed over all link types.
   size_t TotalOutDegree(VertexId v) const;
@@ -129,20 +166,57 @@ class Graph {
   // Position of v inside its entity type's attribute columns.
   uint32_t dense_index(VertexId v) const { return dense_idx_[v]; }
 
-  // True when this graph's bulk data lives in an mmap'd snapshot rather
-  // than a heap arena (diagnostics / bench labeling only — behaviour is
-  // identical either way).
+  // True when this graph's base arena is an mmap'd snapshot rather than a
+  // heap arena (diagnostics / bench labeling only — behaviour, growth
+  // included, is identical either way).
   bool is_mapped() const { return mapped_; }
+
+  // Size of the overlay growth deltas have built (all zero before the
+  // first delta): adjacency runs read from the overlay, the edges they
+  // hold, and compactions that folded an adjacency into a fresh CSR.
+  struct OverlayStats {
+    size_t patched_runs = 0;
+    size_t patched_edges = 0;
+    uint64_t compactions = 0;
+  };
+  OverlayStats overlay_stats() const;
 
  private:
   friend class GraphBuilder;
   friend class SnapshotReader;
   Graph() = default;
 
+  // One link type in one direction: a CSR (the base arena's, or the
+  // overlay's after a compaction) and the overlay's patch table over it.
   struct CsrView {
-    std::span<const uint64_t> offsets;  // size num_vertices + 1
+    std::span<const uint64_t> offsets;  // vertices the CSR covers + 1
     std::span<const Edge> edges;
+    std::span<const uint32_t> patch_row;  // empty: nothing patched
+    const std::vector<Edge>* runs = nullptr;
   };
+
+  static std::span<const Edge> Run(const CsrView& adj, VertexId v) {
+    if (v < adj.patch_row.size() && adj.patch_row[v] != internal::kNoPatch) {
+      return adj.runs[adj.patch_row[v]];
+    }
+    return adj.edges.subspan(adj.offsets[v],
+                             adj.offsets[v + 1] - adj.offsets[v]);
+  }
+
+  // The body of GraphBuilder::ApplyDelta (graph_builder.h): validates the
+  // delta, then writes it into the overlay.
+  util::Status ApplyDelta(const GraphDelta& delta);
+  // Makes `run` vertex v's run in one adjacency. An empty run for a vertex
+  // without one of its own takes the shared kEmptyRun row.
+  void SetRun(bool incoming, LinkTypeId lt, VertexId v, std::vector<Edge> run);
+  // Merges `adds` (sorted by neighbor; repeats fold by summing strengths)
+  // into v's run in one adjacency and returns how many entries the run
+  // gained. A run v owns grows in place; any other run is copied once.
+  size_t MergeRun(bool incoming, LinkTypeId lt, VertexId v,
+                  std::span<const Edge> adds);
+  // Folds one adjacency's CSR and runs into a fresh heap CSR once it has
+  // more than V/4 runs of its own.
+  void CompactIfLarge(bool incoming, LinkTypeId lt);
 
   NetworkSchema schema_;
   std::span<const EntityTypeId> vtype_;
@@ -154,10 +228,12 @@ class Graph {
   std::vector<CsrView> in_;   // one per link type
   size_t num_edges_ = 0;
   bool mapped_ = false;
-  // Type-erased owner of every byte the spans above reference: an
+  // Type-erased owner of the base bytes the spans above reference: an
   // internal::GraphArena for built graphs, a util::MappedFile for
   // snapshots.
   std::shared_ptr<const void> arena_;
+  // Null until the first delta.
+  std::unique_ptr<internal::GraphOverlay> overlay_;
 };
 
 }  // namespace hinpriv::hin

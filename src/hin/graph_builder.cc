@@ -4,8 +4,6 @@
 #include <memory>
 #include <string>
 
-#include "hin/graph_delta.h"
-
 namespace hinpriv::hin {
 
 GraphBuilder::GraphBuilder(NetworkSchema schema) : schema_(std::move(schema)) {
@@ -168,169 +166,17 @@ util::Result<Graph> GraphBuilder::Build() && {
   g.out_.resize(num_links);
   g.in_.resize(num_links);
   for (size_t lt = 0; lt < num_links; ++lt) {
-    g.out_[lt] = Graph::CsrView{arena->out[lt].offsets, arena->out[lt].edges};
-    g.in_[lt] = Graph::CsrView{arena->in[lt].offsets, arena->in[lt].edges};
+    g.out_[lt] =
+        Graph::CsrView{arena->out[lt].offsets, arena->out[lt].edges, {}, {}};
+    g.in_[lt] =
+        Graph::CsrView{arena->in[lt].offsets, arena->in[lt].edges, {}, {}};
   }
   g.arena_ = std::move(arena);
   return g;
 }
 
 util::Status GraphBuilder::ApplyDelta(Graph* graph, const GraphDelta& delta) {
-  if (graph->is_mapped()) {
-    return util::Status::FailedPrecondition(
-        "apply_delta requires a heap-built graph; mmap'd snapshots are "
-        "immutable");
-  }
-  HINPRIV_RETURN_IF_ERROR(ValidateDelta(*graph, delta));
-  // A non-mapped Graph is always backed by the heap arena Build() created;
-  // the const_cast is the one sanctioned mutation point, guarded by the
-  // caller's exclusion contract.
-  auto* arena = static_cast<internal::GraphArena*>(
-      const_cast<void*>(graph->arena_.get()));
-  if (arena == nullptr) {
-    return util::Status::FailedPrecondition("graph has no backing arena");
-  }
-
-  const size_t n_old = graph->num_vertices();
-  const size_t n_new = n_old + delta.new_vertices.size();
-  const NetworkSchema& schema = graph->schema_;
-  const size_t num_links = schema.num_link_types();
-
-  // Pre-pass (no mutation yet): bucket delta edges per link type, sort by
-  // (src, dst), and reject duplicates that non-growable link types cannot
-  // absorb, so a failed apply leaves the graph untouched.
-  std::vector<std::vector<StagedEdge>> adds(num_links);
-  for (const GraphDelta::EdgeAdd& e : delta.edge_adds) {
-    adds[e.link].push_back(StagedEdge{e.src, e.dst, e.strength});
-  }
-  for (size_t lt = 0; lt < num_links; ++lt) {
-    auto& edges = adds[lt];
-    std::sort(edges.begin(), edges.end(),
-              [](const StagedEdge& a, const StagedEdge& b) {
-                return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-              });
-    if (schema.link_type(static_cast<LinkTypeId>(lt)).growable_strength) {
-      continue;
-    }
-    for (size_t i = 0; i < edges.size(); ++i) {
-      if (i > 0 && edges[i].src == edges[i - 1].src &&
-          edges[i].dst == edges[i - 1].dst) {
-        return util::Status::InvalidArgument(
-            "duplicate delta edge on non-growable link type '" +
-            schema.link_type(static_cast<LinkTypeId>(lt)).name + "'");
-      }
-      if (edges[i].src < n_old &&
-          graph->HasEdge(static_cast<LinkTypeId>(lt), edges[i].src,
-                         edges[i].dst)) {
-        return util::Status::InvalidArgument(
-            "delta edge duplicates an existing edge on non-growable link "
-            "type '" +
-            schema.link_type(static_cast<LinkTypeId>(lt)).name + "'");
-      }
-    }
-  }
-
-  // Append vertices and their attribute columns, then apply bumps. Use the
-  // arena's vectors directly — the Graph's spans are stale until refreshed
-  // below.
-  arena->vtype.reserve(n_new);
-  arena->dense_idx.reserve(n_new);
-  for (const GraphDelta::NewVertex& nv : delta.new_vertices) {
-    arena->vtype.push_back(nv.type);
-    arena->dense_idx.push_back(
-        static_cast<uint32_t>(graph->type_counts_[nv.type]++));
-    auto& columns = arena->attrs[nv.type];
-    for (size_t a = 0; a < columns.size(); ++a) {
-      columns[a].push_back(nv.attrs[a]);
-    }
-  }
-  for (const GraphDelta::AttrBump& b : delta.attr_bumps) {
-    arena->attrs[arena->vtype[b.v]][b.attr][arena->dense_idx[b.v]] += b.delta;
-  }
-
-  // Merge each link type's delta edges into fresh CSRs. The old per-vertex
-  // runs are dst-sorted and the delta is (src, dst)-sorted, so a linear
-  // merge reproduces exactly the CSR Build() would emit over the union
-  // multiset (fold-by-sum is order-independent).
-  for (size_t lt = 0; lt < num_links; ++lt) {
-    auto& out = arena->out[lt];
-    auto& in = arena->in[lt];
-    const auto& edges = adds[lt];
-    if (edges.empty()) {
-      // New vertices have no edges of this type: extend both offset arrays.
-      out.offsets.resize(n_new + 1, out.offsets.back());
-      in.offsets.resize(n_new + 1, in.offsets.back());
-      continue;
-    }
-    internal::GraphArena::Csr merged;
-    merged.offsets.assign(n_new + 1, 0);
-    merged.edges.reserve(out.edges.size() + edges.size());
-    size_t cursor = 0;  // into the (src, dst)-sorted delta
-    for (size_t v = 0; v < n_new; ++v) {
-      const uint64_t old_end = v < n_old ? out.offsets[v + 1] : 0;
-      uint64_t o = v < n_old ? out.offsets[v] : 0;
-      while (true) {
-        const bool have_old = o < old_end;
-        const bool have_new = cursor < edges.size() && edges[cursor].src == v;
-        if (!have_old && !have_new) break;
-        Edge e;
-        if (have_old &&
-            (!have_new || out.edges[o].neighbor <= edges[cursor].dst)) {
-          e = out.edges[o++];
-        } else {
-          e = Edge{edges[cursor].dst, edges[cursor].strength};
-          ++cursor;
-        }
-        // Fold delta entries for the same (src, dst) — growable-strength
-        // links sum repeated interactions, matching Build().
-        while (cursor < edges.size() && edges[cursor].src == v &&
-               edges[cursor].dst == e.neighbor) {
-          e.strength += edges[cursor].strength;
-          ++cursor;
-        }
-        merged.edges.push_back(e);
-      }
-      merged.offsets[v + 1] = merged.edges.size();
-    }
-
-    // In-CSR via counting sort over the merged (src, dst)-ordered list —
-    // entries land src-sorted within each dst run, as in Build().
-    internal::GraphArena::Csr merged_in;
-    merged_in.offsets.assign(n_new + 1, 0);
-    merged_in.edges.resize(merged.edges.size());
-    for (const Edge& e : merged.edges) ++merged_in.offsets[e.neighbor + 1];
-    for (size_t v = 0; v < n_new; ++v) {
-      merged_in.offsets[v + 1] += merged_in.offsets[v];
-    }
-    {
-      std::vector<uint64_t> fill(merged_in.offsets.begin(),
-                                 merged_in.offsets.end() - 1);
-      for (size_t v = 0; v < n_new; ++v) {
-        for (uint64_t i = merged.offsets[v]; i < merged.offsets[v + 1]; ++i) {
-          const Edge& e = merged.edges[i];
-          merged_in.edges[fill[e.neighbor]++] =
-              Edge{static_cast<VertexId>(v), e.strength};
-        }
-      }
-    }
-    out = std::move(merged);
-    in = std::move(merged_in);
-  }
-
-  // Re-point the Graph's views at the (possibly reallocated) arena storage.
-  graph->vtype_ = arena->vtype;
-  graph->dense_idx_ = arena->dense_idx;
-  for (size_t t = 0; t < arena->attrs.size(); ++t) {
-    graph->attrs_[t].assign(arena->attrs[t].begin(), arena->attrs[t].end());
-  }
-  graph->num_edges_ = 0;
-  for (size_t lt = 0; lt < num_links; ++lt) {
-    graph->out_[lt] =
-        Graph::CsrView{arena->out[lt].offsets, arena->out[lt].edges};
-    graph->in_[lt] = Graph::CsrView{arena->in[lt].offsets, arena->in[lt].edges};
-    graph->num_edges_ += arena->out[lt].edges.size();
-  }
-  return util::Status::OK();
+  return graph->ApplyDelta(delta);
 }
 
 util::Status CopyVerticesWithAttributes(const Graph& source,

@@ -54,15 +54,19 @@ class GraphBuilder {
   // in). Consumes the builder.
   util::Result<Graph> Build() &&;
 
-  // Applies one growth batch (graph_delta.h) in place to a heap-built
-  // graph: appends the delta's new vertices and attribute columns, applies
-  // growable-attribute bumps, and linearly merges the new edges into fresh
-  // per-link-type CSRs — bit-identical to what Build() would produce over
-  // the union edge multiset, at O(V + E + |delta| log |delta|) instead of a
-  // full re-sort. Rejects mmap'd snapshot graphs (immutable) and invalid
-  // deltas without mutating the graph. The caller must guarantee exclusive
-  // access to the graph (and everything holding spans into it) for the
-  // duration of the call.
+  // Applies one growth batch (graph_delta.h) to a heap-built or mapped
+  // graph. The base arena stays read-only: the batch lands in the graph's
+  // overlay (graph.h), which appends the new vertices to heap copies of
+  // the per-vertex columns, applies growable-attribute bumps to those
+  // copies, and merges the new edges into per-vertex runs of their own.
+  // Only the runs the batch touches are rewritten, at O(|delta| log
+  // |delta| + sum of their degrees); an adjacency whose patched runs
+  // exceed V/4 is folded into a fresh heap CSR in O(V + E). The result is
+  // bit-identical to what Build() would produce over the union edge
+  // multiset. Invalid deltas are rejected before the first write, leaving
+  // the graph untouched. The caller must guarantee exclusive access to the
+  // graph (and everything holding spans into it) for the duration of the
+  // call.
   static util::Status ApplyDelta(Graph* graph, const GraphDelta& delta);
 
  private:

@@ -200,14 +200,14 @@ util::Result<std::vector<GraphDelta>> LoadDeltaStream(std::istream& is) {
       auto row = ExpectFields(line, 1);
       if (!row.ok()) return row.status();
       GraphDelta::NewVertex nv;
-      auto type = util::ParseUint64(row.value()[0]);
+      auto type = util::ParseInteger<EntityTypeId>(row.value()[0]);
       if (!type.ok()) return type.status();
-      nv.type = static_cast<EntityTypeId>(type.value());
+      nv.type = type.value();
       nv.attrs.reserve(row.value().size() - 1);
       for (size_t f = 1; f < row.value().size(); ++f) {
-        auto value = util::ParseInt64(row.value()[f]);
+        auto value = util::ParseInteger<AttrValue>(row.value()[f]);
         if (!value.ok()) return value.status();
-        nv.attrs.push_back(static_cast<AttrValue>(value.value()));
+        nv.attrs.push_back(value.value());
       }
       d.new_vertices.push_back(std::move(nv));
     }
@@ -219,17 +219,14 @@ util::Result<std::vector<GraphDelta>> LoadDeltaStream(std::istream& is) {
       HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
       auto row = ExpectFields(line, 3);
       if (!row.ok()) return row.status();
-      auto v = util::ParseUint64(row.value()[0]);
-      auto attr = util::ParseUint64(row.value()[1]);
-      auto delta = util::ParseInt64(row.value()[2]);
-      for (const auto* s : {&v, &attr}) {
-        if (!s->ok()) return s->status();
-      }
+      auto v = util::ParseInteger<VertexId>(row.value()[0]);
+      auto attr = util::ParseInteger<AttributeId>(row.value()[1]);
+      auto delta = util::ParseInteger<AttrValue>(row.value()[2]);
+      if (!v.ok()) return v.status();
+      if (!attr.ok()) return attr.status();
       if (!delta.ok()) return delta.status();
       d.attr_bumps.push_back(
-          GraphDelta::AttrBump{static_cast<VertexId>(v.value()),
-                               static_cast<AttributeId>(attr.value()),
-                               static_cast<AttrValue>(delta.value())});
+          GraphDelta::AttrBump{v.value(), attr.value(), delta.value()});
     }
 
     auto num_edges = SectionCount(is, "edge_adds");
@@ -239,18 +236,16 @@ util::Result<std::vector<GraphDelta>> LoadDeltaStream(std::istream& is) {
       HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
       auto row = ExpectFields(line, 4);
       if (!row.ok()) return row.status();
-      auto lt = util::ParseUint64(row.value()[0]);
-      auto src = util::ParseUint64(row.value()[1]);
-      auto dst = util::ParseUint64(row.value()[2]);
-      auto strength = util::ParseUint64(row.value()[3]);
-      for (const auto* s : {&lt, &src, &dst, &strength}) {
+      auto lt = util::ParseInteger<LinkTypeId>(row.value()[0]);
+      auto src = util::ParseInteger<VertexId>(row.value()[1]);
+      auto dst = util::ParseInteger<VertexId>(row.value()[2]);
+      auto strength = util::ParseInteger<Strength>(row.value()[3]);
+      if (!lt.ok()) return lt.status();
+      for (const auto* s : {&src, &dst, &strength}) {
         if (!s->ok()) return s->status();
       }
-      d.edge_adds.push_back(
-          GraphDelta::EdgeAdd{static_cast<LinkTypeId>(lt.value()),
-                              static_cast<VertexId>(src.value()),
-                              static_cast<VertexId>(dst.value()),
-                              static_cast<Strength>(strength.value())});
+      d.edge_adds.push_back(GraphDelta::EdgeAdd{
+          lt.value(), src.value(), dst.value(), strength.value()});
     }
 
     HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));

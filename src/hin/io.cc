@@ -193,11 +193,10 @@ util::Result<Graph> LoadGraph(std::istream& is) {
     }
     const VertexId id = builder.AddVertex(t);
     for (size_t a = 0; a < num_attrs; ++a) {
-      auto value = util::ParseInt64(fields.value()[1 + a]);
+      auto value = util::ParseInteger<AttrValue>(fields.value()[1 + a]);
       if (!value.ok()) return value.status();
       HINPRIV_RETURN_IF_ERROR(builder.SetAttribute(
-          id, static_cast<AttributeId>(a),
-          static_cast<AttrValue>(value.value())));
+          id, static_cast<AttributeId>(a), value.value()));
     }
   }
 
@@ -221,10 +220,11 @@ util::Result<Graph> LoadGraph(std::istream& is) {
       if (!edge_fields.ok()) return edge_fields.status();
       auto src = util::ParseUint64(edge_fields.value()[0]);
       auto dst = util::ParseUint64(edge_fields.value()[1]);
-      auto strength = util::ParseUint64(edge_fields.value()[2]);
-      for (const auto* r : {&src, &dst, &strength}) {
+      auto strength = util::ParseInteger<Strength>(edge_fields.value()[2]);
+      for (const auto* r : {&src, &dst}) {
         if (!r->ok()) return r->status();
       }
+      if (!strength.ok()) return strength.status();
       if (src.value() >= num_vertices.value() ||
           dst.value() >= num_vertices.value()) {
         return util::Status::Corruption("edge endpoint out of range");
@@ -232,8 +232,7 @@ util::Result<Graph> LoadGraph(std::istream& is) {
       HINPRIV_RETURN_IF_ERROR(builder.AddEdge(
           static_cast<VertexId>(src.value()),
           static_cast<VertexId>(dst.value()),
-          static_cast<LinkTypeId>(lt.value()),
-          static_cast<Strength>(strength.value())));
+          static_cast<LinkTypeId>(lt.value()), strength.value()));
     }
   }
 

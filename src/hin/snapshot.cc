@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -129,27 +130,70 @@ util::Status SnapshotReader::Save(const Graph& graph,
   std::vector<uint64_t> type_counts(graph.type_counts_.begin(),
                                     graph.type_counts_.end());
 
+  // Each section's payload is written by a callback, so the CSR sections
+  // can go through the accessors: a graph grown by deltas saves exactly as
+  // the graph Build() makes from the union multiset would.
+  using Writer = std::function<void(std::ostream&)>;
   struct PendingSection {
     SectionEntry entry;
-    const void* data;
+    Writer write;
   };
   std::vector<PendingSection> sections;
   auto add = [&sections](uint32_t kind, uint32_t a, uint32_t b,
-                         const void* data, uint64_t bytes) {
-    sections.push_back({SectionEntry{kind, a, b, 0, 0, bytes}, data});
+                         uint64_t bytes, Writer write) {
+    sections.push_back({SectionEntry{kind, a, b, 0, 0, bytes}, std::move(write)});
   };
-  add(kVertexTypes, 0, 0, graph.vtype_.data(),
-      n * sizeof(EntityTypeId));
-  add(kDenseIndex, 0, 0, graph.dense_idx_.data(), n * sizeof(uint32_t));
-  add(kTypeCounts, 0, 0, type_counts.data(),
-      type_counts.size() * sizeof(uint64_t));
-  for (size_t lt = 0; lt < num_links; ++lt) {
+  auto add_array = [&add](uint32_t kind, uint32_t a, uint32_t b,
+                          const void* data, uint64_t bytes) {
+    add(kind, a, b, bytes, [data, bytes](std::ostream& out) {
+      out.write(static_cast<const char*>(data),
+                static_cast<std::streamsize>(bytes));
+    });
+  };
+  add_array(kVertexTypes, 0, 0, graph.vtype_.data(), n * sizeof(EntityTypeId));
+  add_array(kDenseIndex, 0, 0, graph.dense_idx_.data(), n * sizeof(uint32_t));
+  add_array(kTypeCounts, 0, 0, type_counts.data(),
+            type_counts.size() * sizeof(uint64_t));
+  for (size_t l = 0; l < num_links; ++l) {
+    const auto lt = static_cast<LinkTypeId>(l);
     for (uint32_t dir = 0; dir < 2; ++dir) {
-      const Graph::CsrView& adj = dir == 0 ? graph.out_[lt] : graph.in_[lt];
-      add(kCsrOffsets, static_cast<uint32_t>(lt), dir, adj.offsets.data(),
-          adj.offsets.size() * sizeof(uint64_t));
-      add(kCsrEdges, static_cast<uint32_t>(lt), dir, adj.edges.data(),
-          adj.edges.size() * sizeof(Edge));
+      const auto run = [&graph, lt, dir](VertexId v) {
+        return dir == 0 ? graph.OutEdges(lt, v) : graph.InEdges(lt, v);
+      };
+      uint64_t num_edges_here = 0;
+      for (VertexId v = 0; v < n; ++v) num_edges_here += run(v).size();
+      add(kCsrOffsets, lt, dir, (n + 1) * sizeof(uint64_t),
+          [run, n](std::ostream& out) {
+            std::vector<uint64_t> offsets(n + 1, 0);
+            for (VertexId v = 0; v < n; ++v) {
+              offsets[v + 1] = offsets[v] + run(v).size();
+            }
+            out.write(reinterpret_cast<const char*>(offsets.data()),
+                      static_cast<std::streamsize>(offsets.size() *
+                                                   sizeof(uint64_t)));
+          });
+      add(kCsrEdges, lt, dir, num_edges_here * sizeof(Edge),
+          [run, n](std::ostream& out) {
+            // Runs adjacent in memory (the CSR's) go out in one write; a
+            // patched run is a write of its own.
+            const Edge* begin = nullptr;
+            const Edge* end = nullptr;
+            auto flush = [&] {
+              out.write(reinterpret_cast<const char*>(begin),
+                        static_cast<std::streamsize>((end - begin) *
+                                                     sizeof(Edge)));
+            };
+            for (VertexId v = 0; v < n; ++v) {
+              const std::span<const Edge> edges = run(v);
+              if (edges.empty()) continue;
+              if (edges.data() != end) {
+                flush();
+                begin = edges.data();
+              }
+              end = edges.data() + edges.size();
+            }
+            flush();
+          });
     }
   }
   for (size_t t = 0; t < num_types; ++t) {
@@ -157,8 +201,9 @@ util::Status SnapshotReader::Save(const Graph& graph,
         static_cast<EntityTypeId>(t)).attributes.size();
     for (size_t a = 0; a < num_attrs; ++a) {
       const auto column = graph.attrs_[t][a];
-      add(kAttrColumn, static_cast<uint32_t>(t), static_cast<uint32_t>(a),
-          column.data(), column.size() * sizeof(AttrValue));
+      add_array(kAttrColumn, static_cast<uint32_t>(t),
+                static_cast<uint32_t>(a), column.data(),
+                column.size() * sizeof(AttrValue));
     }
   }
 
@@ -212,10 +257,7 @@ util::Status SnapshotReader::Save(const Graph& graph,
   }
   for (const PendingSection& section : sections) {
     pad_to(section.entry.offset);
-    if (section.entry.bytes > 0) {
-      out.write(static_cast<const char*>(section.data),
-                static_cast<std::streamsize>(section.entry.bytes));
-    }
+    if (section.entry.bytes > 0) section.write(out);
     written += section.entry.bytes;
   }
   out.close();  // the final flush can fail too
@@ -508,10 +550,10 @@ util::Result<Graph> SnapshotReader::Load(const std::string& path,
   for (size_t lt = 0; lt < num_links; ++lt) {
     g.out_[lt] = Graph::CsrView{
         SectionSpan<uint64_t>(base, *csr_offsets[lt][0]),
-        SectionSpan<Edge>(base, *csr_edges[lt][0])};
+        SectionSpan<Edge>(base, *csr_edges[lt][0]), {}, {}};
     g.in_[lt] = Graph::CsrView{
         SectionSpan<uint64_t>(base, *csr_offsets[lt][1]),
-        SectionSpan<Edge>(base, *csr_edges[lt][1])};
+        SectionSpan<Edge>(base, *csr_edges[lt][1]), {}, {}};
   }
   g.num_edges_ = header.num_edges;
   g.mapped_ = true;

@@ -7,9 +7,19 @@
 
 #include "hin/graph_builder.h"
 #include "hin/graph_delta.h"
+#include "obs/prometheus.h"
 #include "obs/trace.h"
 
 namespace hinpriv::service {
+
+namespace {
+
+// Field names in stats and health; the gauges are service/<name>.
+constexpr std::array<const char*, 4> kGrowthFields = {
+    "delta_epoch", "overlay_patched_runs", "overlay_patched_edges",
+    "overlay_compactions"};
+
+}  // namespace
 
 LocalScan::LocalScan(const hin::Graph* target, const hin::Graph* auxiliary,
                      const ServerConfig& config)
@@ -18,7 +28,13 @@ LocalScan::LocalScan(const hin::Graph* target, const hin::Graph* auxiliary,
       mutable_aux_(config.mutable_aux),
       id_map_(config.aux_id_map),
       parallel_scan_(config.parallel_scan),
-      dehin_(auxiliary, config.dehin) {}
+      dehin_(auxiliary, config.dehin) {
+  for (size_t i = 0; i < growth_.size(); ++i) {
+    growth_[i].gauge = obs::MetricsRegistry::Global().GetGauge(
+        obs::ShardMetricName(std::string("service/") + kGrowthFields[i],
+                             config.metric_shard));
+  }
+}
 
 util::Status LocalScan::Start(exec::Executor* executor) {
   // The delta path mutates through mutable_aux while queries read through
@@ -30,6 +46,7 @@ util::Status LocalScan::Start(exec::Executor* executor) {
   }
   executor_ = executor;
   parallel_scan_ = parallel_scan_ && executor->num_workers() > 1;
+  PublishGrowth();
   if (target_->num_vertices() > 0) {
     HINPRIV_SPAN("service/warm_target_state");
     (void)dehin_.Deanonymize(*target_, 0, 0);
@@ -80,11 +97,6 @@ Response LocalScan::ApplyDelta(const std::string& path,
     return ErrorResponse(ResponseCode::kInvalidRequest,
                          "server has no mutable auxiliary graph");
   }
-  if (mutable_aux_->is_mapped()) {
-    return ErrorResponse(
-        ResponseCode::kInvalidRequest,
-        "auxiliary graph is an mmap snapshot; deltas need the heap arena");
-  }
   if (path.empty()) {
     return ErrorResponse(ResponseCode::kInvalidRequest,
                          "apply_delta requires a server-side 'path'");
@@ -127,6 +139,8 @@ Response LocalScan::ApplyDelta(const std::string& path,
         // programming error (precondition mismatch); surface it loudly.
         return ErrorResponse(ResponseCode::kInternal, warmed.message());
       }
+      ++delta_epoch_;
+      PublishGrowth();
     }
     ++batches_applied;
     new_vertices += delta.new_vertices.size();
@@ -153,11 +167,40 @@ Response LocalScan::ApplyDelta(const std::string& path,
   return response;
 }
 
+void LocalScan::PublishGrowth() {
+  const hin::Graph::OverlayStats overlay = aux_->overlay_stats();
+  const std::array<uint64_t, 4> values = {
+      delta_epoch_, overlay.patched_runs, overlay.patched_edges,
+      overlay.compactions};
+  for (size_t i = 0; i < growth_.size(); ++i) {
+    growth_[i].value.store(values[i], std::memory_order_relaxed);
+    growth_[i].gauge->Set(static_cast<double>(values[i]));
+  }
+}
+
+void LocalScan::AppendGrowth(JsonValue* payload) const {
+  for (size_t i = 0; i < growth_.size(); ++i) {
+    payload->Set(kGrowthFields[i],
+                 JsonValue::Int(static_cast<int64_t>(
+                     growth_[i].value.load(std::memory_order_relaxed))));
+  }
+}
+
+HealthState LocalScan::AppendHealth(HealthState own, JsonValue* payload) {
+  AppendGrowth(payload);
+  return own;
+}
+
 void LocalScan::AppendStats(JsonValue* payload) {
-  payload->Set("aux_vertices",
-               JsonValue::Int(static_cast<int64_t>(aux_->num_vertices())));
-  payload->Set("aux_edges",
-               JsonValue::Int(static_cast<int64_t>(aux_->num_edges())));
+  AppendGrowth(payload);
+  {
+    // apply_delta changes both sizes under its exclusive hold.
+    std::shared_lock<std::shared_mutex> warm_lock(warm_mu_);
+    payload->Set("aux_vertices",
+                 JsonValue::Int(static_cast<int64_t>(aux_->num_vertices())));
+    payload->Set("aux_edges",
+                 JsonValue::Int(static_cast<int64_t>(aux_->num_edges())));
+  }
   payload->Set("parallel_scan", JsonValue::Bool(parallel_scan_));
   const core::DehinStats stats = dehin_.stats();
   JsonValue dehin = JsonValue::Object();

@@ -1,6 +1,8 @@
 #ifndef HINPRIV_SERVICE_LOCAL_SCAN_H_
 #define HINPRIV_SERVICE_LOCAL_SCAN_H_
 
+#include <array>
+#include <atomic>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -8,6 +10,7 @@
 #include "core/dehin.h"
 #include "exec/executor.h"
 #include "hin/graph.h"
+#include "obs/metrics.h"
 #include "service/server.h"
 
 namespace hinpriv::service {
@@ -19,8 +22,8 @@ namespace hinpriv::service {
 // are translated back to parent ids through config.aux_id_map.
 class LocalScan : public Handler {
  public:
-  // Both graphs are borrowed. Reads dehin, parallel_scan, mutable_aux and
-  // aux_id_map from `config`.
+  // Both graphs are borrowed. Reads dehin, parallel_scan, mutable_aux,
+  // aux_id_map and metric_shard from `config`.
   LocalScan(const hin::Graph* target, const hin::Graph* auxiliary,
             const ServerConfig& config);
 
@@ -32,9 +35,16 @@ class LocalScan : public Handler {
                      const util::CancelToken& token) override;
   Response ApplyDelta(const std::string& path,
                       const util::CancelToken& token) override;
+  // Both add the growth fields (see growth_).
   void AppendStats(JsonValue* payload) override;
+  HealthState AppendHealth(HealthState own, JsonValue* payload) override;
 
  private:
+  // Stores the epoch and the auxiliary graph's overlay size in growth_.
+  // Called from Start() and after each committed batch, under warm_mu_.
+  void PublishGrowth();
+  void AppendGrowth(JsonValue* payload) const;
+
   const hin::Graph* target_;
   const hin::Graph* aux_;
   hin::Graph* mutable_aux_;
@@ -48,6 +58,17 @@ class LocalScan : public Handler {
   // in flight), and the unique_lock acquire/release per batch gives
   // queries a window between batches of a long stream.
   std::shared_mutex warm_mu_;
+  uint64_t delta_epoch_ = 0;  // batches applied since start; warm_mu_
+  // Growth as of the last committed batch, one entry per field of
+  // kGrowthFields (local_scan.cc): the delta epoch (batches applied since
+  // start) and the overlay's patched runs, patched edges and compactions.
+  // Atomics, so stats and health read them without warm_mu_; each is
+  // mirrored into the service/<field> gauge.
+  struct GrowthValue {
+    std::atomic<uint64_t> value{0};
+    obs::Gauge* gauge = nullptr;
+  };
+  std::array<GrowthValue, 4> growth_;
 };
 
 }  // namespace hinpriv::service

@@ -66,9 +66,9 @@ struct ServerConfig {
   // hinpriv-delta stream from a server-side path and applies each batch
   // in place under the warm-state lock, refreshing the candidate index,
   // prefilter tables, and match caches incrementally (O(|delta|) instead
-  // of a full rebuild). Null (the default) rejects apply_delta with
-  // INVALID_REQUEST, and so does a mapped snapshot (Graph::is_mapped()):
-  // the heap arena is the only appendable representation.
+  // of a full rebuild). Heap-built and mapped graphs grow alike: the
+  // batch lands in the graph's heap overlay, never in its base arena.
+  // Null (the default) rejects apply_delta with INVALID_REQUEST.
   hin::Graph* mutable_aux = nullptr;
 
   // Shard-worker side (see DESIGN.md §12): sub-id -> parent-id

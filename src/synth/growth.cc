@@ -123,8 +123,8 @@ util::Result<GrownNetwork> GrowNetworkWithDelta(const Graph& base,
   auto delta = SampleGrowthDelta(base, growth, profile_config, rng);
   if (!delta.ok()) return delta.status();
 
-  // Heap copy of the base (also converts a mapped snapshot into a mutable
-  // graph), then the in-place append path.
+  // A copy of the base (the caller's graph stays as it is), then the
+  // delta path.
   GraphBuilder builder(base.schema());
   HINPRIV_RETURN_IF_ERROR(CopyVerticesWithAttributes(base, &builder));
   HINPRIV_RETURN_IF_ERROR(CopyEdges(base, &builder));

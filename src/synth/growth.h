@@ -31,14 +31,14 @@ util::Result<hin::GraphDelta> SampleGrowthDelta(const hin::Graph& base,
                                                 util::Rng* rng);
 
 // A grown auxiliary network together with the delta that produced it from
-// the base. `graph` is heap-built, so further deltas can be applied to it
-// in place via hin::GraphBuilder::ApplyDelta.
+// the base. Further deltas apply to `graph` via
+// hin::GraphBuilder::ApplyDelta.
 struct GrownNetwork {
   hin::Graph graph;
   hin::GraphDelta delta;
 };
 
-// Samples a growth delta and applies it to a heap copy of `base`.
+// Samples a growth delta and applies it to a copy of `base`.
 util::Result<GrownNetwork> GrowNetworkWithDelta(const hin::Graph& base,
                                                 const GrowthConfig& growth,
                                                 const TqqConfig& profile_config,

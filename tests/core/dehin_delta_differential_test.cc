@@ -5,8 +5,11 @@
 // incremental instance is queried *before* each batch too, so its match
 // cache holds entries the epoch invalidation must correctly retire (a
 // wholesale flush would also pass this test, but serving stale entries
-// cannot).
+// cannot). Each case runs on a heap base and on a mapped snapshot base:
+// both grow through the same overlay.
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "hin/graph.h"
 #include "hin/graph_builder.h"
 #include "hin/graph_delta.h"
+#include "hin/snapshot.h"
 #include "synth/growth.h"
 #include "synth/tqq_generator.h"
 #include "util/random.h"
@@ -61,9 +65,25 @@ void ExpectIdenticalToFresh(const Dehin& incremental, const hin::Graph& aux,
   }
 }
 
-void RunBatches(DehinConfig config, size_t num_users, size_t batches) {
+// The base graph grows either in its heap arena's overlay or in the
+// overlay over a mapped snapshot of it.
+enum class Base { kHeap, kMapped };
+
+hin::Graph Mapped(const hin::Graph& graph, const std::string& path) {
+  EXPECT_TRUE(hin::SaveGraphSnapshot(graph, path).ok());
+  auto mapped = hin::LoadGraphSnapshot(path);
+  EXPECT_TRUE(mapped.ok());
+  return std::move(mapped).value();
+}
+
+void RunBatches(DehinConfig config, size_t num_users, size_t batches,
+                Base base) {
+  const std::string path =
+      testing::TempDir() + "/dehin_delta_differential_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + ".snap";
   hin::Graph aux = MakeAux(num_users, 51);
   const hin::Graph target = AnonymizedFrom(aux, 52);
+  if (base == Base::kMapped) aux = Mapped(aux, path);
 
   Dehin incremental(&aux, config);
   // Warm the shared match cache so the batches below have real entries to
@@ -82,13 +102,21 @@ void RunBatches(DehinConfig config, size_t num_users, size_t batches) {
     ASSERT_TRUE(incremental.ApplyAuxDelta(delta.value()).ok());
     ExpectIdenticalToFresh(incremental, aux, target, config);
   }
+  std::remove(path.c_str());
 }
 
 TEST(DehinDeltaDifferentialTest, AnswersMatchFreshRebuildEveryBatch) {
   DehinConfig config;
   config.match = DefaultTqqMatchOptions();
   config.max_distance = 1;
-  RunBatches(config, /*num_users=*/300, /*batches=*/3);
+  RunBatches(config, /*num_users=*/300, /*batches=*/3, Base::kHeap);
+}
+
+TEST(DehinDeltaDifferentialTest, MappedBaseMatchesFreshRebuildEveryBatch) {
+  DehinConfig config;
+  config.match = DefaultTqqMatchOptions();
+  config.max_distance = 1;
+  RunBatches(config, /*num_users=*/300, /*batches=*/3, Base::kMapped);
 }
 
 // Distance 2 exercises depth-2 cache entries, whose dirty set is the
@@ -98,7 +126,14 @@ TEST(DehinDeltaDifferentialTest, AnswersMatchAtDistanceTwo) {
   DehinConfig config;
   config.match = DefaultTqqMatchOptions();
   config.max_distance = 2;
-  RunBatches(config, /*num_users=*/120, /*batches=*/2);
+  RunBatches(config, /*num_users=*/120, /*batches=*/2, Base::kHeap);
+}
+
+TEST(DehinDeltaDifferentialTest, MappedBaseMatchesAtDistanceTwo) {
+  DehinConfig config;
+  config.match = DefaultTqqMatchOptions();
+  config.max_distance = 2;
+  RunBatches(config, /*num_users=*/120, /*batches=*/2, Base::kMapped);
 }
 
 // With the ablations off, ApplyAuxDelta maintains only the graph-derived
@@ -110,7 +145,7 @@ TEST(DehinDeltaDifferentialTest, AnswersMatchWithoutIndexAndCache) {
   config.max_distance = 1;
   config.use_candidate_index = false;
   config.use_shared_cache = false;
-  RunBatches(config, /*num_users=*/150, /*batches=*/2);
+  RunBatches(config, /*num_users=*/150, /*batches=*/2, Base::kHeap);
 }
 
 }  // namespace

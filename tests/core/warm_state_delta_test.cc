@@ -3,13 +3,16 @@
 // rebuild's bucket order exactly, NeighborhoodStats::ApplyDelta must serve
 // the same sorted strength spans as a fresh build (through the patch table
 // or after compaction), and MatchCache epochs must invalidate exactly the
-// dirty (depth, vertex) entries while untouched entries keep hitting.
+// dirty (depth, vertex) entries while untouched entries keep hitting, and
+// Dehin::ApplyAuxDelta must tell a skipped invalidation from an empty one.
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/candidate_index.h"
+#include "core/dehin.h"
 #include "core/match_cache.h"
 #include "core/matchers.h"
 #include "core/neighborhood_stats.h"
@@ -17,6 +20,7 @@
 #include "hin/graph_builder.h"
 #include "hin/graph_delta.h"
 #include "hin/tqq_schema.h"
+#include "obs/metrics.h"
 #include "synth/growth.h"
 #include "synth/tqq_generator.h"
 #include "util/random.h"
@@ -77,35 +81,42 @@ TEST(WarmStateDeltaTest, CandidateIndexNoPrimaryAttribute) {
 }
 
 TEST(WarmStateDeltaTest, NeighborhoodStatsSpansIdenticalToRebuild) {
-  hin::Graph aux = MakeAux(1000, 21);
   const MatchOptions options = DefaultTqqMatchOptions();
-  // In-edge slots on: covers all 8 slots, not just the default out-edge 4.
-  NeighborhoodStats incremental(aux, options.link_types,
-                                /*use_in_edges=*/true);
-  // Small enough batches that the accumulated patch set stays under the
-  // n/4 compaction threshold for all four batches — the assertions below
-  // must exercise the patch-table read path, not a post-compaction full
-  // build. (Edge and strength fractions are relative to E ~ 10x V.)
-  synth::GrowthConfig growth;
-  growth.new_user_fraction = 0.004;
-  growth.new_edge_fraction = 0.001;
-  growth.strength_growth_prob = 0.0005;
-  DriveBatches(&aux, 4, 22, growth, [&](const hin::GraphDelta& delta) {
-    incremental.ApplyDelta(aux, delta);
-    EXPECT_GT(incremental.num_patched(), 0u);
-    NeighborhoodStats fresh(aux, options.link_types, /*use_in_edges=*/true);
-    ASSERT_EQ(incremental.num_slots(), fresh.num_slots());
-    for (size_t slot = 0; slot < fresh.num_slots(); ++slot) {
-      for (hin::VertexId v = 0; v < aux.num_vertices(); ++v) {
-        const auto a = incremental.SortedStrengths(slot, v);
-        const auto b = fresh.SortedStrengths(slot, v);
-        ASSERT_EQ(a.size(), b.size()) << "slot " << slot << " v " << v;
-        for (size_t i = 0; i < a.size(); ++i) {
-          ASSERT_EQ(a[i], b[i]) << "slot " << slot << " v " << v;
+  // Without in-edge slots a batch patches only sources and new vertices;
+  // with them (all 8 slots) destinations too.
+  for (const bool use_in_edges : {false, true}) {
+    SCOPED_TRACE(use_in_edges ? "in-edge slots" : "out-edge slots");
+    hin::Graph aux = MakeAux(1000, 21);
+    NeighborhoodStats incremental(aux, options.link_types, use_in_edges);
+    // Small enough batches that the accumulated patch set stays under the
+    // n/4 compaction threshold for all four batches — the assertions below
+    // must exercise the patch-table read path, not a post-compaction full
+    // build. (Edge and strength fractions are relative to E ~ 10x V.)
+    synth::GrowthConfig growth;
+    growth.new_user_fraction = 0.004;
+    growth.new_edge_fraction = 0.001;
+    growth.strength_growth_prob = 0.0005;
+    DriveBatches(&aux, 4, 22, growth, [&](const hin::GraphDelta& delta) {
+      incremental.ApplyDelta(aux, delta);
+      EXPECT_GT(incremental.num_patched(), 0u);
+      EXPECT_GE(incremental.num_patch_rows(), incremental.num_patched());
+      NeighborhoodStats fresh(aux, options.link_types, use_in_edges);
+      ASSERT_EQ(incremental.num_slots(), fresh.num_slots());
+      for (size_t slot = 0; slot < fresh.num_slots(); ++slot) {
+        for (hin::VertexId v = 0; v < aux.num_vertices(); ++v) {
+          const auto a = incremental.SortedStrengths(slot, v);
+          const auto b = fresh.SortedStrengths(slot, v);
+          ASSERT_EQ(a.size(), b.size()) << "slot " << slot << " v " << v;
+          for (size_t i = 0; i < a.size(); ++i) {
+            ASSERT_EQ(a[i], b[i]) << "slot " << slot << " v " << v;
+          }
         }
       }
-    }
-  });
+    });
+    // Vertices touched by more than one batch got a fresh row each time;
+    // their old rows are orphaned, not rewritten.
+    EXPECT_GT(incremental.num_patch_rows(), incremental.num_patched());
+  }
 }
 
 TEST(WarmStateDeltaTest, NeighborhoodStatsCompactsWhenPatchGrows) {
@@ -131,6 +142,42 @@ TEST(WarmStateDeltaTest, NeighborhoodStatsCompactsWhenPatchGrows) {
       const auto b = fresh.SortedStrengths(slot, v);
       ASSERT_EQ(a.size(), b.size());
       for (size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
+    }
+  }
+}
+
+// dehin/delta_dirty_vertices counts the closure a batch invalidated, and
+// dehin/delta_invalidation_skips counts the batches that had no cache
+// depth to invalidate. At n = 1 only root pairs are matched and roots are
+// never memoized, so a batch is a skip that dirties nothing; at n = 2 the
+// depth-1 entries are real and the batch dirties its closure.
+TEST(WarmStateDeltaTest, SkippedInvalidationIsNotAnEmptyClosure) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter* dirty = registry.GetCounter("dehin/delta_dirty_vertices");
+  obs::Counter* skips = registry.GetCounter("dehin/delta_invalidation_skips");
+  for (int distance : {1, 2}) {
+    SCOPED_TRACE("n = " + std::to_string(distance));
+    hin::Graph aux = MakeAux(200, 25);
+    const hin::Graph target = MakeAux(200, 25);
+    DehinConfig config;
+    config.match = DefaultTqqMatchOptions();
+    config.max_distance = distance;
+    Dehin dehin(&aux, config);
+    for (hin::VertexId vt = 0; vt < 40; ++vt) {
+      (void)dehin.Deanonymize(target, vt);
+    }
+    const uint64_t dirty_before = dirty->Value();
+    const uint64_t skips_before = skips->Value();
+    DriveBatches(&aux, 1, 26, synth::GrowthConfig{},
+                 [&](const hin::GraphDelta& delta) {
+                   ASSERT_TRUE(dehin.ApplyAuxDelta(delta).ok());
+                 });
+    if (distance == 1) {
+      EXPECT_EQ(skips->Value(), skips_before + 1);
+      EXPECT_EQ(dirty->Value(), dirty_before);
+    } else {
+      EXPECT_EQ(skips->Value(), skips_before);
+      EXPECT_GT(dirty->Value(), dirty_before);
     }
   }
 }

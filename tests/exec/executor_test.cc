@@ -119,11 +119,14 @@ TEST(WorkStealingDequeTest, ConcurrentStealConservesItems) {
 }
 
 TEST(ExecutorTest, SubmitRunsTasks) {
-  Executor executor(3);
-  EXPECT_EQ(executor.num_workers(), 3u);
+  // Declared before the executor, so they outlive it: the wait below can
+  // return while the last task still holds `mu` or notifies `cv`, and the
+  // executor's destructor joins that task before they are destroyed.
   std::atomic<int> ran{0};
   std::mutex mu;
   std::condition_variable cv;
+  Executor executor(3);
+  EXPECT_EQ(executor.num_workers(), 3u);
   constexpr int kTasks = 100;
   for (int i = 0; i < kTasks; ++i) {
     executor.Submit([&] {

@@ -1,7 +1,14 @@
 #include "hin/graph_delta.h"
 
+#include <algorithm>
+#include <array>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,13 +69,18 @@ GraphDelta SampleDelta() {
 void ExpectGraphsIdentical(const Graph& a, const Graph& b) {
   ASSERT_EQ(a.num_vertices(), b.num_vertices());
   ASSERT_EQ(a.num_edges(), b.num_edges());
+  EXPECT_EQ(a.NumVerticesOfType(0), b.NumVerticesOfType(0));
   for (VertexId v = 0; v < a.num_vertices(); ++v) {
     EXPECT_EQ(a.entity_type(v), b.entity_type(v));
+    EXPECT_EQ(a.dense_index(v), b.dense_index(v));
+    EXPECT_EQ(a.TotalOutDegree(v), b.TotalOutDegree(v));
     for (AttributeId attr = 0; attr < 2; ++attr) {
       EXPECT_EQ(a.attribute(v, attr), b.attribute(v, attr))
           << "vertex " << v << " attr " << attr;
     }
     for (LinkTypeId lt = 0; lt < a.num_link_types(); ++lt) {
+      ASSERT_EQ(a.OutDegree(lt, v), b.OutDegree(lt, v));
+      ASSERT_EQ(a.InDegree(lt, v), b.InDegree(lt, v));
       const auto out_a = a.OutEdges(lt, v);
       const auto out_b = b.OutEdges(lt, v);
       ASSERT_EQ(out_a.size(), out_b.size()) << "out lt=" << lt << " v=" << v;
@@ -159,6 +171,43 @@ TEST(GraphDeltaTest, HostileEdgeAddCountIsCorruption) {
             util::Status::Code::kCorruption);
 }
 
+// Values their target type cannot hold are corruption, not a wrap: a
+// vertex id of 2^32 + 1 would otherwise become vertex 1, pass validation
+// and grow the wrong user. One case per narrowed field type.
+constexpr char kBatchHeader[] = "hinpriv-delta 1\nbatch 4\n";
+
+TEST(GraphDeltaTest, VertexIdBeyondUint32IsCorruption) {
+  EXPECT_EQ(LoadText(std::string(kBatchHeader) +
+                     "new_vertices 0\nattr_bumps 0\nedge_adds 1\n"
+                     "0 4294967297 2 1\nend\ndone\n")
+                .code(),
+            util::Status::Code::kCorruption);
+}
+
+TEST(GraphDeltaTest, StrengthBeyondUint32IsCorruption) {
+  EXPECT_EQ(LoadText(std::string(kBatchHeader) +
+                     "new_vertices 0\nattr_bumps 0\nedge_adds 1\n"
+                     "1 0 2 4294967296\nend\ndone\n")
+                .code(),
+            util::Status::Code::kCorruption);
+}
+
+TEST(GraphDeltaTest, LinkTypeBeyondUint16IsCorruption) {
+  EXPECT_EQ(LoadText(std::string(kBatchHeader) +
+                     "new_vertices 0\nattr_bumps 0\nedge_adds 1\n"
+                     "65536 0 2 1\nend\ndone\n")
+                .code(),
+            util::Status::Code::kCorruption);
+}
+
+TEST(GraphDeltaTest, AttributeValueBeyondInt32IsCorruption) {
+  EXPECT_EQ(LoadText(std::string(kBatchHeader) +
+                     "new_vertices 1\n0 2147483648 0\nattr_bumps 0\n"
+                     "edge_adds 0\nend\ndone\n")
+                .code(),
+            util::Status::Code::kCorruption);
+}
+
 // Exhaustive truncation sweep: every prefix fails with a Status, except
 // the one that drops only the final newline ("done" still terminates).
 TEST(GraphDeltaTest, EveryTruncationLengthFailsCleanly) {
@@ -188,6 +237,29 @@ TEST(GraphDeltaTest, RandomByteCorruptionNeverCrashes) {
   }
 }
 
+// SampleDelta() applied to BuildBase(), built from scratch over the union
+// edge multiset.
+Graph BuildSampleRebuild() {
+  GraphBuilder builder(DeltaSchema());
+  builder.AddVertices(0, 6);
+  const int base_yob[] = {1980, 1981, 1982, 1983, 1999, 2001};
+  const int base_count[] = {0, 10 + 3, 20, 30, 7, 0};
+  for (VertexId v = 0; v < 6; ++v) {
+    EXPECT_TRUE(builder.SetAttribute(v, 0, base_yob[v]).ok());
+    EXPECT_TRUE(builder.SetAttribute(v, 1, base_count[v]).ok());
+  }
+  EXPECT_TRUE(builder.AddEdge(0, 1, 0).ok());
+  EXPECT_TRUE(builder.AddEdge(2, 3, 0).ok());
+  EXPECT_TRUE(builder.AddEdge(1, 3, 0).ok());
+  EXPECT_TRUE(builder.AddEdge(4, 0, 0).ok());
+  EXPECT_TRUE(builder.AddEdge(0, 2, 1, 5 + 4).ok());
+  EXPECT_TRUE(builder.AddEdge(3, 1, 1, 2).ok());
+  EXPECT_TRUE(builder.AddEdge(3, 5, 1, 9).ok());
+  auto rebuilt = std::move(builder).Build();
+  EXPECT_TRUE(rebuilt.ok());
+  return std::move(rebuilt).value();
+}
+
 // The tentpole identity: applying a delta in place is bit-identical to
 // rebuilding the grown graph from scratch over the union edge multiset.
 TEST(GraphDeltaTest, ApplyMatchesFromScratchRebuild) {
@@ -195,26 +267,7 @@ TEST(GraphDeltaTest, ApplyMatchesFromScratchRebuild) {
   const GraphDelta delta = SampleDelta();
   ASSERT_TRUE(GraphBuilder::ApplyDelta(&grown, delta).ok());
   ASSERT_EQ(grown.num_vertices(), 6u);
-
-  GraphBuilder builder(DeltaSchema());
-  builder.AddVertices(0, 6);
-  const int base_yob[] = {1980, 1981, 1982, 1983, 1999, 2001};
-  const int base_count[] = {0, 10 + 3, 20, 30, 7, 0};
-  for (VertexId v = 0; v < 6; ++v) {
-    ASSERT_TRUE(builder.SetAttribute(v, 0, base_yob[v]).ok());
-    ASSERT_TRUE(builder.SetAttribute(v, 1, base_count[v]).ok());
-  }
-  ASSERT_TRUE(builder.AddEdge(0, 1, 0).ok());
-  ASSERT_TRUE(builder.AddEdge(2, 3, 0).ok());
-  ASSERT_TRUE(builder.AddEdge(1, 3, 0).ok());
-  ASSERT_TRUE(builder.AddEdge(4, 0, 0).ok());
-  ASSERT_TRUE(builder.AddEdge(0, 2, 1, 5 + 4).ok());
-  ASSERT_TRUE(builder.AddEdge(3, 1, 1, 2).ok());
-  ASSERT_TRUE(builder.AddEdge(3, 5, 1, 9).ok());
-  auto rebuilt = std::move(builder).Build();
-  ASSERT_TRUE(rebuilt.ok());
-
-  ExpectGraphsIdentical(grown, rebuilt.value());
+  ExpectGraphsIdentical(grown, BuildSampleRebuild());
   EXPECT_EQ(grown.NumVerticesOfType(0), 6u);
 }
 
@@ -226,19 +279,21 @@ TEST(GraphDeltaTest, EmptyDeltaIsIdentity) {
   ExpectGraphsIdentical(grown, BuildBase());
 }
 
-TEST(GraphDeltaTest, MappedGraphRejected) {
-  const Graph base = BuildBase();
+// A mapped base takes the same delta path as a heap one: the mapping is
+// never written, and the grown graph equals the rebuild.
+TEST(GraphDeltaTest, MappedGraphGrowsLikeRebuild) {
   const std::string path =
       testing::TempDir() + "/graph_delta_mapped_test.snap";
-  ASSERT_TRUE(SaveGraphSnapshot(base, path).ok());
+  ASSERT_TRUE(SaveGraphSnapshot(BuildBase(), path).ok());
   auto mapped = LoadGraphSnapshot(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   ASSERT_TRUE(mapped.value().is_mapped());
-  GraphDelta delta;
-  delta.base_num_vertices = 4;
-  const util::Status status =
-      GraphBuilder::ApplyDelta(&mapped.value(), delta);
-  EXPECT_EQ(status.code(), util::Status::Code::kFailedPrecondition);
+  ASSERT_TRUE(GraphBuilder::ApplyDelta(&mapped.value(), SampleDelta()).ok());
+  ExpectGraphsIdentical(mapped.value(), BuildSampleRebuild());
+  // The file still holds the base.
+  auto reloaded = LoadGraphSnapshot(path);
+  ASSERT_TRUE(reloaded.ok());
+  ExpectGraphsIdentical(reloaded.value(), BuildBase());
   std::remove(path.c_str());
 }
 
@@ -284,6 +339,137 @@ TEST(GraphDeltaTest, ValidationRejectsBadDeltas) {
 
   // A failed validation never mutates: the graph still equals the base.
   ExpectGraphsIdentical(base, BuildBase());
+}
+
+// The union multiset behind a grown graph, kept beside it so that a
+// reference can be built from scratch after every batch.
+struct UnionMultiset {
+  std::vector<std::array<AttrValue, 2>> attrs;  // yob, count per vertex
+  std::vector<GraphDelta::EdgeAdd> edges;
+
+  Graph Build() const {
+    GraphBuilder builder(DeltaSchema());
+    builder.AddVertices(0, attrs.size());
+    for (VertexId v = 0; v < attrs.size(); ++v) {
+      EXPECT_TRUE(builder.SetAttribute(v, 0, attrs[v][0]).ok());
+      EXPECT_TRUE(builder.SetAttribute(v, 1, attrs[v][1]).ok());
+    }
+    for (const GraphDelta::EdgeAdd& e : edges) {
+      EXPECT_TRUE(builder.AddEdge(e.src, e.dst, e.link, e.strength).ok());
+    }
+    auto graph = std::move(builder).Build();
+    EXPECT_TRUE(graph.ok());
+    return std::move(graph).value();
+  }
+
+  void Absorb(const GraphDelta& delta) {
+    for (const GraphDelta::NewVertex& nv : delta.new_vertices) {
+      attrs.push_back({nv.attrs[0], nv.attrs[1]});
+    }
+    for (const GraphDelta::AttrBump& b : delta.attr_bumps) {
+      attrs[b.v][b.attr] += b.delta;
+    }
+    edges.insert(edges.end(), delta.edge_adds.begin(), delta.edge_adds.end());
+  }
+};
+
+// Adds `count` random edges of DeltaSchema()'s two link types among
+// vertices [0, n): follows never repeat a pair and never self-link (the
+// link type is not growable), mentions repeat and self-link freely.
+void AddRandomEdges(const Graph* graph, size_t n, size_t count,
+                    util::Rng* rng, std::vector<GraphDelta::EdgeAdd>* out) {
+  std::set<std::pair<VertexId, VertexId>> follows;
+  for (size_t i = 0; i < count; ++i) {
+    const auto src = static_cast<VertexId>(rng->UniformU64(n));
+    const auto dst = static_cast<VertexId>(rng->UniformU64(n));
+    if (rng->Bernoulli(0.5)) {
+      out->push_back({1, src, dst, static_cast<Strength>(1 + rng->UniformU64(4))});
+      continue;
+    }
+    const bool exists = graph != nullptr && src < graph->num_vertices() &&
+                        graph->HasEdge(0, src, dst);
+    if (src == dst || exists || !follows.insert({src, dst}).second) continue;
+    out->push_back({0, src, dst, 1});
+  }
+}
+
+UnionMultiset RandomBase(size_t n, util::Rng* rng) {
+  UnionMultiset base;
+  for (size_t v = 0; v < n; ++v) {
+    base.attrs.push_back({static_cast<AttrValue>(1950 + rng->UniformU64(50)),
+                          static_cast<AttrValue>(rng->UniformU64(100))});
+  }
+  AddRandomEdges(nullptr, n, 6 * n, rng, &base.edges);
+  return base;
+}
+
+// A batch of a few new users, count bumps, and edge adds that touch both
+// base and new users.
+GraphDelta RandomBatch(const Graph& graph, util::Rng* rng) {
+  GraphDelta delta;
+  delta.base_num_vertices = graph.num_vertices();
+  const size_t num_new = rng->UniformU64(12);
+  for (size_t i = 0; i < num_new; ++i) {
+    delta.new_vertices.push_back(
+        {0, {static_cast<AttrValue>(1950 + rng->UniformU64(50)), 0}});
+  }
+  for (size_t i = 0; i < 10; ++i) {
+    delta.attr_bumps.push_back(
+        {static_cast<VertexId>(rng->UniformU64(graph.num_vertices())), 1,
+         static_cast<AttrValue>(1 + rng->UniformU64(5))});
+  }
+  AddRandomEdges(&graph, graph.num_vertices() + num_new, 40, rng,
+                 &delta.edge_adds);
+  return delta;
+}
+
+std::string SnapshotBytes(const Graph& graph, const std::string& path) {
+  EXPECT_TRUE(SaveGraphSnapshot(graph, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// The overlay against the only independent reference there is: after
+// every batch of a 24-batch stream, a heap base and a mapped base grown
+// by ApplyDelta must equal GraphBuilder::Build over the union multiset in
+// every accessor, and save to the same snapshot bytes. The stream patches
+// enough runs to cross the V/4 compaction threshold on the way.
+TEST(GraphDeltaTest, BatchStreamMatchesRebuildOnHeapAndMappedBases) {
+  util::Rng rng(71);
+  UnionMultiset all = RandomBase(400, &rng);
+  Graph heap = all.Build();
+  const std::string dir = testing::TempDir();
+  const std::string base_path = dir + "/graph_delta_stream_base.snap";
+  const std::string grown_path = dir + "/graph_delta_stream_grown.snap";
+  const std::string rebuilt_path = dir + "/graph_delta_stream_rebuilt.snap";
+  ASSERT_TRUE(SaveGraphSnapshot(heap, base_path).ok());
+  auto mapped = LoadGraphSnapshot(base_path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  size_t most_patched_runs = 0;
+  for (int b = 0; b < 24; ++b) {
+    const GraphDelta delta = RandomBatch(heap, &rng);
+    ASSERT_TRUE(GraphBuilder::ApplyDelta(&heap, delta).ok()) << "batch " << b;
+    ASSERT_TRUE(GraphBuilder::ApplyDelta(&mapped.value(), delta).ok())
+        << "batch " << b;
+    all.Absorb(delta);
+    const Graph rebuilt = all.Build();
+    SCOPED_TRACE("batch " + std::to_string(b));
+    ExpectGraphsIdentical(heap, rebuilt);
+    ExpectGraphsIdentical(mapped.value(), rebuilt);
+    const std::string expected = SnapshotBytes(rebuilt, rebuilt_path);
+    EXPECT_TRUE(SnapshotBytes(heap, grown_path) == expected);
+    EXPECT_TRUE(SnapshotBytes(mapped.value(), grown_path) == expected);
+    most_patched_runs =
+        std::max(most_patched_runs, heap.overlay_stats().patched_runs);
+  }
+  EXPECT_GT(most_patched_runs, 0u);
+  EXPECT_GT(heap.overlay_stats().compactions, 0u);
+  EXPECT_EQ(mapped.value().overlay_stats().compactions,
+            heap.overlay_stats().compactions);
+  for (const std::string* path : {&base_path, &grown_path, &rebuilt_path}) {
+    std::remove(path->c_str());
+  }
 }
 
 }  // namespace

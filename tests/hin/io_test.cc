@@ -137,6 +137,15 @@ TEST(GraphIoFailureTest, EdgeEndpointOutOfRange) {
   EXPECT_EQ(LoadFrom(text).code(), util::Status::Code::kCorruption);
 }
 
+// 2^32 does not fit a Strength; it must not wrap to 0.
+TEST(GraphIoFailureTest, StrengthBeyondUint32IsCorruption) {
+  std::string text = Serialize(MakeGraph());
+  const size_t pos = text.find("1 2 5");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 5, "1 2 4294967296");
+  EXPECT_EQ(LoadFrom(text).code(), util::Status::Code::kCorruption);
+}
+
 TEST(GraphIoFailureTest, NonNumericField) {
   std::string text = Serialize(MakeGraph());
   const size_t pos = text.find("1 2 5");

@@ -72,12 +72,18 @@ struct DeltaStream {
   hin::Graph grown;
 };
 
-DeltaStream WriteDeltaStream(const hin::Graph& base, size_t batches,
-                             uint64_t seed) {
-  hin::Graph preview = HeapCopy(base);
+synth::GrowthConfig SmallBatches() {
   synth::GrowthConfig growth;
   growth.new_user_fraction = 0.02;
   growth.new_edge_fraction = 0.01;
+  return growth;
+}
+
+DeltaStream WriteDeltaStream(const hin::Graph& base, size_t batches,
+                             uint64_t seed,
+                             const synth::GrowthConfig& growth = SmallBatches(),
+                             const std::string& suffix = "") {
+  hin::Graph preview = HeapCopy(base);
   util::Rng rng(seed);
   std::vector<hin::GraphDelta> stream;
   for (size_t b = 0; b < batches; ++b) {
@@ -91,9 +97,28 @@ DeltaStream WriteDeltaStream(const hin::Graph& base, size_t batches,
   const std::string path =
       testing::TempDir() + "/hinpriv_service_delta_" +
       testing::UnitTest::GetInstance()->current_test_info()->name() +
-      ".deltas";
+      suffix + ".deltas";
   EXPECT_TRUE(hin::SaveDeltaStreamToFile(stream, path).ok());
   return DeltaStream{path, std::move(preview)};
+}
+
+// Every served answer equals a cold attack over `grown`.
+void ExpectServedMatchesCold(Client* client, const hin::Graph& target,
+                             const hin::Graph& grown) {
+  core::Dehin fresh(&grown, MakeDehinConfig());
+  for (hin::VertexId v = 0; v < target.num_vertices(); ++v) {
+    auto served = client->AttackOne(v, 1);
+    ASSERT_TRUE(served.ok());
+    ASSERT_EQ(served.value().code, ResponseCode::kOk);
+    const auto expected = fresh.Deanonymize(target, v, 1);
+    const JsonValue* candidates = served.value().result.Find("candidates");
+    ASSERT_NE(candidates, nullptr);
+    ASSERT_EQ(candidates->size(), expected.size()) << "vertex " << v;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(candidates->at(i).AsInt(-1),
+                static_cast<int64_t>(expected[i]));
+    }
+  }
 }
 
 TEST(ServiceDeltaTest, ApplyDeltaGrowsAuxAndAnswersTrackFreshAttack) {
@@ -137,20 +162,7 @@ TEST(ServiceDeltaTest, ApplyDeltaGrowsAuxAndAnswersTrackFreshAttack) {
   // Served answers after the delta must equal a cold attack over the same
   // grown auxiliary — the service counterpart of the bench's differential
   // guard.
-  core::Dehin fresh(&grown, MakeDehinConfig());
-  for (hin::VertexId v = 0; v < net.anonymized.num_vertices(); ++v) {
-    auto served = client.value().AttackOne(v, 1);
-    ASSERT_TRUE(served.ok());
-    ASSERT_EQ(served.value().code, ResponseCode::kOk);
-    const auto expected = fresh.Deanonymize(net.anonymized, v, 1);
-    const JsonValue* candidates = served.value().result.Find("candidates");
-    ASSERT_NE(candidates, nullptr);
-    ASSERT_EQ(candidates->size(), expected.size()) << "vertex " << v;
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(candidates->at(i).AsInt(-1),
-                static_cast<int64_t>(expected[i]));
-    }
-  }
+  ExpectServedMatchesCold(&client.value(), net.anonymized, grown);
 
   server.Shutdown();
   std::remove(path.c_str());
@@ -176,7 +188,10 @@ TEST(ServiceDeltaTest, RejectedWithoutMutableAux) {
   std::remove(path.c_str());
 }
 
-TEST(ServiceDeltaTest, RejectedOnMappedSnapshot) {
+// A server whose auxiliary is a mapped snapshot grows like a heap one:
+// the batches land in the graph's overlay, and the answers equal a cold
+// attack over the grown graph.
+TEST(ServiceDeltaTest, MappedSnapshotGrowsLikeColdStart) {
   TestNetwork net = MakeNetwork(60, 35);
   const std::string snap_path =
       testing::TempDir() + "/hinpriv_service_delta_mapped.snap";
@@ -184,7 +199,7 @@ TEST(ServiceDeltaTest, RejectedOnMappedSnapshot) {
   auto mapped = hin::LoadGraphSnapshot(snap_path);
   ASSERT_TRUE(mapped.ok());
   ASSERT_TRUE(mapped.value().is_mapped());
-  const std::string path = WriteDeltaStream(net.aux, 1, 36).path;
+  DeltaStream stream = WriteDeltaStream(net.aux, 2, 36);
 
   ServerConfig config;
   config.num_workers = 1;
@@ -194,13 +209,106 @@ TEST(ServiceDeltaTest, RejectedOnMappedSnapshot) {
   ASSERT_TRUE(server.Start().ok());
   auto client = Client::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
-  auto response = client.value().ApplyDelta(path);
+  auto response = client.value().ApplyDelta(stream.path);
   ASSERT_TRUE(response.ok());
-  // The arena is read-only mmap'd: growth needs the heap path.
-  EXPECT_EQ(response.value().code, ResponseCode::kInvalidRequest);
+  ASSERT_EQ(response.value().code, ResponseCode::kOk)
+      << response.value().error;
+  EXPECT_EQ(response.value().result.GetInt("batches_applied", -1), 2);
+  EXPECT_EQ(mapped.value().num_vertices(), stream.grown.num_vertices());
+  EXPECT_EQ(mapped.value().num_edges(), stream.grown.num_edges());
+  ExpectServedMatchesCold(&client.value(), net.anonymized, stream.grown);
   server.Shutdown();
-  std::remove(path.c_str());
+  std::remove(stream.path.c_str());
   std::remove(snap_path.c_str());
+}
+
+// The growth fields of `payload` (a stats or health result).
+struct Growth {
+  int64_t epoch, runs, edges, compactions;
+};
+
+Growth GrowthOf(const JsonValue& payload) {
+  return Growth{payload.GetInt("delta_epoch", -1),
+                payload.GetInt("overlay_patched_runs", -1),
+                payload.GetInt("overlay_patched_edges", -1),
+                payload.GetInt("overlay_compactions", -1)};
+}
+
+// The value of an unlabeled sample `name` in Prometheus text, or -1.
+int64_t PrometheusSample(const std::string& text, const std::string& name) {
+  const std::string prefix = "\n" + name + " ";
+  const size_t at = text.find(prefix);
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + prefix.size()));
+}
+
+// stats, health and Prometheus report the delta epoch and the overlay's
+// size under one set of names, pinned to a replica graph grown by the
+// same batches: first after two small batches (patched runs, no
+// compaction), then after one batch large enough to force a compaction.
+TEST(ServiceDeltaTest, GrowthFieldsTrackEpochAndOverlay) {
+  TestNetwork net = MakeNetwork(80, 41);
+  hin::Graph replica = HeapCopy(net.aux);
+  ServerConfig config;
+  config.num_workers = 1;
+  config.dehin = MakeDehinConfig();
+  config.mutable_aux = &net.aux;
+  Server server(&net.anonymized, &net.aux, config);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+
+  auto expect_growth = [&](int64_t epoch) {
+    const hin::Graph::OverlayStats overlay = replica.overlay_stats();
+    auto stats = client.value().Stats();
+    auto health = client.value().Health();
+    auto metrics = client.value().Metrics();
+    ASSERT_TRUE(stats.ok() && health.ok() && metrics.ok());
+    for (const Growth& g : {GrowthOf(stats.value().result),
+                            GrowthOf(health.value().result)}) {
+      EXPECT_EQ(g.epoch, epoch);
+      EXPECT_EQ(g.runs, static_cast<int64_t>(overlay.patched_runs));
+      EXPECT_EQ(g.edges, static_cast<int64_t>(overlay.patched_edges));
+      EXPECT_EQ(g.compactions, static_cast<int64_t>(overlay.compactions));
+    }
+    const std::string text = metrics.value().result.GetString("text");
+    EXPECT_EQ(PrometheusSample(text, "hinpriv_service_delta_epoch"), epoch);
+    EXPECT_EQ(PrometheusSample(text, "hinpriv_service_overlay_patched_runs"),
+              static_cast<int64_t>(overlay.patched_runs));
+    EXPECT_EQ(PrometheusSample(text, "hinpriv_service_overlay_patched_edges"),
+              static_cast<int64_t>(overlay.patched_edges));
+    EXPECT_EQ(PrometheusSample(text, "hinpriv_service_overlay_compactions"),
+              static_cast<int64_t>(overlay.compactions));
+  };
+  auto apply = [&](const DeltaStream& stream) {
+    auto batches = hin::LoadDeltaStreamFromFile(stream.path);
+    ASSERT_TRUE(batches.ok());
+    for (const hin::GraphDelta& delta : batches.value()) {
+      ASSERT_TRUE(hin::GraphBuilder::ApplyDelta(&replica, delta).ok());
+    }
+    auto response = client.value().ApplyDelta(stream.path);
+    ASSERT_TRUE(response.ok());
+    ASSERT_EQ(response.value().code, ResponseCode::kOk)
+        << response.value().error;
+    std::remove(stream.path.c_str());
+  };
+
+  expect_growth(0);
+  synth::GrowthConfig tiny;
+  tiny.new_user_fraction = 0.02;
+  tiny.new_edge_fraction = 0.002;
+  tiny.strength_growth_prob = 0.0;
+  apply(WriteDeltaStream(net.aux, 2, 42, tiny, "_small"));
+  ASSERT_GT(replica.overlay_stats().patched_runs, 0u);
+  ASSERT_EQ(replica.overlay_stats().compactions, 0u);
+  expect_growth(2);
+
+  synth::GrowthConfig huge;
+  huge.new_edge_fraction = 0.5;
+  apply(WriteDeltaStream(net.aux, 1, 43, huge, "_large"));
+  ASSERT_GT(replica.overlay_stats().compactions, 0u);
+  expect_growth(3);
+  server.Shutdown();
 }
 
 TEST(ServiceDeltaTest, RejectedOnUnreadableStream) {

@@ -563,7 +563,7 @@ int RunAudit(int argc, char** argv) {
 }
 
 // Renders one `stats` admin response as a compact operator view: health
-// line, windowed rates/percentiles, per-distance counters, and the
+// line, growth, windowed rates/percentiles, per-distance counters, and the
 // slow-query log, worst first.
 void PrintLiveStats(const service::JsonValue& result) {
   std::printf("health: %-9s uptime: %.1fs   queue: %lld/%lld   workers: %lld"
@@ -588,6 +588,14 @@ void PrintLiveStats(const service::JsonValue& result) {
                 static_cast<long long>(dehin->GetInt("full_tests")),
                 dehin->GetDouble("cache_hit_rate"),
                 static_cast<long long>(dehin->GetInt("prefilter_rejects")));
+  }
+  if (result.Find("delta_epoch") != nullptr) {
+    std::printf("growth: epoch %lld   overlay: %lld runs, %lld edges, "
+                "%lld compactions\n",
+                static_cast<long long>(result.GetInt("delta_epoch")),
+                static_cast<long long>(result.GetInt("overlay_patched_runs")),
+                static_cast<long long>(result.GetInt("overlay_patched_edges")),
+                static_cast<long long>(result.GetInt("overlay_compactions")));
   }
   if (const service::JsonValue* windows = result.Find("windows");
       windows != nullptr && windows->is_array()) {
@@ -926,10 +934,9 @@ int RunServe(int argc, char** argv) {
                 static_cast<long long>(flags.GetInt("shard_workers")),
                 config.queue_capacity);
   } else {
-    // Streaming growth: the local scan refuses apply_delta with
-    // INVALID_REQUEST while the graph is a mapped snapshot (the heap arena
-    // is the only appendable one); a shard tier would need re-partitioning
-    // and never takes it.
+    // Streaming growth: text-loaded and mapped auxiliaries both take
+    // apply_delta (batches land in the graph's heap overlay); a shard tier
+    // would need re-partitioning and never takes it.
     config.mutable_aux = &aux.value();
     server = std::make_unique<service::Server>(&target.value(), &aux.value(),
                                                config);
