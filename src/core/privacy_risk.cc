@@ -1,28 +1,19 @@
 #include "core/privacy_risk.h"
 
 #include <cmath>
-#include <unordered_map>
 
 namespace hinpriv::core {
 
-namespace {
-
-std::unordered_map<uint64_t, size_t> ValueCounts(
-    std::span<const uint64_t> values) {
-  std::unordered_map<uint64_t, size_t> counts;
-  counts.reserve(values.size());
-  for (uint64_t v : values) ++counts[v];
-  return counts;
+std::vector<double> PerTupleRisk(std::span<const uint64_t> values) {
+  return PerTupleRisk(values, ValueCounts(values));
 }
 
-}  // namespace
-
-std::vector<double> PerTupleRisk(std::span<const uint64_t> values) {
-  const auto counts = ValueCounts(values);
+std::vector<double> PerTupleRisk(std::span<const uint64_t> values,
+                                 const ValueCounts& counts) {
   std::vector<double> risks;
   risks.reserve(values.size());
   for (uint64_t v : values) {
-    risks.push_back(1.0 / static_cast<double>(counts.at(v)));
+    risks.push_back(1.0 / static_cast<double>(counts.count(v)));
   }
   return risks;
 }
@@ -36,13 +27,13 @@ util::Result<double> DatasetRiskWithLoss(std::span<const uint64_t> values,
   if (values.empty()) {
     return util::Status::InvalidArgument("empty dataset has no defined risk");
   }
-  const auto counts = ValueCounts(values);
+  const ValueCounts counts(values);
   double total = 0.0;
   for (size_t i = 0; i < values.size(); ++i) {
     if (losses[i] < 0.0 || losses[i] > 1.0) {
       return util::Status::InvalidArgument("loss values must lie in [0, 1]");
     }
-    total += losses[i] / static_cast<double>(counts.at(values[i]));
+    total += losses[i] / static_cast<double>(counts.count(values[i]));
   }
   return total / static_cast<double>(values.size());
 }

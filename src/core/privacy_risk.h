@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/signature.h"
+#include "core/value_counts.h"
 #include "hin/graph.h"
 #include "util/status.h"
 
@@ -22,6 +23,11 @@ namespace hinpriv::core {
 
 // Per-tuple mathematical factor 1/k(t_i) for each value.
 std::vector<double> PerTupleRisk(std::span<const uint64_t> values);
+
+// The same, from `counts` already taken over `values`, for callers that
+// also read C(T) off the counts.
+std::vector<double> PerTupleRisk(std::span<const uint64_t> values,
+                                 const ValueCounts& counts);
 
 // Dataset risk with explicit loss functions (Definition 8). `losses` must
 // have the same length as `values` with entries in [0, 1].

@@ -37,7 +37,11 @@ struct SignatureOptions {
 // Two vertices receive equal hashes iff their distance-n neighborhood
 // feature expansions (Section 4.1's "Max. Distance-n" feature vectors) are
 // equal, up to negligible 64-bit collision probability. Computed level by
-// level over the whole graph in O(max_distance * E log deg) time.
+// level over the whole graph in O(max_distance * E log deg) work. Each
+// level is an exec::Executor::ParallelFor over the vertices, on the
+// caller's own pool when the caller is an executor worker and on
+// exec::Executor::Global() otherwise; every signature is the same under any
+// schedule and pool size.
 //
 // Returns signatures[n][v].
 std::vector<std::vector<uint64_t>> ComputeSignatures(
@@ -45,7 +49,8 @@ std::vector<std::vector<uint64_t>> ComputeSignatures(
     int max_distance);
 
 // Number of distinct values in `values` — the observed cardinality C(T) of
-// Theorem 1 when applied to a signature level.
+// Theorem 1 when applied to a signature level. Counted in a flat table
+// (core/value_counts.h).
 size_t CountDistinct(std::span<const uint64_t> values);
 
 }  // namespace hinpriv::core

@@ -1,5 +1,7 @@
 #include "exec/executor.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -32,6 +34,15 @@ uint64_t MixSeed(uint64_t x) {
 
 size_t ResolveThreads(size_t requested) {
   if (requested != 0) return requested;
+  // The CPUs the calling thread may run on, so a taskset or cpuset limit
+  // sizes the pool to what the process can use; hardware_concurrency()
+  // counts every CPU of the machine.
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    const int count = CPU_COUNT(&allowed);
+    if (count > 0) return static_cast<size_t>(count);
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }

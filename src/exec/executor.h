@@ -22,9 +22,12 @@ class Gauge;
 
 namespace hinpriv::exec {
 
-// The one place the "0 means hardware concurrency" convention lives.
-// Previously re-derived (slightly differently) by eval, the service, and
-// the CLI. Always returns at least 1.
+// The one place the "0 means every CPU this process may use" convention
+// lives: 0 resolves to the number of CPUs in the calling thread's affinity
+// mask (sched_getaffinity), so a pool started under taskset or a cpuset
+// limit gets one worker per allowed CPU, not per CPU of the machine;
+// hardware_concurrency() is the fallback when the mask cannot be read.
+// Any other value passes through. Always returns at least 1.
 size_t ResolveThreads(size_t requested);
 
 // Two-level task priority. kHigh is reserved for latency-critical control
@@ -95,14 +98,15 @@ struct ParallelForResult {
 // "exec/worker-N".
 class Executor {
  public:
-  // ResolveThreads() is applied to num_threads (0 = hardware concurrency).
+  // ResolveThreads() is applied to num_threads (0 = one worker per CPU
+  // the constructing thread may run on).
   explicit Executor(size_t num_threads = 0);
   ~Executor();
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  // Process-wide shared pool, sized to the hardware, created on first use
-  // and joined at static destruction.
+  // Process-wide shared pool, sized by ResolveThreads(0) on first use and
+  // joined at static destruction.
   static Executor& Global();
 
   // The executor owning the calling worker thread, nullptr when called

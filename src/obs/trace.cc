@@ -254,15 +254,29 @@ std::string ChromeTraceJson() {
       out += "}}";
     }
     // Per-buffer order is the owner thread's program order, so B/E events
-    // form a proper bracket sequence per tid by construction — except that
-    // the bounded buffer may have evicted a prefix, leaving E events whose
-    // B is gone. Depth tracking skips exactly those orphans.
-    size_t depth = 0;
-    for (const internal::TraceEvent& event : dump.events) {
-      if (event.name == nullptr && depth == 0) continue;  // orphaned E
+    // form a proper bracket sequence per tid by construction, with two
+    // exceptions at its ends: the bounded buffer may have evicted a prefix,
+    // leaving E events whose B is gone, and spans still open at export
+    // time have a B and no E yet (an executor task's span can close after
+    // the ParallelFor it served has returned to the exporting thread).
+    // Matching brackets finds both kinds, and the export leaves them out.
+    std::vector<bool> keep(dump.events.size(), true);
+    std::vector<size_t> open;
+    for (size_t i = 0; i < dump.events.size(); ++i) {
+      if (dump.events[i].name != nullptr) {
+        open.push_back(i);
+      } else if (open.empty()) {
+        keep[i] = false;  // orphaned E
+      } else {
+        open.pop_back();
+      }
+    }
+    for (size_t i : open) keep[i] = false;  // still open
+    for (size_t i = 0; i < dump.events.size(); ++i) {
+      if (!keep[i]) continue;
+      const internal::TraceEvent& event = dump.events[i];
       comma();
       if (event.name != nullptr) {
-        ++depth;
         out += "{\"name\": ";
         AppendJsonString(&out, event.name);
         out += ", \"cat\": \"hinpriv\", \"ph\": \"B\", ";
@@ -274,7 +288,6 @@ std::string ChromeTraceJson() {
           out += rid_buf;
         }
       } else {
-        --depth;
         out += "{\"ph\": \"E\", ";
       }
       out += tid_buf;

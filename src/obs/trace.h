@@ -27,7 +27,10 @@ namespace hinpriv::obs {
 // Lifecycle: StartTracing() clears previous events and enables recording;
 // StopTracing() disables it. Spans still open across either transition stay
 // internally consistent: a span only records its end into the same epoch
-// that recorded its beginning, so exported B/E events always pair up.
+// that recorded its beginning. An export may still run while some span is
+// open (an executor task's span closes only after the ParallelFor it
+// served has released its caller); the export leaves such a span out
+// until its end is recorded, so exported B/E events always pair up.
 //
 // Buffers are bounded: each thread keeps at most TraceBufferCapacity()
 // events and drops the oldest beyond that (counted in
@@ -86,8 +89,10 @@ class ScopedRequestId {
 
 // The recorded events as a Chrome trace-event JSON document
 // ({"traceEvents": [...], "displayTimeUnit": "ms"}). Timestamps are
-// microseconds relative to the earliest recorded event. Call after the
-// traced work quiesced (typically after StopTracing()).
+// microseconds relative to the earliest recorded event. Safe to call at
+// any time; typically after StopTracing(). Spans still open at the call
+// are left out, as are ends whose begin was evicted, so every thread's
+// track is a balanced bracket sequence.
 std::string ChromeTraceJson();
 
 // Writes ChromeTraceJson() to `path`.

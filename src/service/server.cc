@@ -8,6 +8,7 @@
 #include "core/matchers.h"
 #include "core/privacy_risk.h"
 #include "core/signature.h"
+#include "core/value_counts.h"
 #include "obs/prometheus.h"
 #include "obs/trace.h"
 #include "service/json.h"
@@ -472,11 +473,17 @@ util::Result<const Server::RiskEntry*> Server::RiskForDistance(
     return util::Status::FailedPrecondition(
         "signature computation produced no levels");
   }
+  // One count serves all three answers: k per tuple, and C(T) for
+  // R(T) = C(T)/N (Theorem 1).
   const std::vector<uint64_t>& values = signatures.back();
+  const core::ValueCounts counts(values);
   RiskEntry entry;
-  entry.per_tuple = core::PerTupleRisk(values);
-  entry.network_risk = core::DatasetRisk(values);
-  entry.cardinality = core::CountDistinct(values);
+  entry.per_tuple = core::PerTupleRisk(values, counts);
+  entry.cardinality = counts.num_distinct();
+  entry.network_risk = values.empty()
+                           ? 0.0
+                           : static_cast<double>(entry.cardinality) /
+                                 static_cast<double>(values.size());
   it = risk_cache_.emplace(max_distance, std::move(entry)).first;
   return &it->second;
 }

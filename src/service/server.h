@@ -33,8 +33,8 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   // 0 = kernel-assigned ephemeral port (read back via Server::port()).
   uint16_t port = 0;
-  // Size of the execution pool every server owns (0 = hardware
-  // concurrency). Request drain tasks run on it at Priority::kHigh and
+  // Size of the execution pool every server owns (0 = one worker per CPU
+  // the process may run on). Request drain tasks run on it at Priority::kHigh and
   // intra-query scan grains at kNormal, so admitted requests never starve
   // behind another query's scan work. A pool is never shared between
   // servers: a coordinator's drain tasks block on shard replies, and a

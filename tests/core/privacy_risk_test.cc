@@ -1,11 +1,18 @@
 #include "core/privacy_risk.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/value_counts.h"
+#include "exec/executor.h"
 #include "hin/graph_builder.h"
 #include "hin/tqq_schema.h"
+#include "serial_signatures.h"
 #include "synth/tqq_generator.h"
 #include "util/random.h"
 
@@ -20,6 +27,33 @@ TEST(PerTupleRiskTest, MathematicalFactorIsOneOverK) {
   EXPECT_DOUBLE_EQ(risks[0], 0.5);
   EXPECT_DOUBLE_EQ(risks[1], 0.5);
   EXPECT_DOUBLE_EQ(risks[2], 1.0);
+}
+
+TEST(PerTupleRiskTest, FlatCountsMatchSortedCounts) {
+  // 20k values over 3k distinct ones, with 0 and UINT64_MAX among them.
+  util::Rng rng(13);
+  std::vector<uint64_t> values;
+  for (int i = 0; i < 20000; ++i) values.push_back(rng.UniformU64(3000));
+  values.push_back(0);
+  values.push_back(std::numeric_limits<uint64_t>::max());
+  values.push_back(std::numeric_limits<uint64_t>::max());
+  std::vector<uint64_t> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+
+  const ValueCounts counts(values);
+  EXPECT_EQ(counts.num_distinct(),
+            testing_ladder::SortUniqueCount(values));
+  const std::vector<double> risks = PerTupleRisk(values);
+  EXPECT_EQ(PerTupleRisk(values, counts), risks);
+  ASSERT_EQ(risks.size(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    const auto [lo, hi] =
+        std::equal_range(sorted.begin(), sorted.end(), values[i]);
+    const size_t k = static_cast<size_t>(hi - lo);
+    ASSERT_EQ(counts.count(values[i]), k) << values[i];
+    ASSERT_EQ(risks[i], 1.0 / static_cast<double>(k)) << values[i];
+  }
+  EXPECT_EQ(counts.count(3000), 0u);  // never drawn
 }
 
 TEST(DatasetRiskTest, Theorem1CardinalityOverN) {
@@ -146,6 +180,60 @@ TEST(NetworkPrivacyRiskTest, MoreLinkTypesNeverLowerRisk) {
     EXPECT_GE(risk_all[n].risk, risk_one[n].risk) << "distance " << n;
   }
 }
+
+// Every rung of the parallel ladder counts its level exactly: C(T)_n is a
+// sort+unique count over the serial reference level, whatever the graph's
+// storage and whichever thread or pool runs the ladder.
+class NetworkPrivacyRiskDifferentialTest
+    : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(NetworkPrivacyRiskDifferentialTest, CardinalitiesMatchSerialLevels) {
+  using testing_ladder::GraphKind;
+  constexpr int kMaxDepth = 3;
+  exec::Executor pool1(1), pool2(2), pool4(4), pool7(7);
+  for (GraphKind kind :
+       {GraphKind::kHeap, GraphKind::kMapped, GraphKind::kGrown}) {
+    const hin::Graph graph =
+        testing_ladder::LadderGraph(kind, GetParam(), /*num_users=*/600);
+    const double num_vertices = static_cast<double>(graph.num_vertices());
+    for (bool in_edges : {false, true}) {
+      const SignatureOptions options =
+          testing_ladder::AllFeatures(graph, in_edges);
+      const auto reference =
+          testing_ladder::SerialSignatures(graph, options, kMaxDepth);
+      auto expect_exact = [&](const std::vector<NetworkRiskResult>& ladder,
+                              const std::string& caller) {
+        ASSERT_EQ(ladder.size(), static_cast<size_t>(kMaxDepth) + 1);
+        for (int n = 0; n <= kMaxDepth; ++n) {
+          const size_t expected =
+              testing_ladder::SortUniqueCount(reference[n]);
+          EXPECT_EQ(ladder[n].max_distance, n);
+          EXPECT_EQ(ladder[n].cardinality, expected)
+              << testing_ladder::GraphKindName(kind)
+              << " graph, in_edges=" << in_edges << ", distance " << n
+              << ", called from " << caller;
+          EXPECT_EQ(ladder[n].risk,
+                    static_cast<double>(expected) / num_vertices);
+        }
+      };
+      expect_exact(NetworkPrivacyRisk(graph, options, kMaxDepth),
+                   "the main thread");
+      for (exec::Executor* pool : {&pool1, &pool2, &pool4, &pool7}) {
+        expect_exact(testing_ladder::OnWorkerOf(
+                         *pool,
+                         [&] {
+                           return NetworkPrivacyRisk(graph, options,
+                                                     kMaxDepth);
+                         }),
+                     "a worker of a " + std::to_string(pool->num_workers()) +
+                         "-worker pool");
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NetworkPrivacyRiskDifferentialTest,
+                         testing::Values(1, 7, 42));
 
 TEST(TheoremTwoBoundsTest, LowerBoundGrowsDoubleExponentially) {
   // log LB at distance n is 2^n * (log C_E + n log C_L): the ratio of

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "serial_signatures.h"
+#include "exec/executor.h"
 #include "hin/graph_builder.h"
 #include "hin/tqq_schema.h"
 #include "synth/tqq_generator.h"
@@ -154,6 +161,24 @@ TEST(SignatureTest, CountDistinct) {
   EXPECT_EQ(CountDistinct(std::vector<uint64_t>{}), 0u);
   EXPECT_EQ(CountDistinct(std::vector<uint64_t>{1, 1, 1}), 1u);
   EXPECT_EQ(CountDistinct(std::vector<uint64_t>{1, 2, 3, 2}), 3u);
+
+  // 0 and UINT64_MAX are ordinary values, not table markers.
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(CountDistinct(std::vector<uint64_t>{0}), 1u);
+  EXPECT_EQ(CountDistinct(std::vector<uint64_t>{kMax}), 1u);
+  EXPECT_EQ(CountDistinct(std::vector<uint64_t>{0, kMax, kMax, 0, 1}), 3u);
+  EXPECT_EQ(CountDistinct(std::vector<uint64_t>{42}), 1u);
+  EXPECT_EQ(CountDistinct(std::vector<uint64_t>(10000, 0)), 1u);
+  EXPECT_EQ(CountDistinct(std::vector<uint64_t>(10000, kMax)), 1u);
+
+  // 100k random values, half of them from a range small enough to repeat
+  // often and half anywhere in 64 bits.
+  util::Rng rng(99);
+  std::vector<uint64_t> values(100000);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = i % 2 == 0 ? rng.UniformU64(30000) : rng.NextU64();
+  }
+  EXPECT_EQ(CountDistinct(values), testing_ladder::SortUniqueCount(values));
 }
 
 TEST(SignatureTest, EmptyGraphYieldsEmptyLevels) {
@@ -187,6 +212,57 @@ TEST_P(SignatureMonotonicityTest, CardinalityNondecreasingInDistance) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SignatureMonotonicityTest,
                          testing::Values(1, 2, 3, 4, 5, 11, 17, 23));
+
+// The parallel ladder against the serial code it replaced: every level of
+// every depth, bit for bit, on heap, mapped and grown graphs, with and
+// without in-edges, called from a plain thread (Executor::Global()) and
+// from inside the workers of pools of several sizes.
+class SignatureDifferentialTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(SignatureDifferentialTest, EveryLevelBitIdenticalToSerial) {
+  using testing_ladder::GraphKind;
+  constexpr int kMaxDepth = 3;
+  exec::Executor pool1(1), pool2(2), pool4(4), pool7(7);
+  for (GraphKind kind :
+       {GraphKind::kHeap, GraphKind::kMapped, GraphKind::kGrown}) {
+    const hin::Graph graph =
+        testing_ladder::LadderGraph(kind, GetParam(), /*num_users=*/600);
+    for (bool in_edges : {false, true}) {
+      const SignatureOptions options =
+          testing_ladder::AllFeatures(graph, in_edges);
+      const auto reference =
+          testing_ladder::SerialSignatures(graph, options, kMaxDepth);
+      for (int depth = 0; depth <= kMaxDepth; ++depth) {
+        auto expect_serial = [&](const std::vector<std::vector<uint64_t>>&
+                                     levels,
+                                 const std::string& caller) {
+          ASSERT_EQ(levels.size(), static_cast<size_t>(depth) + 1);
+          for (int n = 0; n <= depth; ++n) {
+            EXPECT_TRUE(levels[n] == reference[n])
+                << testing_ladder::GraphKindName(kind)
+                << " graph, in_edges=" << in_edges << ", depth " << depth
+                << ", level " << n << ", called from " << caller;
+          }
+        };
+        expect_serial(ComputeSignatures(graph, options, depth),
+                      "the main thread");
+        for (exec::Executor* pool : {&pool1, &pool2, &pool4, &pool7}) {
+          expect_serial(testing_ladder::OnWorkerOf(
+                            *pool,
+                            [&] {
+                              return ComputeSignatures(graph, options, depth);
+                            }),
+                        "a worker of a " +
+                            std::to_string(pool->num_workers()) +
+                            "-worker pool");
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SignatureDifferentialTest,
+                         testing::Values(1, 7, 42));
 
 }  // namespace
 }  // namespace hinpriv::core

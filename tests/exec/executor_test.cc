@@ -1,5 +1,7 @@
 #include "exec/executor.h"
 
+#include <sched.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,13 +20,25 @@
 namespace hinpriv::exec {
 namespace {
 
-TEST(ResolveThreadsTest, ZeroMapsToHardwareConcurrency) {
-  const size_t resolved = ResolveThreads(0);
-  EXPECT_GE(resolved, 1u);
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw != 0) {
-    EXPECT_EQ(resolved, static_cast<size_t>(hw));
+TEST(ResolveThreadsTest, ZeroCountsTheCpusTheCallerMayRunOn) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(ResolveThreads(0), static_cast<size_t>(CPU_COUNT(&original)));
+
+  // Narrow the calling thread to one of its CPUs: 0 must resolve to 1, as
+  // it would under `taskset -c N` on a many-core machine.
+  int first = 0;
+  while (!CPU_ISSET(first, &original)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) != 0) {
+    GTEST_SKIP() << "cannot narrow this thread's CPU affinity";
   }
+  const size_t narrowed = ResolveThreads(0);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(narrowed, 1u);
 }
 
 TEST(ResolveThreadsTest, NonZeroPassesThrough) {

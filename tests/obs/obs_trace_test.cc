@@ -374,6 +374,64 @@ TEST(TraceTest, RestartMidSpanDropsOrphanEnd) {
   EXPECT_EQ(NumRecordedTraceEvents(), 0u);
 }
 
+// B and E counts of an export, and the span names it begins; fails the
+// test when some track's brackets do not balance.
+struct Brackets {
+  size_t begins = 0;
+  size_t ends = 0;
+  std::vector<std::string> names;
+};
+
+Brackets CountBrackets(const std::string& json) {
+  Brackets brackets;
+  const std::optional<JsonValue> root = ParseTrace(json);
+  EXPECT_TRUE(root.has_value()) << json;
+  if (!root.has_value()) return brackets;
+  const JsonValue* events = root->Get("traceEvents");
+  EXPECT_NE(events, nullptr);
+  if (events == nullptr) return brackets;
+  std::map<double, int> depth_by_tid;
+  for (const JsonValue& event : events->array) {
+    const JsonValue* ph = event.Get("ph");
+    const JsonValue* tid = event.Get("tid");
+    if (ph == nullptr || tid == nullptr) continue;
+    if (ph->string == "B") {
+      ++brackets.begins;
+      ++depth_by_tid[tid->number];
+      brackets.names.push_back(event.Get("name")->string);
+    } else if (ph->string == "E") {
+      ++brackets.ends;
+      EXPECT_GT(depth_by_tid[tid->number], 0) << "E before its B";
+      --depth_by_tid[tid->number];
+    }
+  }
+  for (const auto& [tid, depth] : depth_by_tid) {
+    EXPECT_EQ(depth, 0) << "unbalanced spans on tid " << tid;
+  }
+  return brackets;
+}
+
+// An export taken while a span is open (as right after a ParallelFor
+// returns, before a worker's task span has closed) leaves that span out,
+// and the next export, once it closed, has the pair.
+TEST(TraceTest, ExportLeavesOutSpansStillOpen) {
+  StartTracing();
+  {
+    HINPRIV_SPAN("still_open");
+    { HINPRIV_SPAN("closed_inside"); }
+    StopTracing();
+    const Brackets open = CountBrackets(ChromeTraceJson());
+    EXPECT_EQ(open.begins, 1u);
+    EXPECT_EQ(open.ends, 1u);
+    EXPECT_EQ(open.names, std::vector<std::string>{"closed_inside"});
+  }
+  const Brackets closed = CountBrackets(ChromeTraceJson());
+  EXPECT_EQ(closed.begins, 2u);
+  EXPECT_EQ(closed.ends, 2u);
+  EXPECT_EQ(closed.names,
+            (std::vector<std::string>{"still_open", "closed_inside"}));
+}
+
 TEST(TraceTest, SpanOpenAcrossStopStillCloses) {
   StartTracing();
   {

@@ -311,9 +311,14 @@ util::Result<std::vector<hin::VertexId>> LoadMapping(const std::string& path,
 }
 
 // Writes the telemetry outputs the attack subcommand was asked for; called
-// once at the end of the run (on the success paths).
-int EmitAttackTelemetry(const std::string& metrics_path,
+// once at the end of the run (on the success paths). Joins the attack's
+// pool first: when the calling thread claimed every target before the OS
+// first scheduled a worker, that worker has not yet named its track, and a
+// trace written while the pool is alive would lack it.
+int EmitAttackTelemetry(std::unique_ptr<exec::Executor> pool,
+                        const std::string& metrics_path,
                         const std::string& trace_path) {
+  pool.reset();
   if (!trace_path.empty()) {
     obs::StopTracing();
     const util::Status written = obs::WriteChromeTrace(trace_path);
@@ -347,10 +352,10 @@ int RunAttack(int argc, char** argv) {
                "prefilter strength-dominance kernel: auto|scalar|sse2|avx2 "
                "(results are identical across kernels)");
   flags.Define("threads", "1",
-               "worker threads; 0 = hardware concurrency. With --mapping "
-               "and no --out this runs the across-target parallel "
-               "evaluator; otherwise each target's candidate scan is "
-               "parallelized in-query (results identical to --threads=1)");
+               "worker threads; 0 = one per CPU this process may run on. "
+               "With --mapping and no --out this runs the across-target "
+               "parallel evaluator; otherwise each target's candidate scan "
+               "is parallelized in-query (results identical to --threads=1)");
   flags.Define("metrics_json", "",
                "write a metrics snapshot (counters/gauges/histograms) to "
                "this path after the attack");
@@ -438,7 +443,7 @@ int RunAttack(int argc, char** argv) {
                 100.0 * metrics.dehin_stats.PrefilterRejectRate(),
                 100.0 * metrics.dehin_stats.CacheHitRate(),
                 metrics.dehin_stats.dominance_kernel);
-    return EmitAttackTelemetry(metrics_path, trace_path);
+    return EmitAttackTelemetry(std::move(pool), metrics_path, trace_path);
   }
 
   size_t unique = 0;
@@ -530,7 +535,7 @@ int RunAttack(int argc, char** argv) {
                 100.0 * static_cast<double>(correct) /
                     static_cast<double>(evaluated));
   }
-  return EmitAttackTelemetry(metrics_path, trace_path);
+  return EmitAttackTelemetry(std::move(pool), metrics_path, trace_path);
 }
 
 int RunAudit(int argc, char** argv) {
@@ -812,7 +817,8 @@ int RunServe(int argc, char** argv) {
   flags.Define("port", "7470", "TCP port (0 = kernel-assigned, printed)");
   flags.Define("workers", "4",
                "execution pool size shared by request handling and "
-               "intra-query scans (0 = hardware concurrency)");
+               "intra-query scans (0 = one per CPU this process may run "
+               "on)");
   flags.Define("parallel_scan", "true",
                "fan one attack_one query's candidate scan out across the "
                "pool (needs >1 thread; results identical either way)");
