@@ -1,6 +1,7 @@
 // Google-benchmark micro-benchmarks for the performance-critical pieces:
-// graph construction, Hopcroft-Karp vs. the Kuhn reference matcher,
-// signature computation, candidate-index construction/lookup, the DeHIN
+// graph generation, text and snapshot loads, the CSR build, Hopcroft-Karp
+// vs. the Kuhn reference matcher, signature computation,
+// candidate-index construction/lookup, the DeHIN
 // per-query cost by max distance, and the end-to-end DeHIN evaluation the
 // acceleration layers target.
 //
@@ -20,6 +21,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -28,6 +30,7 @@
 #include "core/dominance_kernels.h"
 #include "core/signature.h"
 #include "eval/metrics.h"
+#include "hin/graph_builder.h"
 #include "hin/io.h"
 #include "hin/snapshot.h"
 #include "hin/subgraph.h"
@@ -101,7 +104,7 @@ matching::BipartiteGraph RandomBipartite(size_t n, double edge_prob,
   return g;
 }
 
-void BM_GraphBuild(benchmark::State& state) {
+void BM_GenerateNetwork(benchmark::State& state) {
   synth::TqqConfig config;
   config.num_users = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
@@ -111,7 +114,7 @@ void BM_GraphBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_GraphBuild)->Arg(1000)->Arg(10000)->Arg(50000);
+BENCHMARK(BM_GenerateNetwork)->Arg(1000)->Arg(10000)->Arg(50000);
 
 // --- Snapshot warm-start: map + O(V) structural validation ---------------
 // Loads SharedNetwork() persisted once per process; the file is in the
@@ -139,6 +142,71 @@ void BM_SnapshotLoad(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * SharedNetwork().num_edges());
 }
 BENCHMARK(BM_SnapshotLoad);
+
+// --- Text load and CSR build: the cold path from a text dump -------------
+// The same network in the text format, parsed line by line and built.
+
+const std::string& SharedTextFile() {
+  static const std::string* path = [] {
+    auto* p = new std::string("/tmp/hinpriv_micro_bench.graph");
+    auto status = hin::SaveGraphToFile(SharedNetwork(), *p);
+    if (!status.ok()) {
+      std::fprintf(stderr, "save text: %s\n", status.ToString().c_str());
+      std::exit(1);
+    }
+    return p;
+  }();
+  return *path;
+}
+
+void BM_TextLoad(benchmark::State& state) {
+  const std::string& path = SharedTextFile();
+  for (auto _ : state) {
+    auto graph = hin::LoadGraphAuto(path);
+    benchmark::DoNotOptimize(graph.value().num_edges());
+  }
+  state.SetItemsProcessed(state.iterations() * SharedNetwork().num_edges());
+}
+BENCHMARK(BM_TextLoad)->Unit(benchmark::kMillisecond);
+
+// GraphBuilder::Build() alone over the network's edges, staged in CSR
+// order as the text loader stages them (arg 0) or shuffled (arg 1).
+void BM_GraphBuild(benchmark::State& state) {
+  const hin::Graph& graph = SharedNetwork();
+  struct Row {
+    hin::LinkTypeId link;
+    hin::VertexId src;
+    hin::Edge edge;
+  };
+  std::vector<Row> rows;
+  for (hin::LinkTypeId lt = 0; lt < graph.num_link_types(); ++lt) {
+    for (hin::VertexId v = 0; v < graph.num_vertices(); ++v) {
+      for (const hin::Edge& e : graph.OutEdges(lt, v)) {
+        rows.push_back({lt, v, e});
+      }
+    }
+  }
+  if (state.range(0) == 1) {
+    util::Rng rng(4);
+    rng.Shuffle(&rows);
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    hin::GraphBuilder builder(graph.schema());
+    if (!hin::CopyVerticesWithAttributes(graph, &builder).ok()) std::abort();
+    for (const Row& r : rows) {
+      if (!builder.AddEdge(r.src, r.edge.neighbor, r.link, r.edge.strength)
+               .ok()) {
+        std::abort();
+      }
+    }
+    state.ResumeTiming();
+    auto built = std::move(builder).Build();
+    benchmark::DoNotOptimize(built.value().num_edges());
+  }
+  state.SetItemsProcessed(state.iterations() * graph.num_edges());
+}
+BENCHMARK(BM_GraphBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_HopcroftKarp(benchmark::State& state) {
   const auto g = RandomBipartite(static_cast<size_t>(state.range(0)),

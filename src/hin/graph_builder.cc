@@ -82,6 +82,11 @@ util::Status GraphBuilder::AddEdge(VertexId src, VertexId dst, LinkTypeId link,
   return util::Status::OK();
 }
 
+void GraphBuilder::ReserveEdges(LinkTypeId link, size_t count) {
+  if (link >= staged_.size()) return;
+  staged_[link].reserve(staged_[link].size() + count);
+}
+
 size_t GraphBuilder::num_staged_edges() const {
   size_t total = 0;
   for (const auto& edges : staged_) total += edges.size();
@@ -108,52 +113,69 @@ util::Result<Graph> GraphBuilder::Build() && {
   g.num_edges_ = 0;
 
   for (size_t lt = 0; lt < num_links; ++lt) {
-    auto& edges = staged_[lt];
-    // Merge duplicates by summing strengths: sort by (src, dst) and fold.
-    std::sort(edges.begin(), edges.end(),
-              [](const StagedEdge& a, const StagedEdge& b) {
-                return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-              });
-    size_t w = 0;
-    for (size_t r = 0; r < edges.size(); ++r) {
-      if (w > 0 && edges[w - 1].src == edges[r].src &&
-          edges[w - 1].dst == edges[r].dst) {
-        edges[w - 1].strength += edges[r].strength;
-      } else {
-        edges[w++] = edges[r];
-      }
-    }
-    edges.resize(w);
-    g.num_edges_ += w;
-
-    // Out-CSR straight from the (src, dst)-sorted list.
     auto& out = arena->out[lt];
-    out.offsets.assign(n + 1, 0);
-    out.edges.resize(w);
-    for (const auto& e : edges) ++out.offsets[e.src + 1];
-    for (size_t v = 0; v < n; ++v) out.offsets[v + 1] += out.offsets[v];
     {
-      std::vector<uint64_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
-      for (const auto& e : edges) {
-        out.edges[cursor[e.src]++] = Edge{e.dst, e.strength};
+      // Count sources into the offsets, then scatter each staged edge into
+      // its source's run, in staging order. offsets[v] is v's fill cursor
+      // and ends as v's end, so one shift turns the cursors into offsets.
+      std::vector<StagedEdge> staged = std::move(staged_[lt]);
+      out.offsets.assign(n + 1, 0);
+      for (const StagedEdge& e : staged) ++out.offsets[e.src + 1];
+      for (size_t v = 0; v < n; ++v) out.offsets[v + 1] += out.offsets[v];
+      out.edges.resize(staged.size());
+      for (const StagedEdge& e : staged) {
+        out.edges[out.offsets[e.src]++] = Edge{e.dst, e.strength};
       }
-    }
+    }  // the staged edges are freed before the in-CSR is allocated
+    for (size_t v = n; v > 0; --v) out.offsets[v] = out.offsets[v - 1];
+    out.offsets[0] = 0;
 
-    // In-CSR via counting sort on dst; entries end up sorted by source id
-    // because the staged list is (src, dst)-sorted.
+    // Sort each run by neighbor only when it is out of order, then merge
+    // duplicate neighbors by summing strengths, closing the runs up
+    // toward the front of the array as they shrink.
+    const auto by_neighbor = [](const Edge& a, const Edge& b) {
+      return a.neighbor < b.neighbor;
+    };
+    Edge* edges = out.edges.data();
+    uint64_t write = 0;
+    uint64_t begin = 0;
+    for (size_t v = 0; v < n; ++v) {
+      const uint64_t end = out.offsets[v + 1];
+      if (!std::is_sorted(edges + begin, edges + end, by_neighbor)) {
+        std::sort(edges + begin, edges + end, by_neighbor);
+      }
+      const uint64_t run_start = write;
+      for (uint64_t r = begin; r < end; ++r) {
+        if (write > run_start &&
+            edges[write - 1].neighbor == edges[r].neighbor) {
+          edges[write - 1].strength += edges[r].strength;
+        } else {
+          edges[write++] = edges[r];
+        }
+      }
+      out.offsets[v + 1] = write;
+      begin = end;
+    }
+    out.edges.resize(write);
+    out.edges.shrink_to_fit();
+    g.num_edges_ += write;
+
+    // In-CSR: count targets, then visit the out-runs in source order, so
+    // each in-run comes out sorted by source; the same cursor shift.
     auto& in = arena->in[lt];
     in.offsets.assign(n + 1, 0);
-    in.edges.resize(w);
-    for (const auto& e : edges) ++in.offsets[e.dst + 1];
+    for (const Edge& e : out.edges) ++in.offsets[e.neighbor + 1];
     for (size_t v = 0; v < n; ++v) in.offsets[v + 1] += in.offsets[v];
-    {
-      std::vector<uint64_t> cursor(in.offsets.begin(), in.offsets.end() - 1);
-      for (const auto& e : edges) {
-        in.edges[cursor[e.dst]++] = Edge{e.src, e.strength};
+    in.edges.resize(write);
+    for (size_t v = 0; v < n; ++v) {
+      for (uint64_t i = out.offsets[v]; i < out.offsets[v + 1]; ++i) {
+        const Edge& e = out.edges[i];
+        in.edges[in.offsets[e.neighbor]++] =
+            Edge{static_cast<VertexId>(v), e.strength};
       }
     }
-    edges.clear();
-    edges.shrink_to_fit();
+    for (size_t v = n; v > 0; --v) in.offsets[v] = in.offsets[v - 1];
+    in.offsets[0] = 0;
   }
 
   // Point the Graph's views at the (now-stable) arena storage.

@@ -47,11 +47,18 @@ class GraphBuilder {
   util::Status AddEdge(VertexId src, VertexId dst, LinkTypeId link,
                        Strength strength = 1);
 
+  // Makes room to stage `count` more edges of `link` without regrowing.
+  void ReserveEdges(LinkTypeId link, size_t count);
+
   size_t num_vertices() const { return vtype_.size(); }
   size_t num_staged_edges() const;
 
-  // Finalizes: sorts, merges duplicates, builds per-link-type CSR (out and
-  // in). Consumes the builder.
+  // Finalizes into per-link-type CSR, out and in, in O(V + E) per link
+  // type: staged edges are scattered into their source's run, a run is
+  // sorted by neighbor only when it is out of order, duplicates merge by
+  // summing strengths, and the in-CSR is one counting pass over the
+  // finished out-CSR, so in-runs come out sorted by source. Consumes the
+  // builder.
   util::Result<Graph> Build() &&;
 
   // Applies one growth batch (graph_delta.h) to a heap-built or mapped

@@ -1,9 +1,10 @@
 #include "hin/graph_delta.h"
 
-#include <algorithm>
 #include <fstream>
 #include <ostream>
+#include <string_view>
 
+#include "util/line_reader.h"
 #include "util/string_util.h"
 
 namespace hinpriv::hin {
@@ -13,47 +14,16 @@ namespace {
 constexpr char kMagic[] = "hinpriv-delta";
 constexpr int kVersion = 1;
 
-// Section counts come from the file, so at most this many rows are
-// reserved up front: a false count then fails at its first missing row
-// instead of throwing from the allocator.
-constexpr uint64_t kMaxReservedRows = 1 << 16;
-
-size_t ReservedRows(uint64_t count) {
-  return static_cast<size_t>(std::min(count, kMaxReservedRows));
-}
-
-// Reads the next non-empty line; a stream that ends early is corrupt.
-util::Status NextLine(std::istream& is, std::string* line) {
-  while (std::getline(is, *line)) {
-    const std::string_view trimmed = util::Trim(*line);
-    if (!trimmed.empty()) {
-      *line = std::string(trimmed);
-      return util::Status::OK();
-    }
-  }
-  return util::Status::Corruption("unexpected end of delta stream");
-}
-
-util::Result<std::vector<std::string_view>> ExpectFields(
-    const std::string& line, size_t min_fields) {
-  auto fields = util::Split(line, ' ');
-  if (fields.size() < min_fields) {
-    return util::Status::Corruption("malformed delta line: '" + line + "'");
-  }
-  return fields;
-}
-
 // Parses a section header "<keyword> <count>" and returns the count.
-util::Result<uint64_t> SectionCount(std::istream& is, const char* keyword) {
-  std::string line;
-  HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-  auto fields = ExpectFields(line, 2);
-  if (!fields.ok()) return fields.status();
-  if (fields.value()[0] != keyword) {
+util::Result<uint64_t> SectionCount(util::LineReader* reader,
+                                    const char* keyword) {
+  HINPRIV_RETURN_IF_ERROR(reader->NextRow(2));
+  if (reader->fields()[0] != keyword) {
     return util::Status::Corruption(std::string("expected '") + keyword +
-                                    "' section, got: '" + line + "'");
+                                    "' section, got: '" +
+                                    std::string(reader->line()) + "'");
   }
-  return util::ParseUint64(fields.value()[1]);
+  return util::ParseUint64(reader->fields()[1]);
 }
 
 }  // namespace
@@ -162,15 +132,14 @@ util::Status SaveDeltaStreamToFile(const std::vector<GraphDelta>& deltas,
 }
 
 util::Result<std::vector<GraphDelta>> LoadDeltaStream(std::istream& is) {
-  std::string line;
-  HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
+  util::LineReader reader(is, "delta", &util::Status::Corruption);
+  const std::vector<std::string_view>& fields = reader.fields();
+  HINPRIV_RETURN_IF_ERROR(reader.NextRow(2));
+  if (fields[0] != kMagic) {
+    return util::Status::Corruption("bad magic: expected 'hinpriv-delta'");
+  }
   {
-    auto fields = ExpectFields(line, 2);
-    if (!fields.ok()) return fields.status();
-    if (fields.value()[0] != kMagic) {
-      return util::Status::Corruption("bad magic: expected 'hinpriv-delta'");
-    }
-    auto version = util::ParseInt64(fields.value()[1]);
+    auto version = util::ParseInt64(fields[1]);
     if (!version.ok() || version.value() != kVersion) {
       return util::Status::Corruption("unsupported delta format version");
     }
@@ -178,50 +147,45 @@ util::Result<std::vector<GraphDelta>> LoadDeltaStream(std::istream& is) {
 
   std::vector<GraphDelta> deltas;
   while (true) {
-    HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-    if (line == "done") break;
-    auto fields = ExpectFields(line, 2);
-    if (!fields.ok()) return fields.status();
-    if (fields.value()[0] != "batch") {
+    HINPRIV_RETURN_IF_ERROR(reader.NextLine());
+    if (reader.line() == "done") break;
+    HINPRIV_RETURN_IF_ERROR(reader.Split(2));
+    if (fields[0] != "batch") {
       return util::Status::Corruption("expected 'batch' or 'done', got: '" +
-                                      line + "'");
+                                      std::string(reader.line()) + "'");
     }
-    auto base_n = util::ParseUint64(fields.value()[1]);
+    auto base_n = util::ParseUint64(fields[1]);
     if (!base_n.ok()) return base_n.status();
 
     GraphDelta d;
     d.base_num_vertices = base_n.value();
 
-    auto num_new = SectionCount(is, "new_vertices");
+    auto num_new = SectionCount(&reader, "new_vertices");
     if (!num_new.ok()) return num_new.status();
-    d.new_vertices.reserve(ReservedRows(num_new.value()));
+    d.new_vertices.reserve(util::LineReader::ReservedRows(num_new.value()));
     for (uint64_t i = 0; i < num_new.value(); ++i) {
-      HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-      auto row = ExpectFields(line, 1);
-      if (!row.ok()) return row.status();
+      HINPRIV_RETURN_IF_ERROR(reader.NextRow(1));
       GraphDelta::NewVertex nv;
-      auto type = util::ParseInteger<EntityTypeId>(row.value()[0]);
+      auto type = util::ParseInteger<EntityTypeId>(fields[0]);
       if (!type.ok()) return type.status();
       nv.type = type.value();
-      nv.attrs.reserve(row.value().size() - 1);
-      for (size_t f = 1; f < row.value().size(); ++f) {
-        auto value = util::ParseInteger<AttrValue>(row.value()[f]);
+      nv.attrs.reserve(fields.size() - 1);
+      for (size_t f = 1; f < fields.size(); ++f) {
+        auto value = util::ParseInteger<AttrValue>(fields[f]);
         if (!value.ok()) return value.status();
         nv.attrs.push_back(value.value());
       }
       d.new_vertices.push_back(std::move(nv));
     }
 
-    auto num_bumps = SectionCount(is, "attr_bumps");
+    auto num_bumps = SectionCount(&reader, "attr_bumps");
     if (!num_bumps.ok()) return num_bumps.status();
-    d.attr_bumps.reserve(ReservedRows(num_bumps.value()));
+    d.attr_bumps.reserve(util::LineReader::ReservedRows(num_bumps.value()));
     for (uint64_t i = 0; i < num_bumps.value(); ++i) {
-      HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-      auto row = ExpectFields(line, 3);
-      if (!row.ok()) return row.status();
-      auto v = util::ParseInteger<VertexId>(row.value()[0]);
-      auto attr = util::ParseInteger<AttributeId>(row.value()[1]);
-      auto delta = util::ParseInteger<AttrValue>(row.value()[2]);
+      HINPRIV_RETURN_IF_ERROR(reader.NextRow(3));
+      auto v = util::ParseInteger<VertexId>(fields[0]);
+      auto attr = util::ParseInteger<AttributeId>(fields[1]);
+      auto delta = util::ParseInteger<AttrValue>(fields[2]);
       if (!v.ok()) return v.status();
       if (!attr.ok()) return attr.status();
       if (!delta.ok()) return delta.status();
@@ -229,17 +193,15 @@ util::Result<std::vector<GraphDelta>> LoadDeltaStream(std::istream& is) {
           GraphDelta::AttrBump{v.value(), attr.value(), delta.value()});
     }
 
-    auto num_edges = SectionCount(is, "edge_adds");
+    auto num_edges = SectionCount(&reader, "edge_adds");
     if (!num_edges.ok()) return num_edges.status();
-    d.edge_adds.reserve(ReservedRows(num_edges.value()));
+    d.edge_adds.reserve(util::LineReader::ReservedRows(num_edges.value()));
     for (uint64_t i = 0; i < num_edges.value(); ++i) {
-      HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-      auto row = ExpectFields(line, 4);
-      if (!row.ok()) return row.status();
-      auto lt = util::ParseInteger<LinkTypeId>(row.value()[0]);
-      auto src = util::ParseInteger<VertexId>(row.value()[1]);
-      auto dst = util::ParseInteger<VertexId>(row.value()[2]);
-      auto strength = util::ParseInteger<Strength>(row.value()[3]);
+      HINPRIV_RETURN_IF_ERROR(reader.NextRow(4));
+      auto lt = util::ParseInteger<LinkTypeId>(fields[0]);
+      auto src = util::ParseInteger<VertexId>(fields[1]);
+      auto dst = util::ParseInteger<VertexId>(fields[2]);
+      auto strength = util::ParseInteger<Strength>(fields[3]);
       if (!lt.ok()) return lt.status();
       for (const auto* s : {&src, &dst, &strength}) {
         if (!s->ok()) return s->status();
@@ -248,8 +210,8 @@ util::Result<std::vector<GraphDelta>> LoadDeltaStream(std::istream& is) {
           lt.value(), src.value(), dst.value(), strength.value()});
     }
 
-    HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-    if (line != "end") {
+    HINPRIV_RETURN_IF_ERROR(reader.NextLine());
+    if (reader.line() != "end") {
       return util::Status::Corruption("missing 'end' batch terminator");
     }
     deltas.push_back(std::move(d));

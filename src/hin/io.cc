@@ -2,9 +2,11 @@
 
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "hin/graph_builder.h"
+#include "util/line_reader.h"
 #include "util/string_util.h"
 
 namespace hinpriv::hin {
@@ -14,25 +16,22 @@ namespace {
 constexpr char kMagic[] = "hinpriv-graph";
 constexpr int kVersion = 1;
 
-// Reads the next non-empty line; returns IoError at end of stream.
-util::Status NextLine(std::istream& is, std::string* line) {
-  while (std::getline(is, *line)) {
-    const std::string_view trimmed = util::Trim(*line);
-    if (!trimmed.empty()) {
-      *line = std::string(trimmed);
-      return util::Status::OK();
-    }
-  }
-  return util::Status::IoError("unexpected end of graph stream");
-}
-
-util::Result<std::vector<std::string_view>> ExpectFields(
-    const std::string& line, size_t min_fields) {
-  auto fields = util::Split(line, ' ');
-  if (fields.size() < min_fields) {
-    return util::Status::Corruption("malformed line: '" + line + "'");
-  }
-  return fields;
+// An edge row "<src> <dst> <strength>" off the fast path (extra fields,
+// '+' signs, junk), parsed field by field for the row's exact Status.
+util::Status ParseEdgeRow(util::LineReader* reader, uint64_t* src,
+                          uint64_t* dst, Strength* strength) {
+  HINPRIV_RETURN_IF_ERROR(reader->Split(3));
+  const std::vector<std::string_view>& fields = reader->fields();
+  auto src_field = util::ParseUint64(fields[0]);
+  auto dst_field = util::ParseUint64(fields[1]);
+  auto strength_field = util::ParseInteger<Strength>(fields[2]);
+  if (!src_field.ok()) return src_field.status();
+  if (!dst_field.ok()) return dst_field.status();
+  if (!strength_field.ok()) return strength_field.status();
+  *src = src_field.value();
+  *dst = dst_field.value();
+  *strength = strength_field.value();
+  return util::Status::OK();
 }
 
 }  // namespace
@@ -90,67 +89,55 @@ util::Status SaveGraphToFile(const Graph& graph, const std::string& path) {
 }
 
 util::Result<Graph> LoadGraph(std::istream& is) {
-  std::string line;
-  HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
+  util::LineReader reader(is, "graph", &util::Status::IoError);
+  const std::vector<std::string_view>& fields = reader.fields();
+  HINPRIV_RETURN_IF_ERROR(reader.NextRow(2));
+  if (fields[0] != kMagic) {
+    return util::Status::Corruption("bad magic: expected 'hinpriv-graph'");
+  }
   {
-    auto fields = ExpectFields(line, 2);
-    if (!fields.ok()) return fields.status();
-    if (fields.value()[0] != kMagic) {
-      return util::Status::Corruption("bad magic: expected 'hinpriv-graph'");
-    }
-    auto version = util::ParseInt64(fields.value()[1]);
+    auto version = util::ParseInt64(fields[1]);
     if (!version.ok() || version.value() != kVersion) {
       return util::Status::Corruption("unsupported graph format version");
     }
   }
 
   NetworkSchema schema;
-  HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-  auto header = ExpectFields(line, 2);
-  if (!header.ok()) return header.status();
-  if (header.value()[0] != "entity_types") {
+  HINPRIV_RETURN_IF_ERROR(reader.NextRow(2));
+  if (fields[0] != "entity_types") {
     return util::Status::Corruption("expected 'entity_types' section");
   }
-  auto num_entity_types = util::ParseUint64(header.value()[1]);
+  auto num_entity_types = util::ParseUint64(fields[1]);
   if (!num_entity_types.ok()) return num_entity_types.status();
   for (uint64_t t = 0; t < num_entity_types.value(); ++t) {
-    HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-    auto fields = ExpectFields(line, 2);
-    if (!fields.ok()) return fields.status();
-    const EntityTypeId et = schema.AddEntityType(std::string(fields.value()[0]));
-    auto num_attrs = util::ParseUint64(fields.value()[1]);
+    HINPRIV_RETURN_IF_ERROR(reader.NextRow(2));
+    const EntityTypeId et = schema.AddEntityType(std::string(fields[0]));
+    auto num_attrs = util::ParseUint64(fields[1]);
     if (!num_attrs.ok()) return num_attrs.status();
     for (uint64_t a = 0; a < num_attrs.value(); ++a) {
-      HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-      auto attr_fields = ExpectFields(line, 3);
-      if (!attr_fields.ok()) return attr_fields.status();
-      if (attr_fields.value()[0] != "attr") {
+      HINPRIV_RETURN_IF_ERROR(reader.NextRow(3));
+      if (fields[0] != "attr") {
         return util::Status::Corruption("expected 'attr' row");
       }
-      auto growable = util::ParseUint64(attr_fields.value()[2]);
+      auto growable = util::ParseUint64(fields[2]);
       if (!growable.ok()) return growable.status();
-      schema.AddAttribute(et, std::string(attr_fields.value()[1]),
-                          growable.value() != 0);
+      schema.AddAttribute(et, std::string(fields[1]), growable.value() != 0);
     }
   }
 
-  HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-  header = ExpectFields(line, 2);
-  if (!header.ok()) return header.status();
-  if (header.value()[0] != "link_types") {
+  HINPRIV_RETURN_IF_ERROR(reader.NextRow(2));
+  if (fields[0] != "link_types") {
     return util::Status::Corruption("expected 'link_types' section");
   }
-  auto num_link_types = util::ParseUint64(header.value()[1]);
+  auto num_link_types = util::ParseUint64(fields[1]);
   if (!num_link_types.ok()) return num_link_types.status();
   for (uint64_t lt = 0; lt < num_link_types.value(); ++lt) {
-    HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-    auto fields = ExpectFields(line, 6);
-    if (!fields.ok()) return fields.status();
-    auto src = util::ParseUint64(fields.value()[1]);
-    auto dst = util::ParseUint64(fields.value()[2]);
-    auto has_strength = util::ParseUint64(fields.value()[3]);
-    auto growable = util::ParseUint64(fields.value()[4]);
-    auto self_link = util::ParseUint64(fields.value()[5]);
+    HINPRIV_RETURN_IF_ERROR(reader.NextRow(6));
+    auto src = util::ParseUint64(fields[1]);
+    auto dst = util::ParseUint64(fields[2]);
+    auto has_strength = util::ParseUint64(fields[3]);
+    auto growable = util::ParseUint64(fields[4]);
+    auto self_link = util::ParseUint64(fields[5]);
     for (const auto* r : {&src, &dst, &has_strength, &growable, &self_link}) {
       if (!r->ok()) return r->status();
     }
@@ -158,7 +145,7 @@ util::Result<Graph> LoadGraph(std::istream& is) {
         dst.value() >= schema.num_entity_types()) {
       return util::Status::Corruption("link type endpoint out of range");
     }
-    schema.AddLinkType(std::string(fields.value()[0]),
+    schema.AddLinkType(std::string(fields[0]),
                        static_cast<EntityTypeId>(src.value()),
                        static_cast<EntityTypeId>(dst.value()),
                        has_strength.value() != 0, growable.value() != 0,
@@ -167,33 +154,29 @@ util::Result<Graph> LoadGraph(std::istream& is) {
   HINPRIV_RETURN_IF_ERROR(schema.Validate());
 
   GraphBuilder builder(schema);
-  HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-  header = ExpectFields(line, 2);
-  if (!header.ok()) return header.status();
-  if (header.value()[0] != "vertices") {
+  HINPRIV_RETURN_IF_ERROR(reader.NextRow(2));
+  if (fields[0] != "vertices") {
     return util::Status::Corruption("expected 'vertices' section");
   }
-  auto num_vertices = util::ParseUint64(header.value()[1]);
+  auto num_vertices = util::ParseUint64(fields[1]);
   if (!num_vertices.ok()) return num_vertices.status();
   for (uint64_t v = 0; v < num_vertices.value(); ++v) {
-    HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-    auto fields = ExpectFields(line, 1);
-    if (!fields.ok()) return fields.status();
-    auto etype = util::ParseUint64(fields.value()[0]);
+    HINPRIV_RETURN_IF_ERROR(reader.NextRow(1));
+    auto etype = util::ParseUint64(fields[0]);
     if (!etype.ok()) return etype.status();
     if (etype.value() >= schema.num_entity_types()) {
       return util::Status::Corruption("vertex entity type out of range");
     }
     const EntityTypeId t = static_cast<EntityTypeId>(etype.value());
-    const size_t num_attrs =
-        schema.entity_type(t).attributes.size();
-    if (fields.value().size() != 1 + num_attrs) {
+    const size_t num_attrs = schema.entity_type(t).attributes.size();
+    if (fields.size() != 1 + num_attrs) {
       return util::Status::Corruption(
-          "vertex row has wrong attribute count: '" + line + "'");
+          "vertex row has wrong attribute count: '" +
+          std::string(reader.line()) + "'");
     }
     const VertexId id = builder.AddVertex(t);
     for (size_t a = 0; a < num_attrs; ++a) {
-      auto value = util::ParseInteger<AttrValue>(fields.value()[1 + a]);
+      auto value = util::ParseInteger<AttrValue>(fields[1 + a]);
       if (!value.ok()) return value.status();
       HINPRIV_RETURN_IF_ERROR(builder.SetAttribute(
           id, static_cast<AttributeId>(a), value.value()));
@@ -201,43 +184,38 @@ util::Result<Graph> LoadGraph(std::istream& is) {
   }
 
   for (uint64_t section = 0; section < schema.num_link_types(); ++section) {
-    HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-    auto fields = ExpectFields(line, 3);
-    if (!fields.ok()) return fields.status();
-    if (fields.value()[0] != "edges") {
+    HINPRIV_RETURN_IF_ERROR(reader.NextRow(3));
+    if (fields[0] != "edges") {
       return util::Status::Corruption("expected 'edges' section");
     }
-    auto lt = util::ParseUint64(fields.value()[1]);
-    auto count = util::ParseUint64(fields.value()[2]);
+    auto lt = util::ParseUint64(fields[1]);
+    auto count = util::ParseUint64(fields[2]);
     if (!lt.ok()) return lt.status();
     if (!count.ok()) return count.status();
     if (lt.value() >= schema.num_link_types()) {
       return util::Status::Corruption("edge section link type out of range");
     }
+    const LinkTypeId link = static_cast<LinkTypeId>(lt.value());
+    builder.ReserveEdges(link, util::LineReader::ReservedRows(count.value()));
     for (uint64_t e = 0; e < count.value(); ++e) {
-      HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-      auto edge_fields = ExpectFields(line, 3);
-      if (!edge_fields.ok()) return edge_fields.status();
-      auto src = util::ParseUint64(edge_fields.value()[0]);
-      auto dst = util::ParseUint64(edge_fields.value()[1]);
-      auto strength = util::ParseInteger<Strength>(edge_fields.value()[2]);
-      for (const auto* r : {&src, &dst}) {
-        if (!r->ok()) return r->status();
+      HINPRIV_RETURN_IF_ERROR(reader.NextLine());
+      uint64_t src = 0;
+      uint64_t dst = 0;
+      Strength strength = 0;
+      if (!reader.ParsePlain(&src, &dst, &strength)) {
+        HINPRIV_RETURN_IF_ERROR(ParseEdgeRow(&reader, &src, &dst, &strength));
       }
-      if (!strength.ok()) return strength.status();
-      if (src.value() >= num_vertices.value() ||
-          dst.value() >= num_vertices.value()) {
+      if (src >= num_vertices.value() || dst >= num_vertices.value()) {
         return util::Status::Corruption("edge endpoint out of range");
       }
-      HINPRIV_RETURN_IF_ERROR(builder.AddEdge(
-          static_cast<VertexId>(src.value()),
-          static_cast<VertexId>(dst.value()),
-          static_cast<LinkTypeId>(lt.value()), strength.value()));
+      HINPRIV_RETURN_IF_ERROR(builder.AddEdge(static_cast<VertexId>(src),
+                                              static_cast<VertexId>(dst),
+                                              link, strength));
     }
   }
 
-  HINPRIV_RETURN_IF_ERROR(NextLine(is, &line));
-  if (util::Trim(line) != "end") {
+  HINPRIV_RETURN_IF_ERROR(reader.NextLine());
+  if (reader.line() != "end") {
     return util::Status::Corruption("missing 'end' terminator");
   }
   return std::move(builder).Build();

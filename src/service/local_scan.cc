@@ -27,7 +27,6 @@ LocalScan::LocalScan(const hin::Graph* target, const hin::Graph* auxiliary,
       aux_(auxiliary),
       mutable_aux_(config.mutable_aux),
       id_map_(config.aux_id_map),
-      parallel_scan_(config.parallel_scan),
       dehin_(auxiliary, config.dehin) {
   for (size_t i = 0; i < growth_.size(); ++i) {
     growth_[i].gauge = obs::MetricsRegistry::Global().GetGauge(
@@ -45,7 +44,7 @@ util::Status LocalScan::Start(exec::Executor* executor) {
         "mutable_aux must alias the auxiliary graph");
   }
   executor_ = executor;
-  parallel_scan_ = parallel_scan_ && executor->num_workers() > 1;
+  parallel_scan_ = executor->num_workers() > 1;
   PublishGrowth();
   if (target_->num_vertices() > 0) {
     HINPRIV_SPAN("service/warm_target_state");

@@ -22,8 +22,8 @@ namespace hinpriv::service {
 // are translated back to parent ids through config.aux_id_map.
 class LocalScan : public Handler {
  public:
-  // Both graphs are borrowed. Reads dehin, parallel_scan, mutable_aux,
-  // aux_id_map and metric_shard from `config`.
+  // Both graphs are borrowed. Reads dehin, mutable_aux, aux_id_map and
+  // metric_shard from `config`.
   LocalScan(const hin::Graph* target, const hin::Graph* auxiliary,
             const ServerConfig& config);
 
@@ -49,7 +49,9 @@ class LocalScan : public Handler {
   const hin::Graph* aux_;
   hin::Graph* mutable_aux_;
   std::vector<hin::VertexId> id_map_;
-  bool parallel_scan_;
+  // Whether attack_one scans in parallel: the pool has more than one
+  // worker. Set by Start().
+  bool parallel_scan_ = false;
   exec::Executor* executor_ = nullptr;
   core::Dehin dehin_;
   // Warm-state lock for streaming growth: apply_delta holds it exclusively

@@ -36,14 +36,13 @@ struct ServerConfig {
   // Size of the execution pool every server owns (0 = one worker per CPU
   // the process may run on). Request drain tasks run on it at Priority::kHigh and
   // intra-query scan grains at kNormal, so admitted requests never starve
-  // behind another query's scan work. A pool is never shared between
-  // servers: a coordinator's drain tasks block on shard replies, and a
-  // pool shared with its shards would deadlock once every worker held one.
+  // behind another query's scan work. With more than one worker, attack_one
+  // always uses the intra-query parallel candidate scan
+  // (Dehin::DeanonymizeParallel), bit-identical to the serial path. A pool
+  // is never shared between servers: a coordinator's drain tasks block on
+  // shard replies, and a pool shared with its shards would deadlock once
+  // every worker held one.
   size_t num_workers = 4;
-  // When the pool has more than one worker, serve attack_one with the
-  // intra-query parallel candidate scan (Dehin::DeanonymizeParallel);
-  // results are bit-identical to the serial path.
-  bool parallel_scan = true;
   // Bound of the request queue = admission control. A full queue sheds
   // with BUSY instead of queueing into certain deadline misses.
   size_t queue_capacity = 128;

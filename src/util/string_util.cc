@@ -1,6 +1,7 @@
 #include "util/string_util.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -8,17 +9,22 @@ namespace hinpriv::util {
 
 std::vector<std::string_view> Split(std::string_view s, char delim) {
   std::vector<std::string_view> out;
+  Split(s, delim, &out);
+  return out;
+}
+
+void Split(std::string_view s, char delim, std::vector<std::string_view>* out) {
+  out->clear();
   size_t start = 0;
   while (true) {
     size_t pos = s.find(delim, start);
     if (pos == std::string_view::npos) {
-      out.push_back(s.substr(start));
+      out->push_back(s.substr(start));
       break;
     }
-    out.push_back(s.substr(start, pos - start));
+    out->push_back(s.substr(start, pos - start));
     start = pos + 1;
   }
-  return out;
 }
 
 std::string_view Trim(std::string_view s) {
@@ -43,46 +49,50 @@ bool HasLeadingSpace(std::string_view s) {
                         s[0] == '\r' || s[0] == '\v' || s[0] == '\f');
 }
 
+// The wide parsers' shared body: the syntax strtoll/strtoull accept in base
+// 10 with no leading whitespace — one optional sign, then decimal digits —
+// parsed by std::from_chars, which takes no '+' of its own. Overflow is
+// OutOfRange even when junk follows the digits, as with strtoll.
+template <typename T>
+Result<T> ParseDecimal(std::string_view s) {
+  if (s.empty()) return Status::InvalidArgument("empty integer field");
+  if (HasLeadingSpace(s)) {
+    return Status::InvalidArgument("leading whitespace in integer field");
+  }
+  std::string_view digits = s;
+  if (digits[0] == '+') {
+    digits.remove_prefix(1);
+    // One sign only: "+-5" and "++5" are junk to strtoll too.
+    if (!digits.empty() && (digits[0] == '+' || digits[0] == '-')) {
+      digits = digits.substr(0, 0);
+    }
+  }
+  T value = 0;
+  const char* end = digits.data() + digits.size();
+  const std::from_chars_result parsed =
+      std::from_chars(digits.data(), end, value);
+  if (parsed.ec == std::errc::result_out_of_range) {
+    return Status::OutOfRange("integer overflow: '" + std::string(s) + "'");
+  }
+  if (parsed.ec != std::errc() || parsed.ptr != end) {
+    return Status::InvalidArgument("malformed integer: '" + std::string(s) +
+                                   "'");
+  }
+  return value;
+}
+
 }  // namespace
 
 Result<int64_t> ParseInt64(std::string_view s) {
-  if (s.empty()) return Status::InvalidArgument("empty integer field");
-  if (HasLeadingSpace(s)) {
-    return Status::InvalidArgument("leading whitespace in integer field");
-  }
-  std::string buf(s);
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno == ERANGE) {
-    return Status::OutOfRange("integer overflow: '" + buf + "'");
-  }
-  if (end != buf.c_str() + buf.size()) {
-    return Status::InvalidArgument("malformed integer: '" + buf + "'");
-  }
-  return static_cast<int64_t>(v);
+  return ParseDecimal<int64_t>(s);
 }
 
 Result<uint64_t> ParseUint64(std::string_view s) {
-  if (s.empty()) return Status::InvalidArgument("empty integer field");
-  if (HasLeadingSpace(s)) {
-    return Status::InvalidArgument("leading whitespace in integer field");
-  }
-  if (s[0] == '-') {
+  if (!s.empty() && s[0] == '-') {
     return Status::InvalidArgument("negative value for unsigned field: '" +
                                    std::string(s) + "'");
   }
-  std::string buf(s);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno == ERANGE) {
-    return Status::OutOfRange("integer overflow: '" + buf + "'");
-  }
-  if (end != buf.c_str() + buf.size()) {
-    return Status::InvalidArgument("malformed integer: '" + buf + "'");
-  }
-  return static_cast<uint64_t>(v);
+  return ParseDecimal<uint64_t>(s);
 }
 
 Result<double> ParseDouble(std::string_view s) {

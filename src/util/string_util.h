@@ -1,9 +1,11 @@
 #ifndef HINPRIV_UTIL_STRING_UTIL_H_
 #define HINPRIV_UTIL_STRING_UTIL_H_
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -16,6 +18,9 @@ namespace hinpriv::util {
 // tab-separated dataset rows with missing columns are detected rather
 // than silently collapsed.
 std::vector<std::string_view> Split(std::string_view s, char delim);
+// The same into `*out`, replacing its contents, so that a caller splitting
+// line after line reuses one vector.
+void Split(std::string_view s, char delim, std::vector<std::string_view>* out);
 
 // Strips ASCII whitespace from both ends.
 std::string_view Trim(std::string_view s);
@@ -23,7 +28,9 @@ std::string_view Trim(std::string_view s);
 bool StartsWith(std::string_view s, std::string_view prefix);
 
 // Strict parse of a signed/unsigned decimal integer occupying the whole
-// string. Returns InvalidArgument on junk, overflow, or empty input.
+// string: one optional '+' (or '-' for signed) and decimal digits, leading
+// zeros allowed, no whitespace. Overflow is OutOfRange; junk, an empty
+// field and a '-' on an unsigned field are InvalidArgument.
 Result<int64_t> ParseInt64(std::string_view s);
 Result<uint64_t> ParseUint64(std::string_view s);
 Result<double> ParseDouble(std::string_view s);
@@ -34,6 +41,12 @@ Result<double> ParseDouble(std::string_view s);
 template <typename T>
 Result<T> ParseInteger(std::string_view s) {
   static_assert(std::is_integral_v<T>, "ParseInteger parses integers");
+  // The common field, [-]digits that T holds, parses straight into T;
+  // everything else goes through the wide parser for its exact Status.
+  T value = 0;
+  const char* end = s.data() + s.size();
+  const std::from_chars_result parsed = std::from_chars(s.data(), end, value);
+  if (parsed.ec == std::errc() && parsed.ptr == end) return value;
   auto wide = [s] {
     if constexpr (std::is_signed_v<T>) {
       return ParseInt64(s);

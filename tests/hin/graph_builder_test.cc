@@ -1,9 +1,16 @@
 #include "hin/graph_builder.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "hin/graph.h"
 #include "hin/schema.h"
+#include "sort_based_build.h"
+#include "util/random.h"
 
 namespace hinpriv::hin {
 namespace {
@@ -199,6 +206,114 @@ TEST(GraphBuilderTest, CopyHelpersPreserveEverything) {
   EXPECT_EQ(copy.value().num_vertices(), 3u);
   EXPECT_EQ(copy.value().attribute(1, 0), 77);
   EXPECT_EQ(copy.value().EdgeStrength(1, 0, 1), 9u);
+}
+
+// --- Property: the counting build equals the sort-based one --------------
+
+// Users and tweets interleaved in id order; a user->user link with
+// strengths and self-links, one without either, and user->tweet.
+NetworkSchema MultigraphSchema() {
+  NetworkSchema schema;
+  const EntityTypeId user = schema.AddEntityType("User");
+  const EntityTypeId tweet = schema.AddEntityType("Tweet");
+  schema.AddAttribute(user, "yob", false);
+  schema.AddLinkType("mention", user, user, true, true, true);
+  schema.AddLinkType("follow", user, user, false, false, false);
+  schema.AddLinkType("post", user, tweet, false, false, false);
+  return schema;
+}
+
+enum class StagingOrder { kShuffled, kSorted, kReversed };
+
+// Random multigraphs: endpoints drawn from a small pool at the top of the
+// id range, so that (src, dst) pairs repeat and the vertices below it stay
+// isolated, strengths that sometimes wrap when summed, and the edges
+// staged shuffled, in (src, dst) order (no run needs sorting) or reversed
+// (every run with two neighbors or more does).
+// Every out- and in-run must equal the sort-based build's, entry for
+// entry, with the same strengths.
+TEST(GraphBuilderPropertyTest, BuildMatchesSortBasedBuild) {
+  const NetworkSchema schema = MultigraphSchema();
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    for (StagingOrder order : {StagingOrder::kShuffled, StagingOrder::kSorted,
+                               StagingOrder::kReversed}) {
+      util::Rng rng(seed);
+      GraphBuilder builder(schema);
+      const size_t n = rng.UniformU64(seed % 10 == 0 ? 3 : 300);
+      std::vector<VertexId> users;
+      std::vector<VertexId> tweets;
+      for (size_t i = 0; i < n; ++i) {
+        const EntityTypeId type = rng.Bernoulli(0.8) ? 0 : 1;
+        (type == 0 ? users : tweets).push_back(builder.AddVertex(type));
+      }
+      // Endpoints come from pools of at most 12 users / 6 tweets.
+      const auto pick = [&rng](const std::vector<VertexId>& from) {
+        const size_t pool = std::min<size_t>(from.size(), 12);
+        return from[from.size() - pool + rng.UniformU64(pool)];
+      };
+      std::vector<std::vector<testing_build::StagedEdge>> staged(3);
+      const size_t num_edges = users.empty() ? 0 : rng.UniformU64(2000);
+      for (size_t i = 0; i < num_edges; ++i) {
+        const LinkTypeId lt = static_cast<LinkTypeId>(rng.UniformU64(3));
+        if (lt == 2 && tweets.empty()) continue;
+        const VertexId src = pick(users);
+        const VertexId dst = lt == 2 ? pick(tweets) : pick(users);
+        if (lt == 1 && src == dst) continue;
+        const Strength strength =
+            lt != 0 ? 1
+            : rng.Bernoulli(0.05)
+                ? std::numeric_limits<Strength>::max() -
+                      static_cast<Strength>(rng.UniformU64(3))
+                : static_cast<Strength>(1 + rng.UniformU64(9));
+        staged[lt].push_back({src, dst, strength});
+      }
+      std::vector<std::pair<LinkTypeId, testing_build::StagedEdge>> rows;
+      for (LinkTypeId lt = 0; lt < 3; ++lt) {
+        for (const auto& e : staged[lt]) rows.push_back({lt, e});
+      }
+      const auto by_pair = [](const auto& a, const auto& b) {
+        return a.second.src != b.second.src ? a.second.src < b.second.src
+                                            : a.second.dst < b.second.dst;
+      };
+      if (order == StagingOrder::kShuffled) rng.Shuffle(&rows);
+      if (order != StagingOrder::kShuffled) {
+        std::stable_sort(rows.begin(), rows.end(), by_pair);
+      }
+      if (order == StagingOrder::kReversed) {
+        std::reverse(rows.begin(), rows.end());
+      }
+      for (const auto& [lt, e] : rows) {
+        ASSERT_TRUE(builder.AddEdge(e.src, e.dst, lt, e.strength).ok());
+      }
+      auto built = std::move(builder).Build();
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      const Graph& g = built.value();
+
+      size_t total = 0;
+      for (LinkTypeId lt = 0; lt < 3; ++lt) {
+        const testing_build::LinkCsr want =
+            testing_build::SortBasedBuild(n, staged[lt]);
+        total += want.out.edges.size();
+        for (VertexId v = 0; v < n; ++v) {
+          const auto out = g.OutEdges(lt, v);
+          const auto in = g.InEdges(lt, v);
+          const std::vector<Edge> want_out(
+              want.out.edges.begin() + want.out.offsets[v],
+              want.out.edges.begin() + want.out.offsets[v + 1]);
+          const std::vector<Edge> want_in(
+              want.in.edges.begin() + want.in.offsets[v],
+              want.in.edges.begin() + want.in.offsets[v + 1]);
+          ASSERT_EQ(std::vector<Edge>(out.begin(), out.end()), want_out)
+              << "seed " << seed << " order " << static_cast<int>(order)
+              << " lt " << lt << " out-run of " << v;
+          ASSERT_EQ(std::vector<Edge>(in.begin(), in.end()), want_in)
+              << "seed " << seed << " order " << static_cast<int>(order)
+              << " lt " << lt << " in-run of " << v;
+        }
+      }
+      EXPECT_EQ(g.num_edges(), total);
+    }
+  }
 }
 
 }  // namespace

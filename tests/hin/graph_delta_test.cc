@@ -17,6 +17,7 @@
 #include "hin/graph_builder.h"
 #include "hin/schema.h"
 #include "hin/snapshot.h"
+#include "util/line_reader.h"
 #include "util/random.h"
 
 namespace hinpriv::hin {
@@ -234,6 +235,84 @@ TEST(GraphDeltaTest, RandomByteCorruptionNeverCrashes) {
     if (loaded.ok()) {
       EXPECT_LE(loaded.value().size(), 2u);
     }
+  }
+}
+
+// --- Round trips through the chunked reader --------------------------------
+
+// Two batches with rows enough to span several reader chunks; edge rows
+// come shuffled, with duplicates, as a crawl would log them.
+std::string MultiChunkStreamText() {
+  util::Rng rng(41);
+  std::vector<GraphDelta> deltas(2);
+  for (size_t b = 0; b < deltas.size(); ++b) {
+    GraphDelta& d = deltas[b];
+    d.base_num_vertices = 5000 + 400 * b;
+    for (int i = 0; i < 400; ++i) {
+      d.new_vertices.push_back(
+          {0, {static_cast<AttrValue>(1950 + rng.UniformU64(60)),
+               -static_cast<AttrValue>(rng.UniformU64(3))}});
+    }
+    for (int i = 0; i < 2000; ++i) {
+      d.attr_bumps.push_back({static_cast<VertexId>(rng.UniformU64(5000)), 1,
+                              static_cast<AttrValue>(1 + rng.UniformU64(9))});
+    }
+    for (int i = 0; i < 9000; ++i) {
+      d.edge_adds.push_back(
+          {static_cast<LinkTypeId>(rng.UniformU64(2)),
+           static_cast<VertexId>(rng.UniformU64(5400)),
+           static_cast<VertexId>(rng.UniformU64(5400)),
+           static_cast<Strength>(1 + rng.UniformU64(4000000000u))});
+      if (rng.Bernoulli(0.1)) d.edge_adds.push_back(d.edge_adds.back());
+    }
+    rng.Shuffle(&d.edge_adds);
+  }
+  std::ostringstream out;
+  EXPECT_TRUE(SaveDeltaStream(deltas, out).ok());
+  EXPECT_GT(out.str().size(), 3 * util::LineReader::kChunkBytes);
+  return out.str();
+}
+
+// The loaded stream's canonical text, or the load's error.
+std::string Reserialize(const std::string& text) {
+  std::istringstream in(text);
+  auto loaded = LoadDeltaStream(in);
+  if (!loaded.ok()) return "load failed: " + loaded.status().ToString();
+  std::ostringstream out;
+  EXPECT_TRUE(SaveDeltaStream(loaded.value(), out).ok());
+  return out.str();
+}
+
+// Rows keep their order and multiplicity: the loader stores them as they
+// come, and ApplyDelta's merge folds duplicates later.
+TEST(GraphDeltaTest, ShuffledAndDuplicatedRowsRoundTrip) {
+  const std::string text = MultiChunkStreamText();
+  EXPECT_EQ(Reserialize(text), text);
+}
+
+TEST(GraphDeltaTest, CrlfBlankLinesAndTrailingSpacesRoundTrip) {
+  const std::string text = MultiChunkStreamText();
+  util::Rng rng(42);
+  const char* pads[] = {"", " ", "\t", "  \t "};
+  const char* blanks[] = {"\r\n", " \r\n", "\t\r\n", "\n"};
+  std::string mangled;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (rng.Bernoulli(0.1)) mangled += blanks[rng.UniformU64(4)];
+    mangled += pads[rng.UniformU64(4)] + line + pads[rng.UniformU64(4)] +
+               "\r\n";
+  }
+  EXPECT_EQ(Reserialize(mangled), text);
+}
+
+// Leading blank lines shift every row by one more byte per pass, so the
+// reader's chunk boundaries cut rows at every offset within them.
+TEST(GraphDeltaTest, RowsStraddlingChunkBoundariesRoundTrip) {
+  const std::string text = MultiChunkStreamText();
+  for (size_t shift = 0; shift < 40; ++shift) {
+    ASSERT_EQ(Reserialize(std::string(shift, '\n') + text), text)
+        << "shifted by " << shift;
   }
 }
 

@@ -4,13 +4,16 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "hin/graph_builder.h"
 #include "hin/tqq_schema.h"
 #include "synth/tqq_generator.h"
+#include "util/line_reader.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace hinpriv::hin {
 namespace {
@@ -207,6 +210,110 @@ TEST(GraphIoFailureTest, RandomByteCorruptionNeverCrashes) {
       EXPECT_LE(loaded.value().num_vertices(), 1u << 20);
     }
   }
+}
+
+// --- Round trips through the chunked reader --------------------------------
+// SaveGraph is canonical: runs in id order, one row per merged edge. So a
+// text that loads to the same graph reserializes to the same bytes, and
+// any divergence in the reader or in Build() shows as a byte difference.
+
+// The loaded graph's canonical text, or the load's error.
+std::string Reserialize(const std::string& text) {
+  std::stringstream stream(text);
+  auto loaded = LoadGraph(stream);
+  if (!loaded.ok()) return "load failed: " + loaded.status().ToString();
+  return Serialize(loaded.value());
+}
+
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+// Large enough to span several reader chunks.
+std::string SerializeMultiChunkNetwork(uint64_t seed) {
+  const std::string text = SerializeNetwork(2000, seed);
+  EXPECT_GT(text.size(), 3 * util::LineReader::kChunkBytes);
+  return text;
+}
+
+// Each edge section's rows shuffled, and every row of strength w >= 2
+// split into two rows whose strengths sum to w: Build() merges them back.
+TEST(GraphIoRoundTripTest, ShuffledAndDuplicatedEdgeRows) {
+  const std::string text = SerializeMultiChunkNetwork(31);
+  util::Rng rng(32);
+  const std::vector<std::string> lines = Lines(text);
+  std::string mangled;
+  size_t split_rows = 0;
+  for (size_t i = 0; i < lines.size();) {
+    if (!util::StartsWith(lines[i], "edges ")) {
+      mangled += lines[i++] + "\n";
+      continue;
+    }
+    const auto header = util::Split(lines[i], ' ');
+    const size_t count = util::ParseUint64(header[2]).value();
+    std::vector<std::string> rows;
+    for (size_t r = 1; r <= count; ++r) {
+      const auto fields = util::Split(lines[i + r], ' ');
+      const uint64_t w = util::ParseUint64(fields[2]).value();
+      const std::string pair =
+          std::string(fields[0]) + " " + std::string(fields[1]) + " ";
+      if (w >= 2) {
+        const uint64_t part = 1 + rng.UniformU64(w - 1);
+        rows.push_back(pair + std::to_string(part));
+        rows.push_back(pair + std::to_string(w - part));
+        ++split_rows;
+      } else {
+        rows.push_back(lines[i + r]);
+      }
+    }
+    rng.Shuffle(&rows);
+    mangled += "edges " + std::string(header[1]) + " " +
+               std::to_string(rows.size()) + "\n";
+    for (const std::string& row : rows) mangled += row + "\n";
+    i += count + 1;
+  }
+  ASSERT_GT(split_rows, 100u);
+  ASSERT_NE(mangled, text);
+  EXPECT_EQ(Reserialize(mangled), text);
+}
+
+// CRLF endings, blank and whitespace-only lines between rows, and spaces
+// and tabs around every row.
+TEST(GraphIoRoundTripTest, CrlfBlankLinesAndTrailingSpaces) {
+  const std::string text = SerializeMultiChunkNetwork(33);
+  util::Rng rng(34);
+  const char* pads[] = {"", " ", "\t", "  \t "};
+  const char* blanks[] = {"\r\n", " \r\n", "\t\r\n", "\n"};
+  std::string mangled;
+  for (const std::string& line : Lines(text)) {
+    if (rng.Bernoulli(0.1)) mangled += blanks[rng.UniformU64(4)];
+    mangled += pads[rng.UniformU64(4)] + line + pads[rng.UniformU64(4)] +
+               "\r\n";
+  }
+  EXPECT_EQ(Reserialize(mangled), text);
+}
+
+// Leading blank lines shift every row by one more byte per pass, so the
+// reader's chunk boundaries cut rows at every offset within them. A row
+// padded past a whole chunk makes the buffer grow.
+TEST(GraphIoRoundTripTest, RowsStraddlingChunkBoundaries) {
+  const std::string text = SerializeMultiChunkNetwork(35);
+  for (size_t shift = 0; shift < 48; ++shift) {
+    ASSERT_EQ(Reserialize(std::string(shift, '\n') + text), text)
+        << "shifted by " << shift;
+  }
+  std::string long_row = text;
+  const size_t first_vertex = long_row.find("\nvertices ");
+  ASSERT_NE(first_vertex, std::string::npos);
+  const size_t header_end = long_row.find('\n', first_vertex + 1);
+  const size_t row_end = long_row.find('\n', header_end + 1);
+  long_row.insert(row_end,
+                  std::string(2 * util::LineReader::kChunkBytes, ' '));
+  EXPECT_EQ(Reserialize(long_row), text);
 }
 
 // The retired HINPRIVB binary format is no longer recognized: its files

@@ -8,6 +8,11 @@
 # This is the end-to-end (process boundary + TCP) complement to
 # tests/core/dehin_snapshot_differential_test.
 #
+# First, a text round trip through the CLI on a network that spans many
+# text-reader chunks: text -> snapshot -> text must give back the same
+# bytes. The text writer is canonical, so any divergence in the chunked
+# loader or in GraphBuilder::Build() shows as a byte difference.
+#
 # Usage: snapshot_serve_smoke.sh <path-to-hinpriv_cli>
 set -euo pipefail
 
@@ -16,6 +21,13 @@ WORK=$(mktemp -d)
 SNAP_PORT=${SNAP_PORT:-7491}
 TEXT_PORT=${TEXT_PORT:-7492}
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$WORK"' EXIT
+
+"$CLI" generate --users=20000 --seed=5 --out="$WORK/big.graph"
+"$CLI" convert --in="$WORK/big.graph" --out="$WORK/big.snap"
+"$CLI" convert --in="$WORK/big.snap" --out="$WORK/big.roundtrip.graph"
+cmp "$WORK/big.graph" "$WORK/big.roundtrip.graph"
+echo "text round trip: $(wc -c < "$WORK/big.graph") bytes identical" \
+  "after text -> snapshot -> text"
 
 "$CLI" generate --users=2000 --seed=7 --out="$WORK/net.graph"
 "$CLI" anonymize --in="$WORK/net.graph" --scheme=kdda \

@@ -817,11 +817,9 @@ int RunServe(int argc, char** argv) {
   flags.Define("port", "7470", "TCP port (0 = kernel-assigned, printed)");
   flags.Define("workers", "4",
                "execution pool size shared by request handling and "
-               "intra-query scans (0 = one per CPU this process may run "
-               "on)");
-  flags.Define("parallel_scan", "true",
-               "fan one attack_one query's candidate scan out across the "
-               "pool (needs >1 thread; results identical either way)");
+               "intra-query scans; with more than one worker each "
+               "attack_one scans in parallel (0 = one per CPU this process "
+               "may run on)");
   flags.Define("queue_capacity", "128",
                "request queue bound; a full queue sheds with BUSY");
   flags.Define("max_batch", "8",
@@ -883,7 +881,6 @@ int RunServe(int argc, char** argv) {
   config.host = flags.GetString("host");
   config.port = static_cast<uint16_t>(flags.GetInt("port"));
   config.num_workers = static_cast<size_t>(flags.GetInt("workers"));
-  config.parallel_scan = flags.GetBool("parallel_scan");
   config.queue_capacity = static_cast<size_t>(flags.GetInt("queue_capacity"));
   config.max_batch = static_cast<size_t>(flags.GetInt("max_batch"));
   config.default_max_distance = static_cast<int>(flags.GetInt("max_distance"));
