@@ -58,13 +58,10 @@ std::vector<NetworkRiskResult> NetworkPrivacyRisk(
   const auto signatures = ComputeSignatures(graph, options, max_distance);
   std::vector<NetworkRiskResult> results;
   results.reserve(signatures.size());
-  // Every level has one signature per vertex, so one table counts them all.
-  ValueCounts counts;
   for (int n = 0; n < static_cast<int>(signatures.size()); ++n) {
     NetworkRiskResult r;
     r.max_distance = n;
-    counts.Count(signatures[n]);
-    r.cardinality = counts.num_distinct();
+    r.cardinality = CountDistinct(signatures[n]);
     r.risk = graph.num_vertices() == 0
                  ? 0.0
                  : static_cast<double>(r.cardinality) /

@@ -7,13 +7,12 @@
 
 namespace hinpriv::core {
 
-void ValueCounts::Count(std::span<const uint64_t> values) {
+ValueCounts::ValueCounts(std::span<const uint64_t> values) {
   // Load factor at most 1/2, whatever the number of distinct values.
   const size_t capacity =
       std::bit_ceil(std::max<size_t>(16, 2 * values.size()));
-  slots_.assign(capacity, Slot{});
+  slots_.resize(capacity);
   mask_ = capacity - 1;
-  num_distinct_ = 0;
   for (uint64_t value : values) {
     Slot& slot = slots_[Find(value)];
     if (slot.count == 0) {

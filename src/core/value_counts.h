@@ -13,21 +13,13 @@ namespace hinpriv::core {
 // as the number of distinct values.
 //
 // A flat open-addressing hash -> count table with linear probing, sized
-// to at least twice the input length, so it never rehashes and a probe
-// stays short. Counting is one pass over the input with no per-value
-// allocation, where a node-based std::unordered_set/map allocates a heap
-// node per distinct value.
+// once to at least twice the input length, so it never rehashes and a
+// probe stays short. Counting is one pass over the input with no
+// per-value allocation, where a node-based std::unordered_set/map
+// allocates a heap node per distinct value.
 class ValueCounts {
  public:
-  // The counts of `values`; of an empty list by default.
-  explicit ValueCounts(std::span<const uint64_t> values = {}) {
-    Count(values);
-  }
-
-  // Replaces the counts with those of `values`. The table is cleared and
-  // refilled in place, so counting lists of one length over and over (the
-  // levels of the risk ladder) pays for its memory once.
-  void Count(std::span<const uint64_t> values);
+  explicit ValueCounts(std::span<const uint64_t> values);
 
   // C(T): the number of distinct values.
   size_t num_distinct() const { return num_distinct_; }

@@ -82,11 +82,6 @@ util::Status GraphBuilder::AddEdge(VertexId src, VertexId dst, LinkTypeId link,
   return util::Status::OK();
 }
 
-void GraphBuilder::ReserveEdges(LinkTypeId link, size_t count) {
-  if (link >= staged_.size()) return;
-  staged_[link].reserve(staged_[link].size() + count);
-}
-
 size_t GraphBuilder::num_staged_edges() const {
   size_t total = 0;
   for (const auto& edges : staged_) total += edges.size();

@@ -47,9 +47,6 @@ class GraphBuilder {
   util::Status AddEdge(VertexId src, VertexId dst, LinkTypeId link,
                        Strength strength = 1);
 
-  // Makes room to stage `count` more edges of `link` without regrowing.
-  void ReserveEdges(LinkTypeId link, size_t count);
-
   size_t num_vertices() const { return vtype_.size(); }
   size_t num_staged_edges() const;
 

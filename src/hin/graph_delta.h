@@ -81,6 +81,9 @@ util::Status SaveDeltaStream(const std::vector<GraphDelta>& deltas,
                              std::ostream& os);
 util::Status SaveDeltaStreamToFile(const std::vector<GraphDelta>& deltas,
                                    const std::string& path);
+// Reads `is` in chunks (util::LineReader), so it consumes the stream past
+// the "done" terminator, to the end of the chunk it read: the stream must
+// hold this one delta stream, not one followed by another payload.
 util::Result<std::vector<GraphDelta>> LoadDeltaStream(std::istream& is);
 util::Result<std::vector<GraphDelta>> LoadDeltaStreamFromFile(
     const std::string& path);

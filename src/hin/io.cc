@@ -196,7 +196,6 @@ util::Result<Graph> LoadGraph(std::istream& is) {
       return util::Status::Corruption("edge section link type out of range");
     }
     const LinkTypeId link = static_cast<LinkTypeId>(lt.value());
-    builder.ReserveEdges(link, util::LineReader::ReservedRows(count.value()));
     for (uint64_t e = 0; e < count.value(); ++e) {
       HINPRIV_RETURN_IF_ERROR(reader.NextLine());
       uint64_t src = 0;

@@ -32,6 +32,9 @@ namespace hinpriv::hin {
 util::Status SaveGraph(const Graph& graph, std::ostream& os);
 util::Status SaveGraphToFile(const Graph& graph, const std::string& path);
 
+// Reads `is` in chunks (util::LineReader), so it consumes the stream past
+// the "end" terminator, to the end of the chunk it read: the stream must
+// hold this one graph, not a graph followed by another payload.
 util::Result<Graph> LoadGraph(std::istream& is);
 util::Result<Graph> LoadGraphFromFile(const std::string& path);
 

@@ -1,11 +1,9 @@
 #ifndef HINPRIV_UTIL_STRING_UTIL_H_
 #define HINPRIV_UTIL_STRING_UTIL_H_
 
-#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -41,12 +39,6 @@ Result<double> ParseDouble(std::string_view s);
 template <typename T>
 Result<T> ParseInteger(std::string_view s) {
   static_assert(std::is_integral_v<T>, "ParseInteger parses integers");
-  // The common field, [-]digits that T holds, parses straight into T;
-  // everything else goes through the wide parser for its exact Status.
-  T value = 0;
-  const char* end = s.data() + s.size();
-  const std::from_chars_result parsed = std::from_chars(s.data(), end, value);
-  if (parsed.ec == std::errc() && parsed.ptr == end) return value;
   auto wide = [s] {
     if constexpr (std::is_signed_v<T>) {
       return ParseInt64(s);

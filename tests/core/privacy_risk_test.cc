@@ -56,28 +56,6 @@ TEST(PerTupleRiskTest, FlatCountsMatchSortedCounts) {
   EXPECT_EQ(counts.count(3000), 0u);  // never drawn
 }
 
-// One table recounted over lists of equal, larger and smaller length, as
-// the risk ladder reuses it across levels, agrees with a fresh table
-// every time: nothing of an earlier list survives a recount.
-TEST(PerTupleRiskTest, RecountedTableMatchesFreshTable) {
-  util::Rng rng(17);
-  ValueCounts reused;
-  EXPECT_EQ(reused.num_distinct(), 0u);
-  for (size_t length : {5000u, 5000u, 40000u, 17u, 0u, 5000u}) {
-    std::vector<uint64_t> values;
-    for (size_t i = 0; i < length; ++i) {
-      values.push_back(rng.UniformU64(length / 3 + 1));
-    }
-    reused.Count(values);
-    const ValueCounts fresh(values);
-    ASSERT_EQ(reused.num_distinct(), fresh.num_distinct()) << length;
-    ASSERT_EQ(reused.num_distinct(), testing_ladder::SortUniqueCount(values));
-    for (uint64_t v = 0; v <= length / 3 + 1; ++v) {
-      ASSERT_EQ(reused.count(v), fresh.count(v)) << length << " " << v;
-    }
-  }
-}
-
 TEST(DatasetRiskTest, Theorem1CardinalityOverN) {
   EXPECT_DOUBLE_EQ(DatasetRisk(std::vector<uint64_t>{1, 1, 1, 1}), 0.25);
   EXPECT_DOUBLE_EQ(DatasetRisk(std::vector<uint64_t>{1, 2, 3, 4}), 1.0);
