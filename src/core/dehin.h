@@ -26,10 +26,10 @@ struct DehinConfig {
   MatchOptions match;
   // Max distance n of utilized neighbors. 0 = profile attributes only.
   int max_distance = 1;
-  // Accelerate candidate generation with a CandidateIndex over the
-  // auxiliary profiles. Semantically identical to the paper's literal
-  // "foreach v in V" scan (differential-tested); turn off to measure the
-  // scan cost.
+  // Enumerate candidates by walking the CandidateIndex's class bucket
+  // instead of comparing every auxiliary vertex's profile row (the paper's
+  // literal "foreach v in V" scan). Semantically identical
+  // (differential-tested); turn off to measure the scan cost.
   bool use_candidate_index = true;
   // Layer-1 acceleration: precomputed NeighborhoodStats back a sound
   // necessary-condition prefilter (per-type degree pigeonhole + sorted
@@ -76,8 +76,9 @@ struct DehinConfig {
   // StripMajorityStrengthLinks.
   double saturation_fraction = 1.0;
   // Optional override of entity_attribute_match ("this function can be
-  // configured by users"); when set it replaces the MatchOptions-driven
-  // comparison everywhere, and the candidate index is bypassed.
+  // configured by users"); when set it replaces the compiled MatchOptions
+  // predicate everywhere: no CandidateIndex or profile rows are built, and
+  // every query scans all auxiliary vertices.
   std::function<bool(const hin::Graph& target, hin::VertexId vt,
                      const hin::Graph& aux, hin::VertexId va)>
       entity_match_override;
@@ -144,11 +145,12 @@ inline DehinStats operator-(DehinStats a, const DehinStats& b) {
 // decided with Hopcroft-Karp maximum bipartite matching.
 //
 // Thread-safe for concurrent Deanonymize calls on one shared Dehin: the
-// per-target-graph state (neighborhood stats, shared match cache) is built
-// under an internal mutex on first use, read-only afterwards, and held by
-// shared_ptr — each Deanonymize call pins the state it resolved, so
-// concurrent invalidation or replacement (stale-fingerprint rebuild,
-// InvalidateTarget) can never free state another thread is still reading.
+// per-target-graph state (profile rows, neighborhood stats, shared match
+// cache) is built under an internal mutex on first use, read-only
+// afterwards, and held by shared_ptr — each Deanonymize call pins the
+// state it resolved, so concurrent invalidation or replacement
+// (stale-fingerprint rebuild, InvalidateTarget) can never free state
+// another thread is still reading.
 //
 // Target graphs are recognized by address, so a target passed to
 // Deanonymize must stay alive (and unchanged) for as long as this Dehin is
@@ -235,13 +237,14 @@ class Dehin {
   // Incrementally absorbs one growth batch into the warm state, after the
   // auxiliary graph has been mutated in place by
   // hin::GraphBuilder::ApplyDelta (call order matters): the candidate
-  // index re-buckets O(|delta|) vertices, the auxiliary prefilter stats
+  // index recompiles the profile rows of O(|delta|) vertices and moves
+  // their bucket entries, the auxiliary prefilter stats
   // recompute only the delta's 1-hop closure, and every cached target
   // state's shared match cache is invalidated epoch-wise for the delta's
   // d-hop closure (d = its deepest memoized depth) instead of being
   // flushed — untouched entries keep hitting. Target graphs are unchanged
-  // by auxiliary growth, so per-target stats and saturation limits stay
-  // valid. The caller must guarantee exclusive access (no concurrent
+  // by auxiliary growth, so per-target rows, stats and saturation limits
+  // stay valid. The caller must guarantee exclusive access (no concurrent
   // Deanonymize) for the duration of the call; the attack service holds
   // its warm-state lock exclusively here.
   util::Status ApplyAuxDelta(const hin::GraphDelta& delta);
@@ -269,10 +272,14 @@ class Dehin {
 
  private:
   // Everything Deanonymize needs that is constant per target graph:
-  // the saturation threshold, the Layer-1 stats, and the Layer-2 shared
-  // cache. Built once on first use and cached by graph address.
+  // the saturation threshold, the profile rows, the Layer-1 stats, and the
+  // Layer-2 shared cache. Built once on first use and cached by graph
+  // address.
   struct TargetState {
     size_t saturation_limit = 0;
+    // The target's vertices compiled over the index's dictionary (empty
+    // under entity_match_override).
+    ProfileRows rows;
     std::unique_ptr<NeighborhoodStats> stats;  // null when prefilter is off
     std::unique_ptr<MatchCache> cache;  // null when shared cache is off
     // Weak identity fingerprint to invalidate stale state if a different
@@ -326,8 +333,13 @@ class Dehin {
   std::vector<std::vector<hin::VertexId>> DirtyClosure(
       const hin::GraphDelta& delta, size_t radius) const;
 
-  bool EntityMatch(const hin::Graph& target, hin::VertexId vt,
-                   hin::VertexId va) const;
+  // entity_attribute_match: the compiled rows, or the override.
+  bool EntityMatch(const hin::Graph& target, const TargetState& state,
+                   hin::VertexId vt, hin::VertexId va) const {
+    return index_ != nullptr
+               ? index_->Matches(state.rows, vt, va)
+               : config_.entity_match_override(target, vt, *aux_, va);
+  }
   bool StrengthMatch(hin::Strength target_strength,
                      hin::Strength aux_strength) const;
 
@@ -335,8 +347,16 @@ class Dehin {
     return config_.use_prefilter && !config_.link_match_override;
   }
 
+  // Walk the index's buckets for candidates rather than scan every row.
+  bool walks_index() const {
+    return index_ != nullptr && config_.use_candidate_index;
+  }
+
   const hin::Graph* aux_;
   DehinConfig config_;
+  // The compiled profile predicate; null under entity_match_override. Its
+  // dictionary is written by target-state builds and deltas, both under
+  // target_mu_.
   std::unique_ptr<CandidateIndex> index_;
   // Auxiliary-side Layer-1 stats, built at construction (null when the
   // prefilter is disabled).
