@@ -1,8 +1,7 @@
 // Ablation study over the design choices DESIGN.md calls out:
 //
 //   * candidate index on/off (same results, different cost),
-//   * the two DeHIN acceleration layers (neighborhood-stats prefilter,
-//     cross-call match cache) each on/off (same results, different cost),
+//   * the cross-call match cache on/off (same results, different cost),
 //   * reverse meta paths (in-edge utilization) on/off,
 //   * growth-aware vs. time-synchronized matching,
 //   * auxiliary growth on/off,
@@ -84,24 +83,12 @@ int main(int argc, char** argv) {
     run("no candidate index", base, config, 1);
   }
 
-  // Acceleration layers off, one at a time and together, at the distance
-  // where they matter most: identical quality, different cost (the
-  // both-off row is the pre-acceleration code path).
-  {
-    core::DehinConfig config = bench::AttackConfig(false, flags);
-    config.use_prefilter = false;
-    run("no prefilter (n=2)", base, config, 2);
-  }
+  // The shared match cache off, at the distance where it matters: identical
+  // quality, different cost.
   {
     core::DehinConfig config = bench::AttackConfig(false, flags);
     config.use_shared_cache = false;
     run("no shared cache (n=2)", base, config, 2);
-  }
-  {
-    core::DehinConfig config = bench::AttackConfig(false, flags);
-    config.use_prefilter = false;
-    config.use_shared_cache = false;
-    run("no acceleration (n=2)", base, config, 2);
   }
 
   // Reverse meta paths: also match in-neighborhoods.

@@ -26,11 +26,10 @@
 
 namespace hinpriv::bench {
 
-// Registers the flags every experiment binary shares. The acceleration
-// ablations (--no-prefilter, --no-shared-cache; hyphens and underscores
-// both accepted) turn off one DeHIN acceleration layer each, so its
-// speedup is measurable in isolation; with both set the attack reproduces
-// the pre-acceleration code path.
+// Registers the flags every experiment binary shares. The cache ablation
+// (--no-shared-cache; hyphens and underscores both accepted) turns off
+// DeHIN's cross-call match cache, so its speedup is measurable in
+// isolation.
 inline void DefineCommonFlags(util::FlagParser* flags) {
   flags->Define("aux_users", "50000",
                 "users in the base/auxiliary network (paper: 2,320,895)");
@@ -38,29 +37,8 @@ inline void DefineCommonFlags(util::FlagParser* flags) {
                 "users per published target graph (paper: 1000)");
   flags->Define("seed", "20140324", "rng seed (EDBT 2014 opening day)");
   flags->Define("tsv", "false", "emit tab-separated output for plotting");
-  flags->Define("no_prefilter", "false",
-                "disable the neighborhood-stats prefilter (Layer 1)");
   flags->Define("no_shared_cache", "false",
                 "disable the cross-call match cache (Layer 2)");
-  flags->Define("dominance_kernel", "auto",
-                "Layer-1 strength-dominance kernel: auto|scalar|sse2|avx2 "
-                "(ablation knob; results are identical across kernels)");
-}
-
-// Parses the --dominance-kernel flag; exits with a usage error on an
-// unknown spelling so sweep-script typos fail loudly.
-inline core::DominanceKernel DominanceKernelFromFlags(
-    const util::FlagParser& flags) {
-  core::DominanceKernel kernel;
-  const std::string value = flags.GetString("dominance_kernel");
-  if (!core::ParseDominanceKernel(value, &kernel)) {
-    std::fprintf(stderr,
-                 "invalid --dominance-kernel '%s' (want auto|scalar|sse2|"
-                 "avx2)\n",
-                 value.c_str());
-    std::exit(2);
-  }
-  return kernel;
 }
 
 // Parses argv; on --help or error prints and exits.
@@ -101,13 +79,11 @@ inline core::DehinConfig AttackConfig(bool reconfigured) {
   return config;
 }
 
-// Same, with the acceleration-ablation flags applied.
+// Same, with the cache-ablation flag applied.
 inline core::DehinConfig AttackConfig(bool reconfigured,
                                       const util::FlagParser& flags) {
   core::DehinConfig config = AttackConfig(reconfigured);
-  config.use_prefilter = !flags.GetBool("no_prefilter");
   config.use_shared_cache = !flags.GetBool("no_shared_cache");
-  config.dominance_kernel = DominanceKernelFromFlags(flags);
   return config;
 }
 
@@ -143,8 +119,8 @@ class WindowedLatencyProbe {
 // --- machine-readable bench output ----------------------------------------
 
 // One benchmark's result for the JSON perf log: wall time plus whatever
-// counters the benchmark recorded (e.g. prefilter reject rate, match-cache
-// hit rate).
+// counters the benchmark recorded (e.g. degree-check reject rate,
+// match-cache hit rate).
 struct BenchJsonEntry {
   std::string name;
   double real_time_s = 0.0;
@@ -161,33 +137,29 @@ inline std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-// The context facts every bench's --json output shares, so sweep tooling
-// can rely on one schema: the resolved and requested dominance kernels plus
-// the common sizing flags. `extra` appends bench-specific pairs. This is
-// the single home of what used to be copy-pasted per bench.
-inline std::vector<std::pair<std::string, std::string>> KernelContext(
-    core::DominanceKernel requested) {
-  const core::ResolvedDominanceKernel kernel =
-      core::ResolveDominanceKernel(requested);
-  return {{"dominance_kernel", kernel.name},
-          {"dominance_kernel_requested",
-           core::DominanceKernelChoiceName(requested)}};
+// What built and ran a bench, so every committed row says so: the core
+// count (wall times depend on it — parallel scans, background page
+// reclaim — so a perf trajectory is only meaningful between runs whose
+// hardware_concurrency agrees), the CMake build type, and the git revision
+// the build tree was configured at ("unknown" outside a checkout; a
+// "-dirty" suffix marks uncommitted changes).
+inline std::vector<std::pair<std::string, std::string>> BuildContext() {
+  return {{"hardware_concurrency",
+           std::to_string(std::thread::hardware_concurrency())},
+          {"build_type", HINPRIV_BUILD_TYPE},
+          {"git_revision", HINPRIV_GIT_REVISION}};
 }
 
+// The context facts every bench's --json output shares, so sweep tooling
+// can rely on one schema: BuildContext() plus the common sizing flags.
+// `extra` appends bench-specific pairs.
 inline std::vector<std::pair<std::string, std::string>> CommonBenchContext(
     const util::FlagParser& flags,
     std::vector<std::pair<std::string, std::string>> extra = {}) {
-  std::vector<std::pair<std::string, std::string>> context =
-      KernelContext(DominanceKernelFromFlags(flags));
+  std::vector<std::pair<std::string, std::string>> context = BuildContext();
   context.emplace_back("aux_users", flags.GetString("aux_users"));
   context.emplace_back("target_size", flags.GetString("target_size"));
   context.emplace_back("seed", flags.GetString("seed"));
-  // Caveat for cross-machine comparison: wall times in these JSONs depend
-  // on the core count of the machine that produced them (parallel scans,
-  // background page reclaim), so a perf trajectory is only meaningful
-  // between runs whose hardware_concurrency agrees.
-  context.emplace_back("hardware_concurrency",
-                       std::to_string(std::thread::hardware_concurrency()));
   for (auto& pair : extra) context.push_back(std::move(pair));
   return context;
 }
@@ -195,7 +167,7 @@ inline std::vector<std::pair<std::string, std::string>> CommonBenchContext(
 // Writes `entries` as a stable, diffable JSON document so future PRs have
 // a perf trajectory to regress against (the acceptance flow stores it as
 // BENCH_dehin.json). `context` holds run-level string facts — notably the
-// resolved dominance kernel — as a top-level "context" object, and a
+// host and build — as a top-level "context" object, and a
 // snapshot of the process-wide obs::MetricsRegistry (every counter/gauge/
 // histogram the run touched) is embedded under "metrics", giving all
 // benches one uniform context+metrics block. Returns false (with a message

@@ -1,16 +1,15 @@
 // Delta-scaling benchmark: measures the cost of keeping the attack's warm
-// state (candidate index, neighborhood-stats prefilter arenas, match-cache
-// validity) current while the auxiliary network grows, against the
-// alternative of rebuilding everything from scratch after every batch.
+// state (candidate index and profile rows, match-cache validity) current
+// while the auxiliary network grows, against the alternative of rebuilding
+// everything from scratch after every batch.
 //
 // At the paper's crawl size (2,320,895 t.qq users, Section 6.1) each
 // growth batch touches well under 1% of the vertex set, so the incremental
 // path — GraphBuilder::ApplyDelta into the graph's copy-on-write overlay
 // (only the touched adjacency runs are rewritten) followed by
-// Dehin::ApplyAuxDelta (O(|delta| log B) index maintenance, append-only
-// 1-hop patch table for the prefilter, epoch-scoped cache invalidation) —
-// should be dramatically cheaper than re-running the O(V log V + E)
-// constructor.
+// Dehin::ApplyAuxDelta (O(|delta| log B) index maintenance, epoch-scoped
+// cache invalidation) — should be dramatically cheaper than re-running the
+// O(V log V) constructor.
 //
 // The headline claim this bench pins: the incremental warm-state refresh
 // is >= 10x cheaper than a full rebuild for batches <= 1% of V. Each
@@ -70,12 +69,8 @@ int main(int argc, char** argv) {
   flags.Define("target_size", "1000",
                "users per published target graph (paper: 1000)");
   flags.Define("seed", "20140324", "rng seed (EDBT 2014 opening day)");
-  flags.Define("no_prefilter", "false",
-               "disable the neighborhood-stats prefilter (Layer 1)");
   flags.Define("no_shared_cache", "false",
                "disable the cross-call match cache (Layer 2)");
-  flags.Define("dominance_kernel", "auto",
-               "Layer-1 strength-dominance kernel: auto|scalar|sse2|avx2");
   flags.Define("density", "0.01", "planted target density");
   flags.Define("batches", "3", "growth batches to apply");
   // The defaults keep each batch's total record count under 1% of V, the
@@ -189,8 +184,8 @@ int main(int argc, char** argv) {
     const double incremental_s = timer.Seconds();
 
     // The alternative this bench prices: throw the warm state away and pay
-    // the constructor again (candidate index + prefilter arenas over the
-    // full grown graph). The fresh instance then doubles as the oracle for
+    // the constructor again (candidate index and rows over the full grown
+    // graph). The fresh instance then doubles as the oracle for
     // the differential guard.
     timer.Reset();
     core::Dehin fresh(&aux, attack_config);

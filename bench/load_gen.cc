@@ -450,8 +450,6 @@ int main(int argc, char** argv) {
          {"shards_swept", flags.GetString("shards")},
          {"connections", flags.GetString("connections")},
          {"shard_workers", flags.GetString("shard_workers")},
-         {"hardware_concurrency",
-          std::to_string(std::thread::hardware_concurrency())},
          {"verified", "true"}});
     if (!bench::WriteBenchJson(json_path, entries, context)) return 1;
     std::printf("json written to %s\n", json_path.c_str());

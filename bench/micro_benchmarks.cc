@@ -8,11 +8,9 @@
 // Beyond the stock --benchmark_* flags this binary accepts:
 //   --aux_users N        auxiliary network size (default 20000)
 //   --target_size N      planted target size (default 1000)
-//   --no-prefilter       ablate acceleration Layer 1 (neighborhood stats)
 //   --no-shared-cache    ablate acceleration Layer 2 (cross-call cache)
-//   --dominance-kernel K Layer-1 dominance kernel: auto|scalar|sse2|avx2
 //   --json PATH          write per-benchmark wall time + counters as JSON
-//                        (the resolved kernel lands in its "context" block)
+//                        (the host and build land in its "context" block)
 // (hyphens and underscores are interchangeable in flag names).
 
 #include <benchmark/benchmark.h>
@@ -30,7 +28,6 @@
 #include "bench/bench_common.h"
 #include "core/candidate_index.h"
 #include "core/dehin.h"
-#include "core/dominance_kernels.h"
 #include "core/signature.h"
 #include "eval/metrics.h"
 #include "hin/graph_builder.h"
@@ -49,9 +46,7 @@ namespace {
 struct MicroConfig {
   size_t aux_users = 20000;
   size_t target_size = 1000;
-  bool no_prefilter = false;
   bool no_shared_cache = false;
-  core::DominanceKernel dominance_kernel = core::DominanceKernel::kAuto;
   std::string json_path;
 };
 
@@ -63,9 +58,7 @@ MicroConfig& Config() {
 core::DehinConfig DehinConfigFromFlags() {
   core::DehinConfig config;
   config.match = core::DefaultTqqMatchOptions();
-  config.use_prefilter = !Config().no_prefilter;
   config.use_shared_cache = !Config().no_shared_cache;
-  config.dominance_kernel = Config().dominance_kernel;
   return config;
 }
 
@@ -287,58 +280,9 @@ void BM_CandidateLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_CandidateLookup);
 
-void BM_NeighborhoodStatsBuild(benchmark::State& state) {
-  const hin::Graph& graph = SharedNetwork();
-  const core::MatchOptions options = core::DefaultTqqMatchOptions();
-  for (auto _ : state) {
-    core::NeighborhoodStats stats(graph, options.link_types,
-                                  options.use_in_edges);
-    benchmark::DoNotOptimize(stats.num_slots());
-  }
-  state.SetItemsProcessed(state.iterations() * graph.num_vertices());
-}
-BENCHMARK(BM_NeighborhoodStatsBuild);
-
-// Raw dominance-kernel throughput across tiers: scalar vs. every SIMD tier
-// the CPU supports, on sorted spans sized like real prefilter inputs
-// (arg = target span size; aux spans are 2x). Pairs are built to pass, so
-// the early-exit never fires and the full scan cost is measured.
-void BM_StrengthDominance(benchmark::State& state) {
-  const auto kernels = core::SupportedDominanceKernels();
-  const size_t tier = static_cast<size_t>(state.range(0));
-  const size_t k = static_cast<size_t>(state.range(1));
-  if (tier >= kernels.size()) {
-    state.SkipWithError("kernel tier unsupported on this CPU");
-    return;
-  }
-  const core::ResolvedDominanceKernel& kernel = kernels[tier];
-  util::Rng rng(5);
-  const size_t m = 2 * k + 1;
-  std::vector<hin::Strength> target(k);
-  std::vector<hin::Strength> aux(m);
-  for (auto& s : target) s = static_cast<hin::Strength>(rng.UniformU64(100));
-  // Every aux strength dominates every target strength: worst case scan.
-  for (auto& s : aux) {
-    s = static_cast<hin::Strength>(100 + rng.UniformU64(100));
-  }
-  std::sort(target.begin(), target.end());
-  std::sort(aux.begin(), aux.end());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernel.growth_aware(target.data(), target.size(),
-                                                 aux.data(), aux.size()));
-    benchmark::DoNotOptimize(
-        kernel.exact(target.data(), target.size(), aux.data(), aux.size()));
-  }
-  state.SetLabel(kernel.name);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(k));
-}
-BENCHMARK(BM_StrengthDominance)
-    ->ArgsProduct({{0, 1, 2}, {8, 64, 1024}});
-
 // Steady-state per-query latency on one long-lived Dehin: with the shared
 // cache enabled, repeat queries amortize toward cache lookups — ablate
-// with --no-shared-cache / --no-prefilter to see each layer's share.
+// with --no-shared-cache to see the cache's share.
 void BM_DehinQuery(benchmark::State& state) {
   const synth::PlantedDataset& dataset = SharedDataset();
   static const core::Dehin* dehin =
@@ -369,9 +313,10 @@ BENCHMARK(BM_DehinQueryNoIndex);
 // End-to-end DeHIN evaluation at distance n: a fresh Dehin per iteration
 // (cold caches), scored over every target vertex — the EvaluateAttack path
 // the acceleration layers were built for. Counters report the layers'
-// work: prefilter_reject_rate is the fraction of LinkMatch misses the
-// Layer-1 stats rejected before any bipartite work; cache_hit_rate is the
-// fraction of LinkMatch calls answered by the Layer-2 cache.
+// work: prefilter_reject_rate is the fraction of LinkMatch calls the
+// Layer-1 degree check rejected before any bipartite work;
+// cache_hit_rate is the fraction of the rest answered by the Layer-2
+// cache.
 void BM_DehinEvaluate(benchmark::State& state) {
   const synth::PlantedDataset& dataset = SharedDataset();
   const int distance = static_cast<int>(state.range(0));
@@ -492,19 +437,8 @@ void ExtractOwnFlags(int* argc, char** argv) {
       config.aux_users = take_count();
     } else if (name == "target_size") {
       config.target_size = take_count();
-    } else if (name == "no_prefilter") {
-      config.no_prefilter = true;
     } else if (name == "no_shared_cache") {
       config.no_shared_cache = true;
-    } else if (name == "dominance_kernel") {
-      const std::string v = take_value();
-      if (!core::ParseDominanceKernel(v, &config.dominance_kernel)) {
-        std::fprintf(stderr,
-                     "%s: error: invalid value '%s' for flag "
-                     "--dominance_kernel (want auto|scalar|sse2|avx2)\n",
-                     argv[0], v.c_str());
-        std::exit(1);
-      }
     } else {
       argv[out++] = argv[i];
     }
@@ -524,8 +458,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   const std::string& json_path = hinpriv::Config().json_path;
   if (!json_path.empty()) {
-    auto context =
-        hinpriv::bench::KernelContext(hinpriv::Config().dominance_kernel);
+    auto context = hinpriv::bench::BuildContext();
     context.emplace_back("aux_users",
                          std::to_string(hinpriv::Config().aux_users));
     context.emplace_back("target_size",

@@ -75,12 +75,8 @@ int main(int argc, char** argv) {
   flags.Define("target_size", "1000",
                "users per published target graph (paper: 1000)");
   flags.Define("seed", "20140324", "rng seed (EDBT 2014 opening day)");
-  flags.Define("no_prefilter", "false",
-               "disable the neighborhood-stats prefilter (Layer 1)");
   flags.Define("no_shared_cache", "false",
                "disable the cross-call match cache (Layer 2)");
-  flags.Define("dominance_kernel", "auto",
-               "Layer-1 strength-dominance kernel: auto|scalar|sse2|avx2");
   flags.Define("density", "0.01", "planted target density");
   flags.Define("queries", "200", "attack queries to time against the mapped aux");
   flags.Define("workdir", "/tmp", "directory for the generated snapshot files");

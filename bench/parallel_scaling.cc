@@ -309,9 +309,7 @@ int main(int argc, char** argv) {
          {"threads_swept", flags.GetString("threads")},
          {"chunks_per_worker", flags.GetString("chunks_per_worker")},
          {"max_grain", flags.GetString("max_grain")},
-         {"grain_sweep", flags.GetString("grain_sweep")},
-         {"hardware_concurrency",
-          std::to_string(std::thread::hardware_concurrency())}});
+         {"grain_sweep", flags.GetString("grain_sweep")}});
     if (!bench::WriteBenchJson(json_path, json_entries, context)) return 1;
     std::printf("json written to %s\n", json_path.c_str());
   }

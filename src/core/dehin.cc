@@ -77,17 +77,6 @@ Dehin::Dehin(const hin::Graph* auxiliary, DehinConfig config)
   if (!config_.entity_match_override) {
     index_ = std::make_unique<CandidateIndex>(*aux_, config_.match);
   }
-  if (prefilter_enabled()) {
-    aux_stats_ = std::make_unique<NeighborhoodStats>(
-        *aux_, config_.match.link_types, config_.match.use_in_edges);
-    kernel_ = ResolveDominanceKernel(config_.dominance_kernel);
-    dominance_fn_ =
-        config_.match.growth_aware ? kernel_.growth_aware : kernel_.exact;
-  }
-}
-
-const char* Dehin::dominance_kernel_name() const {
-  return prefilter_enabled() ? kernel_.name : "off";
 }
 
 std::vector<std::vector<hin::VertexId>> Dehin::DirtyClosure(
@@ -155,10 +144,6 @@ util::Status Dehin::ApplyAuxDelta(const hin::GraphDelta& delta) {
     std::lock_guard<std::mutex> lock(target_mu_);  // guards the dictionary
     index_->ApplyDelta(delta);
   }
-  if (aux_stats_) {
-    HINPRIV_SPAN("dehin/apply_delta/stats");
-    aux_stats_->ApplyDelta(*aux_, delta);
-  }
 
   // Epoch-invalidate every cached target state's shared match cache for
   // the delta's d-hop closure; per-call memos (shared cache ablated) need
@@ -222,7 +207,6 @@ DehinStats Dehin::stats() const {
   s.prefilter_rejects = prefilter_rejects_.Value();
   s.cache_hits = cache_hits_.Value();
   s.full_tests = full_tests_.Value();
-  s.dominance_kernel = dominance_kernel_name();
   return s;
 }
 
@@ -250,10 +234,6 @@ std::shared_ptr<const Dehin::TargetState> Dehin::GetTargetState(
       static_cast<double>(target.num_vertices() > 0 ? target.num_vertices() - 1
                                                     : 0));
   if (index_ != nullptr) state->rows = index_->CompileRows(target);
-  if (prefilter_enabled()) {
-    state->stats = std::make_unique<NeighborhoodStats>(
-        target, config_.match.link_types, config_.match.use_in_edges);
-  }
   if (config_.use_shared_cache) {
     state->cache = std::make_unique<MatchCache>(/*num_shards=*/64);
   }
@@ -517,10 +497,23 @@ util::Result<std::vector<hin::VertexId>> Dehin::DeanonymizeParallel(
   return candidates;
 }
 
-bool Dehin::PrefilterPass(hin::VertexId vt, hin::VertexId va,
-                          const TargetState& state) const {
-  return state.stats->PrefilterPass(*aux_stats_, vt, va,
-                                    state.saturation_limit, dominance_fn_);
+bool Dehin::DegreesAdmit(const hin::Graph& target, hin::VertexId vt,
+                         hin::VertexId va, size_t saturation_limit) const {
+  const bool in_edges = config_.match.use_in_edges;
+  for (const hin::LinkTypeId lt : config_.match.link_types) {
+    for (int dir = 0; dir < (in_edges ? 2 : 1); ++dir) {
+      const bool incoming = dir == 1;
+      const size_t t_degree =
+          incoming ? target.InDegree(lt, vt) : target.OutDegree(lt, vt);
+      // The same skips as the full test: an empty or saturated target run
+      // constrains nothing.
+      if (t_degree == 0 || t_degree > saturation_limit) continue;
+      const size_t a_degree =
+          incoming ? aux_->InDegree(lt, va) : aux_->OutDegree(lt, va);
+      if (a_degree < t_degree) return false;
+    }
+  }
+  return true;
 }
 
 bool Dehin::LinkMatch(int depth, const hin::Graph& target, hin::VertexId vt,
@@ -542,13 +535,13 @@ bool Dehin::LinkMatch(int depth, const hin::Graph& target, hin::VertexId vt,
       }
     }
   }
-  // Layer 1 runs before the cache: the O(|T|+|A|) necessary-condition scan
-  // is about as cheap as a locked cache probe, so rejected pairs are never
-  // inserted (they would only displace entries whose recomputation is
-  // expensive) and the cache stays small and hot.
-  if (state.stats != nullptr && !PrefilterPass(vt, va, state)) {
-    // A sound necessary condition failed: the loop below would provably
-    // have ended with is_match == false for some link type.
+  // Layer 1 runs before the cache: the degree check reads two adjacency
+  // offsets per (link type, direction), cheaper than a locked cache probe,
+  // so rejected pairs are never inserted (they would only displace entries
+  // whose recomputation is expensive) and the cache stays small and hot.
+  if (!DegreesAdmit(target, vt, va, state.saturation_limit)) {
+    // Some link type has fewer auxiliary than target neighbors: the loop
+    // below would have ended without a perfect left matching.
     ++local->prefilter_rejects;
     return false;
   }
@@ -576,10 +569,6 @@ bool Dehin::LinkMatch(int depth, const hin::Graph& target, hin::VertexId vt,
       if (t_neighbors.size() > state.saturation_limit) continue;
       const auto a_neighbors =
           incoming ? aux_->InEdges(lt, va) : aux_->OutEdges(lt, va);
-      if (a_neighbors.size() < t_neighbors.size()) {
-        is_match = false;  // growth only adds links; pigeonhole reject
-        break;
-      }
       // Bipartite candidate sets C(b') for each target neighbor
       // (Algorithm 2), then the Hopcroft-Karp acceptance test.
       GlobalMetrics().bipartite_left->Record(t_neighbors.size());

@@ -9,10 +9,8 @@
 #include <vector>
 
 #include "core/candidate_index.h"
-#include "core/dominance_kernels.h"
 #include "core/match_cache.h"
 #include "core/matchers.h"
-#include "core/neighborhood_stats.h"
 #include "exec/executor.h"
 #include "hin/graph.h"
 #include "obs/metrics.h"
@@ -31,15 +29,6 @@ struct DehinConfig {
   // literal "foreach v in V" scan). Semantically identical
   // (differential-tested); turn off to measure the scan cost.
   bool use_candidate_index = true;
-  // Layer-1 acceleration: precomputed NeighborhoodStats back a sound
-  // necessary-condition prefilter (per-type degree pigeonhole + sorted
-  // strength-multiset dominance) that rejects (target, candidate) pairs in
-  // O(|T| + |A|) before the O(|T|·|A|) bipartite construction. Answer-
-  // preserving by construction — the prefilter only rejects pairs the full
-  // test provably rejects (differential-tested); disabled automatically
-  // when link_match_override replaces the strength semantics it reasons
-  // about. Turn off (--no-prefilter in the benches) to measure its share.
-  bool use_prefilter = true;
   // Layer-2 acceleration: memoize LinkMatch results in a sharded cache
   // shared across all Deanonymize calls (and threads) instead of one
   // std::unordered_map per call, so sub-results computed while scoring one
@@ -48,14 +37,6 @@ struct DehinConfig {
   // a pure function of the two graphs and the config. Turn off
   // (--no-shared-cache) to fall back to the per-call memo.
   bool use_shared_cache = true;
-  // Which implementation of the Layer-1 strength-dominance compare the
-  // prefilter runs — the hottest loop of the accelerated attack. kAuto
-  // resolves once at Dehin construction to the best tier the CPU supports
-  // (AVX2 > SSE2 > scalar); explicit tiers exist for ablation
-  // (--dominance-kernel on the benches) and degrade to the best supported
-  // tier when the CPU lacks them. All tiers are bit-identical (pinned by
-  // the differential fuzz suite), so this knob never changes results.
-  DominanceKernel dominance_kernel = DominanceKernel::kAuto;
   // Only auxiliary vertices with id < candidate_limit are eligible
   // candidates (0 = every vertex). The neighborhood recursion still walks
   // the whole graph — only the root candidate scan is restricted. This is
@@ -83,41 +64,38 @@ struct DehinConfig {
                      const hin::Graph& aux, hin::VertexId va)>
       entity_match_override;
   // Optional override of link_attribute_match (target strength, auxiliary
-  // strength) -> bool. Bypasses the strength prefilter, whose dominance
-  // reasoning is only sound for the built-in >= / == semantics.
+  // strength) -> bool. The Layer-1 degree check still runs: a perfect left
+  // matching needs as many auxiliary neighbors as target neighbors under
+  // any strength predicate.
   std::function<bool(hin::Strength, hin::Strength)> link_match_override;
 };
 
-// Observability counters for the two acceleration layers, snapshotted via
+// Observability counters for LinkMatch's two layers, snapshotted via
 // Dehin::stats(). Every LinkMatch invocation lands in exactly one of the
 // three buckets. Monotone across a Dehin's lifetime (reset with
 // Dehin::ResetStats); deltas around an evaluation give per-run rates.
 struct DehinStats {
-  // Rejected by the Layer-1 necessary-condition scan before any cache or
-  // bipartite work (rejected pairs are never cached, so re-visits count
-  // again — the scan is as cheap as a cache probe).
+  // Rejected by the Layer-1 degree check before any cache or bipartite
+  // work (rejected pairs are never cached, so re-visits count again — the
+  // check reads a few adjacency offsets, cheaper than a cache probe).
   uint64_t prefilter_rejects = 0;
   // Answered by the Layer-2 match cache (or the per-call fallback memo).
   uint64_t cache_hits = 0;
   // Went through the full candidate-set construction + Hopcroft-Karp test.
   uint64_t full_tests = 0;
-  // Name of the dominance-kernel tier the prefilter ran with ("scalar",
-  // "sse2", "avx2", or "off" when the prefilter is disabled). Not a
-  // counter: snapshots and deltas carry it through unchanged.
-  const char* dominance_kernel = "off";
 
   uint64_t TotalLinkMatchCalls() const {
     return prefilter_rejects + cache_hits + full_tests;
   }
-  // Fraction of cache probes (calls surviving the prefilter) answered from
-  // the cache.
+  // Fraction of cache probes (calls passing the degree check) answered
+  // from the cache.
   double CacheHitRate() const {
     const uint64_t probes = cache_hits + full_tests;
     return probes == 0 ? 0.0
                        : static_cast<double>(cache_hits) /
                              static_cast<double>(probes);
   }
-  // Fraction of all LinkMatch calls the prefilter rejected outright.
+  // Fraction of all LinkMatch calls the degree check rejected outright.
   double PrefilterRejectRate() const {
     const uint64_t total = TotalLinkMatchCalls();
     return total == 0 ? 0.0
@@ -145,12 +123,11 @@ inline DehinStats operator-(DehinStats a, const DehinStats& b) {
 // decided with Hopcroft-Karp maximum bipartite matching.
 //
 // Thread-safe for concurrent Deanonymize calls on one shared Dehin: the
-// per-target-graph state (profile rows, neighborhood stats, shared match
-// cache) is built under an internal mutex on first use, read-only
-// afterwards, and held by shared_ptr — each Deanonymize call pins the
-// state it resolved, so concurrent invalidation or replacement
-// (stale-fingerprint rebuild, InvalidateTarget) can never free state
-// another thread is still reading.
+// per-target-graph state (profile rows, shared match cache) is built under
+// an internal mutex on first use, read-only afterwards, and held by
+// shared_ptr — each Deanonymize call pins the state it resolved, so
+// concurrent invalidation or replacement (stale-fingerprint rebuild,
+// InvalidateTarget) can never free state another thread is still reading.
 //
 // Target graphs are recognized by address, so a target passed to
 // Deanonymize must stay alive (and unchanged) for as long as this Dehin is
@@ -238,23 +215,22 @@ class Dehin {
   // auxiliary graph has been mutated in place by
   // hin::GraphBuilder::ApplyDelta (call order matters): the candidate
   // index recompiles the profile rows of O(|delta|) vertices and moves
-  // their bucket entries, the auxiliary prefilter stats
-  // recompute only the delta's 1-hop closure, and every cached target
-  // state's shared match cache is invalidated epoch-wise for the delta's
-  // d-hop closure (d = its deepest memoized depth) instead of being
-  // flushed — untouched entries keep hitting. Target graphs are unchanged
-  // by auxiliary growth, so per-target rows, stats and saturation limits
-  // stay valid. The caller must guarantee exclusive access (no concurrent
-  // Deanonymize) for the duration of the call; the attack service holds
-  // its warm-state lock exclusively here.
+  // their bucket entries, and every cached target state's shared match
+  // cache is invalidated epoch-wise for the delta's d-hop closure (d = its
+  // deepest memoized depth) instead of being flushed — untouched entries
+  // keep hitting. Target graphs are unchanged by auxiliary growth, so
+  // per-target rows and saturation limits stay valid. The caller must
+  // guarantee exclusive access (no concurrent Deanonymize) for the
+  // duration of the call; the attack service holds its warm-state lock
+  // exclusively here.
   util::Status ApplyAuxDelta(const hin::GraphDelta& delta);
 
   // Snapshot of the acceleration counters accumulated so far.
   DehinStats stats() const;
   void ResetStats() const;
 
-  // Drops the cached per-target state (neighborhood stats, shared match
-  // cache) for `target`, if any. Safe to call while other threads are mid-
+  // Drops the cached per-target state (profile rows, shared match cache)
+  // for `target`, if any. Safe to call while other threads are mid-
   // Deanonymize on the same graph: they pinned their state and keep using
   // it; only the map entry is released here. Call this when retiring a
   // target graph so target_states_ cannot grow unboundedly across many
@@ -266,21 +242,16 @@ class Dehin {
   // the internal mutex).
   size_t num_cached_target_states() const;
 
-  // Name of the resolved dominance-kernel tier the Layer-1 prefilter runs
-  // ("scalar", "sse2", "avx2"), or "off" when the prefilter is disabled.
-  const char* dominance_kernel_name() const;
-
  private:
   // Everything Deanonymize needs that is constant per target graph:
-  // the saturation threshold, the profile rows, the Layer-1 stats, and the
-  // Layer-2 shared cache. Built once on first use and cached by graph
+  // the saturation threshold, the profile rows, and the Layer-2 shared
+  // cache. Built once on first use and cached by graph
   // address.
   struct TargetState {
     size_t saturation_limit = 0;
     // The target's vertices compiled over the index's dictionary (empty
     // under entity_match_override).
     ProfileRows rows;
-    std::unique_ptr<NeighborhoodStats> stats;  // null when prefilter is off
     std::unique_ptr<MatchCache> cache;  // null when shared cache is off
     // Weak identity fingerprint to invalidate stale state if a different
     // graph reuses the address.
@@ -322,9 +293,12 @@ class Dehin {
                  hin::VertexId va, const TargetState& state,
                  MatchCache* cache, LocalStats* local, bool is_root) const;
 
-  // Layer-1 necessary-condition test; false proves LinkMatch would reject.
-  bool PrefilterPass(hin::VertexId vt, hin::VertexId va,
-                     const TargetState& state) const;
+  // Layer 1, the degree check: every (link type, direction) whose target
+  // run is neither empty nor saturated needs an auxiliary run at least as
+  // long, since a perfect left matching gives each target neighbor its own
+  // auxiliary neighbor. False proves the full test would reject.
+  bool DegreesAdmit(const hin::Graph& target, hin::VertexId vt,
+                    hin::VertexId va, size_t saturation_limit) const;
 
   // Cumulative closure lists for cache invalidation: element d-1 holds
   // every auxiliary vertex within distance d of the delta's touched set
@@ -343,10 +317,6 @@ class Dehin {
   bool StrengthMatch(hin::Strength target_strength,
                      hin::Strength aux_strength) const;
 
-  bool prefilter_enabled() const {
-    return config_.use_prefilter && !config_.link_match_override;
-  }
-
   // Walk the index's buckets for candidates rather than scan every row.
   bool walks_index() const {
     return index_ != nullptr && config_.use_candidate_index;
@@ -358,14 +328,6 @@ class Dehin {
   // dictionary is written by target-state builds and deltas, both under
   // target_mu_.
   std::unique_ptr<CandidateIndex> index_;
-  // Auxiliary-side Layer-1 stats, built at construction (null when the
-  // prefilter is disabled).
-  std::unique_ptr<NeighborhoodStats> aux_stats_;
-  // Dominance kernel resolved once at construction; dominance_fn_ is the
-  // semantics-appropriate entry point (growth-aware vs. exact) the
-  // prefilter calls.
-  ResolvedDominanceKernel kernel_;
-  DominanceFn dominance_fn_ = nullptr;
 
   mutable std::mutex target_mu_;
   mutable std::unordered_map<const hin::Graph*,

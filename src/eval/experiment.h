@@ -39,7 +39,7 @@ util::Result<ExperimentDataset> BuildExperimentDataset(
     bool strip_majority, util::Rng* rng);
 
 // One scored attack run plus its wall time: the metrics carry the
-// acceleration-layer counters (prefilter rejects, cache hit rate), so a
+// acceleration-layer counters (degree-check rejects, cache hit rate), so a
 // bench row can report quality, cost, and the layers' contribution from a
 // single call.
 struct AttackEvaluation {

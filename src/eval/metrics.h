@@ -33,8 +33,9 @@ struct AttackMetrics {
   size_t num_containing_truth = 0;
   double mean_candidate_count = 0.0;
   // Acceleration-layer counters accumulated by the Dehin over this
-  // evaluation (delta of Dehin::stats() around the run): prefilter reject
-  // rate and match-cache hit rate for observability and the bench JSON.
+  // evaluation (delta of Dehin::stats() around the run): degree-check
+  // reject rate and match-cache hit rate for observability and the bench
+  // JSON.
   core::DehinStats dehin_stats;
 };
 

@@ -213,7 +213,6 @@ void LocalScan::AppendStats(JsonValue* payload) {
                                   ? static_cast<double>(stats.cache_hits) /
                                         static_cast<double>(cache_lookups)
                                   : 0.0));
-  dehin.Set("dominance_kernel", JsonValue::Str(stats.dominance_kernel));
   payload->Set("dehin", std::move(dehin));
 }
 

@@ -28,7 +28,7 @@ class LocalScan : public Handler {
             const ServerConfig& config);
 
   // Checks that mutable_aux aliases the auxiliary graph, then builds the
-  // per-target Dehin state (prefilter tables, shared match cache shell)
+  // per-target Dehin state (profile rows, shared match cache shell)
   // so the first request does not pay for it.
   util::Status Start(exec::Executor* executor) override;
   Response AttackOne(hin::VertexId target, int max_distance,

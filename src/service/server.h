@@ -57,15 +57,15 @@ struct ServerConfig {
   // When nonempty, Shutdown() writes a final hinpriv-metrics-v1 snapshot
   // of the global registry here after the drain completes.
   std::string metrics_json_path;
-  // Attack configuration (match options, prefilter/cache/kernels).
+  // Attack configuration (match options, shared cache, saturation).
   core::DehinConfig dehin;
 
   // Streaming growth: when non-null (and aliasing the same graph as
   // `auxiliary`), the apply_delta verb is enabled — it loads a
   // hinpriv-delta stream from a server-side path and applies each batch
-  // in place under the warm-state lock, refreshing the candidate index,
-  // prefilter tables, and match caches incrementally (O(|delta|) instead
-  // of a full rebuild). Heap-built and mapped graphs grow alike: the
+  // in place under the warm-state lock, refreshing the candidate index
+  // and match caches incrementally (O(|delta|) instead of a full
+  // rebuild). Heap-built and mapped graphs grow alike: the
   // batch lands in the graph's heap overlay, never in its base arena.
   // Null (the default) rejects apply_delta with INVALID_REQUEST.
   hin::Graph* mutable_aux = nullptr;

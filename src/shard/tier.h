@@ -16,7 +16,7 @@ namespace hinpriv::shard {
 
 // Assembly of a complete in-process scatter-gather tier: N local-scan
 // shard servers, each owning its slice of the auxiliary graph (own
-// CandidateIndex, prefilter tables, MatchCache, executor pool), fronted by
+// CandidateIndex, MatchCache, executor pool), fronted by
 // one coordinator — a server with the ScatterGather handler — that
 // scatters attack_one over the loopback wire protocol and merges the
 // verdicts bit-identically to the unsharded scan.

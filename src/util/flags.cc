@@ -45,7 +45,7 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
     }
     auto it = flags_.find(name);
     if (it == flags_.end()) {
-      // Accept "--no-prefilter" for a flag defined as "no_prefilter":
+      // Accept "--no-shared-cache" for a flag defined as "no_shared_cache":
       // hyphens and underscores are interchangeable on the command line.
       std::string normalized = name;
       for (char& c : normalized) {

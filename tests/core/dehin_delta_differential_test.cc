@@ -8,7 +8,6 @@
 // cannot). Each case runs on a heap base and on a mapped snapshot base:
 // both grow through the same overlay.
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "synth/growth.h"
 #include "synth/tqq_generator.h"
 #include "util/random.h"
+#include "temp_path.h"
 
 namespace hinpriv::core {
 namespace {
@@ -78,12 +78,10 @@ hin::Graph Mapped(const hin::Graph& graph, const std::string& path) {
 
 void RunBatches(DehinConfig config, size_t num_users, size_t batches,
                 Base base) {
-  const std::string path =
-      testing::TempDir() + "/dehin_delta_differential_" +
-      testing::UnitTest::GetInstance()->current_test_info()->name() + ".snap";
+  const testing_support::TempPath temp("aux.snap");
   hin::Graph aux = MakeAux(num_users, 51);
   const hin::Graph target = AnonymizedFrom(aux, 52);
-  if (base == Base::kMapped) aux = Mapped(aux, path);
+  if (base == Base::kMapped) aux = Mapped(aux, temp.path());
 
   Dehin incremental(&aux, config);
   // Warm the shared match cache so the batches below have real entries to
@@ -102,7 +100,6 @@ void RunBatches(DehinConfig config, size_t num_users, size_t batches,
     ASSERT_TRUE(incremental.ApplyAuxDelta(delta.value()).ok());
     ExpectIdenticalToFresh(incremental, aux, target, config);
   }
-  std::remove(path.c_str());
 }
 
 TEST(DehinDeltaDifferentialTest, AnswersMatchFreshRebuildEveryBatch) {

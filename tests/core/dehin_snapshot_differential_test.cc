@@ -14,6 +14,7 @@
 #include "hin/snapshot.h"
 #include "synth/tqq_generator.h"
 #include "util/random.h"
+#include "temp_path.h"
 
 namespace hinpriv::core {
 namespace {
@@ -29,13 +30,11 @@ LoadedPair LoadBothWays(size_t num_users, uint64_t seed) {
   util::Rng rng(seed);
   auto graph = synth::GenerateTqqNetwork(config, &rng);
   EXPECT_TRUE(graph.ok());
-  // Unique per test: concurrent ctest processes share the temp directory,
-  // and each test loads its own network.
-  const std::string stem =
-      testing::TempDir() + "/hinpriv_diff_" +
-      testing::UnitTest::GetInstance()->current_test_info()->name();
-  const std::string text_path = stem + ".graph";
-  const std::string snap_path = stem + ".snap";
+  // TempPath names the pair for this test alone and removes both files on
+  // return; the mapped graph keeps its mapping.
+  const testing_support::TempPath stem("net");
+  const std::string text_path = stem.path() + ".graph";
+  const std::string snap_path = stem.path() + ".snap";
   EXPECT_TRUE(hin::SaveGraphToFile(graph.value(), text_path).ok());
   EXPECT_TRUE(hin::SaveGraphSnapshot(graph.value(), snap_path).ok());
   auto heap = hin::LoadGraphFromFile(text_path);

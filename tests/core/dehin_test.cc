@@ -144,6 +144,211 @@ TEST(DehinTest, StrengthDominanceRequired) {
   EXPECT_EQ(candidates[0], 1u);  // only the strength-7 user dominates
 }
 
+// --- Layer 1, the degree check ---------------------------------------------
+
+// Target user 0 (born 1980) mentions users 1 and 2; the only auxiliary user
+// with its profile mentions one user, so no perfect left matching exists.
+TEST(DehinTest, DegreeCheckRejectsShortRunBeforeFullTest) {
+  hin::GraphBuilder aux_builder(hin::TqqTargetSchema());
+  aux_builder.AddVertices(0, 3);
+  EXPECT_TRUE(aux_builder.SetAttribute(0, hin::kYobAttr, 1980).ok());
+  EXPECT_TRUE(aux_builder.AddEdge(0, 1, hin::kMentionLink, 9).ok());
+  auto aux = std::move(aux_builder).Build();
+  ASSERT_TRUE(aux.ok());
+
+  hin::GraphBuilder t_builder(hin::TqqTargetSchema());
+  t_builder.AddVertices(0, 3);
+  EXPECT_TRUE(t_builder.SetAttribute(0, hin::kYobAttr, 1980).ok());
+  EXPECT_TRUE(t_builder.AddEdge(0, 1, hin::kMentionLink, 1).ok());
+  EXPECT_TRUE(t_builder.AddEdge(0, 2, hin::kMentionLink, 1).ok());
+  auto target = std::move(t_builder).Build();
+  ASSERT_TRUE(target.ok());
+
+  DehinConfig config;
+  config.match = DefaultTqqMatchOptions();
+  Dehin dehin(&aux.value(), config);
+  EXPECT_TRUE(dehin.Deanonymize(target.value(), 0, 1).empty());
+  const DehinStats stats = dehin.stats();
+  EXPECT_EQ(stats.prefilter_rejects, 1u);
+  EXPECT_EQ(stats.full_tests, 0u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+}
+
+// A degree reject inside the recursion is never cached: asking the same
+// question again rejects again instead of hitting the match cache. Target
+// 0 -> 1 matches auxiliary 0 -> 1 at the root, but target 1 mentions two
+// users and auxiliary 1 only one.
+TEST(DehinTest, DegreeCheckRejectsAreNeverCached) {
+  hin::GraphBuilder aux_builder(hin::TqqTargetSchema());
+  aux_builder.AddVertices(0, 3);
+  EXPECT_TRUE(aux_builder.SetAttribute(0, hin::kYobAttr, 1980).ok());
+  EXPECT_TRUE(aux_builder.SetAttribute(1, hin::kYobAttr, 1970).ok());
+  EXPECT_TRUE(aux_builder.AddEdge(0, 1, hin::kMentionLink, 1).ok());
+  EXPECT_TRUE(aux_builder.AddEdge(1, 2, hin::kMentionLink, 1).ok());
+  auto aux = std::move(aux_builder).Build();
+  ASSERT_TRUE(aux.ok());
+
+  hin::GraphBuilder t_builder(hin::TqqTargetSchema());
+  t_builder.AddVertices(0, 4);
+  EXPECT_TRUE(t_builder.SetAttribute(0, hin::kYobAttr, 1980).ok());
+  EXPECT_TRUE(t_builder.SetAttribute(1, hin::kYobAttr, 1970).ok());
+  EXPECT_TRUE(t_builder.AddEdge(0, 1, hin::kMentionLink, 1).ok());
+  EXPECT_TRUE(t_builder.AddEdge(1, 2, hin::kMentionLink, 1).ok());
+  EXPECT_TRUE(t_builder.AddEdge(1, 3, hin::kMentionLink, 1).ok());
+  auto target = std::move(t_builder).Build();
+  ASSERT_TRUE(target.ok());
+
+  DehinConfig config;
+  config.match = DefaultTqqMatchOptions();
+  Dehin dehin(&aux.value(), config);
+  for (uint64_t round = 1; round <= 2; ++round) {
+    EXPECT_TRUE(dehin.Deanonymize(target.value(), 0, 2).empty());
+    const DehinStats stats = dehin.stats();
+    EXPECT_EQ(stats.prefilter_rejects, round) << "round " << round;
+    EXPECT_EQ(stats.full_tests, round) << "round " << round;
+    EXPECT_EQ(stats.cache_hits, 0u) << "round " << round;
+  }
+}
+
+// The degree check skips the target runs the full test skips: an empty run
+// constrains nothing, and a saturated one (Section 6.2) is ignored even
+// though the auxiliary run is shorter.
+TEST(DehinTest, DegreeCheckSkipsEmptyAndSaturatedRuns) {
+  hin::GraphBuilder t_builder(hin::TqqTargetSchema());
+  t_builder.AddVertices(0, 10);
+  EXPECT_TRUE(t_builder.SetAttribute(0, hin::kYobAttr, 1980).ok());
+  for (VertexId b = 1; b < 10; ++b) {
+    EXPECT_TRUE(t_builder.AddEdge(0, b, hin::kFollowLink).ok());
+  }
+  auto target = std::move(t_builder).Build();
+  ASSERT_TRUE(target.ok());
+
+  hin::GraphBuilder aux_builder(hin::TqqTargetSchema());
+  aux_builder.AddVertices(0, 3);
+  EXPECT_TRUE(aux_builder.SetAttribute(0, hin::kYobAttr, 1980).ok());
+  EXPECT_TRUE(aux_builder.AddEdge(0, 1, hin::kFollowLink).ok());
+  auto aux = std::move(aux_builder).Build();
+  ASSERT_TRUE(aux.ok());
+
+  DehinConfig config;
+  config.match = DefaultTqqMatchOptions();
+  config.saturation_fraction = 0.5;  // 9 followees of 9 others: saturated
+  Dehin reconfigured(&aux.value(), config);
+  EXPECT_EQ(reconfigured.Deanonymize(target.value(), 0, 1),
+            std::vector<VertexId>{0});
+  EXPECT_EQ(reconfigured.stats().prefilter_rejects, 0u);
+  EXPECT_EQ(reconfigured.stats().full_tests, 1u);
+
+  config.saturation_fraction = 1.0;
+  Dehin strict(&aux.value(), config);
+  EXPECT_TRUE(strict.Deanonymize(target.value(), 0, 1).empty());
+  EXPECT_EQ(strict.stats().prefilter_rejects, 1u);
+  EXPECT_EQ(strict.stats().full_tests, 0u);
+}
+
+// --- Strength multisets of one link run ------------------------------------
+//
+// These cases first pinned the strength-dominance prefilter, which compared
+// sorted strength runs before any matching was built. The facts they state
+// belong to Algorithm 2's per-link-type acceptance, so they now run end to
+// end through LinkMatch under the suite name they always had.
+
+// Root user 0 (born 1980) mentions one attribute-less user per strength.
+hin::Graph MentionRun(const std::vector<hin::Strength>& strengths) {
+  hin::GraphBuilder builder(hin::TqqTargetSchema());
+  builder.AddVertices(0, 1 + strengths.size());
+  EXPECT_TRUE(builder.SetAttribute(0, hin::kYobAttr, 1980).ok());
+  for (size_t i = 0; i < strengths.size(); ++i) {
+    EXPECT_TRUE(builder
+                    .AddEdge(0, static_cast<VertexId>(1 + i),
+                             hin::kMentionLink, strengths[i])
+                    .ok());
+  }
+  auto graph = std::move(builder).Build();
+  EXPECT_TRUE(graph.ok());
+  return std::move(graph).value();
+}
+
+// Whether the attack at distance 1 accepts the auxiliary root of
+// MentionRun(aux) as the counterpart of the target root of
+// MentionRun(target). Only the roots share a profile and every neighbor
+// matches every other, so only the strengths and the matching decide.
+bool MentionRunMatches(const std::vector<hin::Strength>& target,
+                       const std::vector<hin::Strength>& aux,
+                       bool growth_aware) {
+  const hin::Graph target_graph = MentionRun(target);
+  const hin::Graph aux_graph = MentionRun(aux);
+  DehinConfig config;
+  config.match = DefaultTqqMatchOptions();
+  config.match.growth_aware = growth_aware;
+  Dehin dehin(&aux_graph, config);
+  const auto candidates = dehin.Deanonymize(target_graph, 0, 1);
+  EXPECT_TRUE(candidates.empty() || candidates == std::vector<VertexId>{0});
+  return !candidates.empty();
+}
+
+TEST(NeighborhoodStatsTest, GrowthAwareDominance) {
+  const std::vector<hin::Strength> target = {2, 5, 9};
+  // Some 3 of the auxiliary strengths must dominate {2, 5, 9} element-wise.
+  const std::vector<hin::Strength> enough = {1, 3, 6, 9};   // {3, 6, 9}
+  const std::vector<hin::Strength> too_low = {1, 3, 4, 9};  // 4 < 5
+  EXPECT_TRUE(MentionRunMatches(target, enough, true));
+  EXPECT_FALSE(MentionRunMatches(target, too_low, true));
+  // Pigeonhole: fewer auxiliary strengths than target strengths.
+  const std::vector<hin::Strength> short_aux = {9, 9};
+  EXPECT_FALSE(MentionRunMatches(target, short_aux, true));
+  // An empty target run always passes.
+  EXPECT_TRUE(MentionRunMatches({}, short_aux, true));
+  EXPECT_TRUE(MentionRunMatches({}, {}, true));
+}
+
+TEST(NeighborhoodStatsTest, ExactSemanticsRequireContainment) {
+  const std::vector<hin::Strength> target = {2, 5, 5};
+  const std::vector<hin::Strength> contains = {2, 3, 5, 5, 7};
+  const std::vector<hin::Strength> one_five = {2, 3, 5, 7, 8};
+  const std::vector<hin::Strength> dominates_only = {3, 6, 6, 9};
+  EXPECT_TRUE(MentionRunMatches(target, contains, false));
+  EXPECT_FALSE(MentionRunMatches(target, one_five, false));
+  EXPECT_FALSE(MentionRunMatches(target, dominates_only, false));
+}
+
+// A run is accepted exactly when some injective assignment of target
+// strengths to auxiliary strengths satisfies the strength predicate:
+// cross-check against every assignment order on small multisets, under both
+// semantics.
+TEST(NeighborhoodStatsTest, DominanceMatchesBruteForceMatching) {
+  auto brute_force = [](const std::vector<hin::Strength>& t,
+                        const std::vector<hin::Strength>& a,
+                        bool growth_aware) {
+    if (t.size() > a.size()) return false;
+    std::vector<size_t> perm(a.size());
+    for (size_t i = 0; i < a.size(); ++i) perm[i] = i;
+    do {
+      bool ok = true;
+      for (size_t i = 0; i < t.size(); ++i) {
+        if (!LinkStrengthMatch(t[i], a[perm[i]], growth_aware)) {
+          ok = false;
+          break;
+        }
+      }
+      if (ok) return true;
+    } while (std::next_permutation(perm.begin(), perm.end()));
+    return false;
+  };
+  const std::vector<std::vector<hin::Strength>> cases = {
+      {}, {1}, {3}, {1, 1}, {2, 4}, {4, 4}, {1, 3, 5}, {5, 5, 5}};
+  for (const bool growth_aware : {true, false}) {
+    for (const auto& t : cases) {
+      for (const auto& a : cases) {
+        EXPECT_EQ(MentionRunMatches(t, a, growth_aware),
+                  brute_force(t, a, growth_aware))
+            << "t.size=" << t.size() << " a.size=" << a.size()
+            << " growth_aware=" << growth_aware;
+      }
+    }
+  }
+}
+
 TEST(DehinTest, CustomEntityMatchOverride) {
   Figure6 fixture = BuildFigure6();
   DehinConfig config;
@@ -390,31 +595,6 @@ TEST(DehinTest, SaturatedNeighborhoodsFallBackToProfileMatching) {
   EXPECT_TRUE(strict.Deanonymize(target.value(), 0, 1).empty());
 }
 
-// Every configured kernel must produce the same candidate sets — the
-// dominance kernel is a pure performance knob.
-TEST(DehinTest, KernelChoiceNeverChangesResults) {
-  Figure6 fixture = BuildFigure6();
-  DehinConfig scalar_config;
-  scalar_config.match = DefaultTqqMatchOptions();
-  scalar_config.dominance_kernel = DominanceKernel::kScalar;
-  Dehin scalar(&fixture.aux, scalar_config);
-  for (DominanceKernel choice :
-       {DominanceKernel::kAuto, DominanceKernel::kSse2,
-        DominanceKernel::kAvx2}) {
-    DehinConfig config = scalar_config;
-    config.dominance_kernel = choice;
-    Dehin dehin(&fixture.aux, config);
-    for (VertexId v = 0; v < fixture.target.num_vertices(); ++v) {
-      for (int n = 0; n <= 2; ++n) {
-        EXPECT_EQ(dehin.Deanonymize(fixture.target, v, n),
-                  scalar.Deanonymize(fixture.target, v, n))
-            << "kernel=" << DominanceKernelChoiceName(choice) << " v=" << v
-            << " n=" << n;
-      }
-    }
-  }
-}
-
 // stats() deltas are computed with DehinStats::operator-; a "later" snapshot
 // taken after ResetStats() used to wrap around to huge values.
 TEST(DehinStatsTest, SubtractionClampsAtZero) {
@@ -462,25 +642,11 @@ TEST(DehinTest, StatsMatchGlobalRegistryDeltas) {
   EXPECT_GT(stats.full_tests + stats.prefilter_rejects + stats.cache_hits, 0u);
 }
 
-TEST(DehinTest, StatsReportResolvedKernel) {
-  Figure6 fixture = BuildFigure6();
-  DehinConfig config;
-  config.match = DefaultTqqMatchOptions();
-  config.dominance_kernel = DominanceKernel::kScalar;
-  Dehin dehin(&fixture.aux, config);
-  EXPECT_STREQ(dehin.dominance_kernel_name(), "scalar");
-  EXPECT_STREQ(dehin.stats().dominance_kernel, "scalar");
-  DehinConfig no_prefilter = config;
-  no_prefilter.use_prefilter = false;
-  Dehin off(&fixture.aux, no_prefilter);
-  EXPECT_STREQ(off.dominance_kernel_name(), "off");
-}
-
 // Regression for the target-state use-after-free: concurrent Deanonymize
 // calls race InvalidateTarget on the same (immutable) graph. The old code
 // handed out a raw pointer into the cache, so an invalidation freed the
-// NeighborhoodStats another thread was scanning; shared_ptr pinning must
-// keep every in-flight state alive. Run under ASan to make any regression
+// target state another thread was reading; shared_ptr pinning must keep
+// every in-flight state alive. Run under ASan to make any regression
 // loud.
 TEST(DehinTest, ConcurrentInvalidationDoesNotInvalidateInFlightReads) {
   Figure6 fixture = BuildFigure6();

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <ostream>
 #include <set>
 #include <string>
@@ -38,6 +37,7 @@
 #include "synth/growth.h"
 #include "synth/tqq_generator.h"
 #include "util/random.h"
+#include "temp_path.h"
 
 namespace hinpriv::core {
 namespace {
@@ -165,11 +165,10 @@ TEST_P(ProfileRowReferenceTest, RowsMatchLiteralScan) {
                                               anonymizer, false, &rng);
   ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
   hin::Graph aux = std::move(dataset.value().auxiliary);
-  const std::string path =
-      testing::TempDir() + "/profile_rows_" + Name(p) + ".snap";
+  const testing_support::TempPath temp("aux.snap");
   if (p.storage == Storage::kMapped) {
-    ASSERT_TRUE(hin::SaveGraphSnapshot(aux, path).ok());
-    auto mapped = hin::LoadGraphSnapshot(path);
+    ASSERT_TRUE(hin::SaveGraphSnapshot(aux, temp.path()).ok());
+    auto mapped = hin::LoadGraphSnapshot(temp.path());
     ASSERT_TRUE(mapped.ok());
     aux = std::move(mapped).value();
   }
@@ -191,7 +190,6 @@ TEST_P(ProfileRowReferenceTest, RowsMatchLiteralScan) {
       ExpectMatchesReference(scan, aux, target, {&pool2, &pool4});
   EXPECT_GT(walk_hits, 0u);
   EXPECT_EQ(walk_hits, scan_hits);
-  std::remove(path.c_str());
 }
 
 std::vector<ReferenceParams> AllReferenceParams() {

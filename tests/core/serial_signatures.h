@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <future>
 #include <string>
 #include <utility>
@@ -26,6 +25,7 @@
 #include "synth/tqq_generator.h"
 #include "util/hashing.h"
 #include "util/random.h"
+#include "temp_path.h"
 
 namespace hinpriv::core::testing_ladder {
 
@@ -131,17 +131,13 @@ inline hin::Graph LadderGraph(GraphKind kind, uint64_t seed,
   EXPECT_TRUE(generated.ok());
   hin::Graph graph = std::move(generated).value();
   if (kind == GraphKind::kMapped) {
-    // Parameterized test names hold '/', which a file name cannot.
-    std::string test =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::replace(test.begin(), test.end(), '/', '_');
-    const std::string path = ::testing::TempDir() + "/serial_signatures_" +
-                             test + "_" + std::to_string(seed) + ".snap";
-    EXPECT_TRUE(hin::SaveGraphSnapshot(graph, path).ok());
-    auto mapped = hin::LoadGraphAuto(path);
+    // The file goes when `temp` does; the mapping outlives the name.
+    const testing_support::TempPath temp("ladder_" + std::to_string(seed) +
+                                         ".snap");
+    EXPECT_TRUE(hin::SaveGraphSnapshot(graph, temp.path()).ok());
+    auto mapped = hin::LoadGraphAuto(temp.path());
     EXPECT_TRUE(mapped.ok());
     EXPECT_TRUE(mapped.value().is_mapped());
-    std::remove(path.c_str());  // the mapping outlives the name
     return std::move(mapped).value();
   }
   if (kind == GraphKind::kGrown) {

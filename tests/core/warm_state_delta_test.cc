@@ -1,10 +1,9 @@
 // Incremental warm-state maintenance under growth deltas, component by
 // component: CandidateIndex::ApplyDelta must reproduce a from-scratch
-// rebuild's bucket order exactly, NeighborhoodStats::ApplyDelta must serve
-// the same sorted strength spans as a fresh build (through the patch table
-// or after compaction), and MatchCache epochs must invalidate exactly the
-// dirty (depth, vertex) entries while untouched entries keep hitting, and
-// Dehin::ApplyAuxDelta must tell a skipped invalidation from an empty one.
+// rebuild's bucket order exactly, MatchCache epochs must invalidate exactly
+// the dirty (depth, vertex) entries while untouched entries keep hitting,
+// and Dehin::ApplyAuxDelta must tell a skipped invalidation from an empty
+// one.
 
 #include <string>
 #include <vector>
@@ -15,7 +14,6 @@
 #include "core/dehin.h"
 #include "core/match_cache.h"
 #include "core/matchers.h"
-#include "core/neighborhood_stats.h"
 #include "hin/graph.h"
 #include "hin/graph_builder.h"
 #include "hin/graph_delta.h"
@@ -78,72 +76,6 @@ TEST(WarmStateDeltaTest, CandidateIndexNoPrimaryAttribute) {
     CandidateIndex rebuilt(aux, options);
     EXPECT_TRUE(incremental.OrderIdenticalTo(rebuilt));
   });
-}
-
-TEST(WarmStateDeltaTest, NeighborhoodStatsSpansIdenticalToRebuild) {
-  const MatchOptions options = DefaultTqqMatchOptions();
-  // Without in-edge slots a batch patches only sources and new vertices;
-  // with them (all 8 slots) destinations too.
-  for (const bool use_in_edges : {false, true}) {
-    SCOPED_TRACE(use_in_edges ? "in-edge slots" : "out-edge slots");
-    hin::Graph aux = MakeAux(1000, 21);
-    NeighborhoodStats incremental(aux, options.link_types, use_in_edges);
-    // Small enough batches that the accumulated patch set stays under the
-    // n/4 compaction threshold for all four batches — the assertions below
-    // must exercise the patch-table read path, not a post-compaction full
-    // build. (Edge and strength fractions are relative to E ~ 10x V.)
-    synth::GrowthConfig growth;
-    growth.new_user_fraction = 0.004;
-    growth.new_edge_fraction = 0.001;
-    growth.strength_growth_prob = 0.0005;
-    DriveBatches(&aux, 4, 22, growth, [&](const hin::GraphDelta& delta) {
-      incremental.ApplyDelta(aux, delta);
-      EXPECT_GT(incremental.num_patched(), 0u);
-      EXPECT_GE(incremental.num_patch_rows(), incremental.num_patched());
-      NeighborhoodStats fresh(aux, options.link_types, use_in_edges);
-      ASSERT_EQ(incremental.num_slots(), fresh.num_slots());
-      for (size_t slot = 0; slot < fresh.num_slots(); ++slot) {
-        for (hin::VertexId v = 0; v < aux.num_vertices(); ++v) {
-          const auto a = incremental.SortedStrengths(slot, v);
-          const auto b = fresh.SortedStrengths(slot, v);
-          ASSERT_EQ(a.size(), b.size()) << "slot " << slot << " v " << v;
-          for (size_t i = 0; i < a.size(); ++i) {
-            ASSERT_EQ(a[i], b[i]) << "slot " << slot << " v " << v;
-          }
-        }
-      }
-    });
-    // Vertices touched by more than one batch got a fresh row each time;
-    // their old rows are orphaned, not rewritten.
-    EXPECT_GT(incremental.num_patch_rows(), incremental.num_patched());
-  }
-}
-
-TEST(WarmStateDeltaTest, NeighborhoodStatsCompactsWhenPatchGrows) {
-  hin::Graph aux = MakeAux(300, 23);
-  const MatchOptions options = DefaultTqqMatchOptions();
-  NeighborhoodStats stats(aux, options.link_types, /*use_in_edges=*/true);
-  synth::GrowthConfig growth;
-  growth.new_user_fraction = 0.30;  // huge batch: touches > n/4 vertices
-  growth.new_edge_fraction = 0.40;
-  util::Rng rng(24);
-  auto delta =
-      synth::SampleGrowthDelta(aux, growth, synth::TqqConfig{}, &rng);
-  ASSERT_TRUE(delta.ok());
-  ASSERT_TRUE(hin::GraphBuilder::ApplyDelta(&aux, delta.value()).ok());
-  stats.ApplyDelta(aux, delta.value());
-  // Compaction folded the patch back into the base arenas.
-  EXPECT_EQ(stats.num_patched(), 0u);
-  EXPECT_EQ(stats.base_vertices(), aux.num_vertices());
-  NeighborhoodStats fresh(aux, options.link_types, /*use_in_edges=*/true);
-  for (size_t slot = 0; slot < fresh.num_slots(); ++slot) {
-    for (hin::VertexId v = 0; v < aux.num_vertices(); ++v) {
-      const auto a = stats.SortedStrengths(slot, v);
-      const auto b = fresh.SortedStrengths(slot, v);
-      ASSERT_EQ(a.size(), b.size());
-      for (size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
-    }
-  }
 }
 
 // dehin/delta_dirty_vertices counts the closure a batch invalidated, and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -19,9 +18,12 @@
 #include "hin/snapshot.h"
 #include "util/line_reader.h"
 #include "util/random.h"
+#include "temp_path.h"
 
 namespace hinpriv::hin {
 namespace {
+
+using testing_support::TempPath;
 
 // Mirrors the t.qq shape in miniature: one growable attribute, one
 // non-growable link type, one growable-strength link type that allows
@@ -361,8 +363,8 @@ TEST(GraphDeltaTest, EmptyDeltaIsIdentity) {
 // A mapped base takes the same delta path as a heap one: the mapping is
 // never written, and the grown graph equals the rebuild.
 TEST(GraphDeltaTest, MappedGraphGrowsLikeRebuild) {
-  const std::string path =
-      testing::TempDir() + "/graph_delta_mapped_test.snap";
+  const TempPath temp("base.snap");
+  const std::string& path = temp.path();
   ASSERT_TRUE(SaveGraphSnapshot(BuildBase(), path).ok());
   auto mapped = LoadGraphSnapshot(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -373,7 +375,6 @@ TEST(GraphDeltaTest, MappedGraphGrowsLikeRebuild) {
   auto reloaded = LoadGraphSnapshot(path);
   ASSERT_TRUE(reloaded.ok());
   ExpectGraphsIdentical(reloaded.value(), BuildBase());
-  std::remove(path.c_str());
 }
 
 TEST(GraphDeltaTest, ValidationRejectsBadDeltas) {
@@ -517,10 +518,10 @@ TEST(GraphDeltaTest, BatchStreamMatchesRebuildOnHeapAndMappedBases) {
   util::Rng rng(71);
   UnionMultiset all = RandomBase(400, &rng);
   Graph heap = all.Build();
-  const std::string dir = testing::TempDir();
-  const std::string base_path = dir + "/graph_delta_stream_base.snap";
-  const std::string grown_path = dir + "/graph_delta_stream_grown.snap";
-  const std::string rebuilt_path = dir + "/graph_delta_stream_rebuilt.snap";
+  const TempPath stem("stream");
+  const std::string base_path = stem.path() + "_base.snap";
+  const std::string grown_path = stem.path() + "_grown.snap";
+  const std::string rebuilt_path = stem.path() + "_rebuilt.snap";
   ASSERT_TRUE(SaveGraphSnapshot(heap, base_path).ok());
   auto mapped = LoadGraphSnapshot(base_path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -546,9 +547,6 @@ TEST(GraphDeltaTest, BatchStreamMatchesRebuildOnHeapAndMappedBases) {
   EXPECT_GT(heap.overlay_stats().compactions, 0u);
   EXPECT_EQ(mapped.value().overlay_stats().compactions,
             heap.overlay_stats().compactions);
-  for (const std::string* path : {&base_path, &grown_path, &rebuilt_path}) {
-    std::remove(path->c_str());
-  }
 }
 
 }  // namespace

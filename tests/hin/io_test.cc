@@ -14,9 +14,12 @@
 #include "util/line_reader.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "temp_path.h"
 
 namespace hinpriv::hin {
 namespace {
+
+using testing_support::TempPath;
 
 Graph MakeGraph() {
   GraphBuilder builder(TqqTargetSchema());
@@ -78,7 +81,8 @@ TEST(GraphIoTest, RoundTripMultiEntityGraph) {
 
 TEST(GraphIoTest, FileRoundTrip) {
   const Graph original = MakeGraph();
-  const std::string path = testing::TempDir() + "/hinpriv_io_test.graph";
+  const TempPath temp("round_trip.graph");
+  const std::string& path = temp.path();
   ASSERT_TRUE(SaveGraphToFile(original, path).ok());
   auto loaded = LoadGraphFromFile(path);
   ASSERT_TRUE(loaded.ok());
@@ -324,8 +328,8 @@ TEST(GraphIoRoundTripTest, RowsStraddlingChunkBoundaries) {
 // The retired HINPRIVB binary format is no longer recognized: its files
 // fall through to the text parser and are rejected as corrupt.
 TEST(GraphIoFailureTest, RetiredBinaryMagicIsCorruption) {
-  const std::string path =
-      testing::TempDir() + "/hinpriv_io_test_retired_magic.bin";
+  const TempPath temp("retired_magic.bin");
+  const std::string& path = temp.path();
   {
     // Magic, u32 version 1, then the first schema bytes.
     std::ofstream out(path, std::ios::binary | std::ios::trunc);

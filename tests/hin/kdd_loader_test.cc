@@ -8,18 +8,19 @@
 #include "hin/tqq_schema.h"
 #include "synth/tqq_generator.h"
 #include "util/random.h"
+#include "temp_path.h"
 
 namespace hinpriv::hin {
 namespace {
 
+using testing_support::TempPath;
+
 class KddLoaderTest : public testing::Test {
  protected:
   void SetUp() override {
-    dir_ = testing::TempDir() + "/kdd_" +
-           testing::UnitTest::GetInstance()->current_test_info()->name();
-    files_.user_profile = dir_ + "_profile.txt";
-    files_.user_sns = dir_ + "_sns.txt";
-    files_.user_action = dir_ + "_action.txt";
+    files_.user_profile = stem_.path() + "_profile.txt";
+    files_.user_sns = stem_.path() + "_sns.txt";
+    files_.user_action = stem_.path() + "_action.txt";
   }
 
   void WriteFile(const std::string& path, const std::string& content) {
@@ -41,7 +42,8 @@ class KddLoaderTest : public testing::Test {
               "100\t300\t0\t0\t2\n");
   }
 
-  std::string dir_;
+  // Names the three files; constructed with the fixture, inside the test.
+  const TempPath stem_{"kdd"};
   KddCupFiles files_;
 };
 

@@ -19,18 +19,15 @@
 #include "hin/snapshot.h"
 #include "synth/tqq_generator.h"
 #include "util/random.h"
+#include "temp_path.h"
 
 namespace hinpriv::hin {
 namespace {
 
 // Concurrent ctest processes must not share temp files: a sibling test
 // truncating a file this process has mmap'd turns page faults past the new
-// EOF into SIGBUS. Scope every path to the running test.
-std::string TestScopedPath(const std::string& leaf) {
-  return testing::TempDir() + "/hinpriv_" +
-         testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
-         leaf;
-}
+// EOF into SIGBUS. TempPath scopes every path to the running test.
+using testing_support::TempPath;
 
 std::string SnapshotBytes(size_t num_users, uint64_t seed) {
   synth::TqqConfig config;
@@ -38,19 +35,21 @@ std::string SnapshotBytes(size_t num_users, uint64_t seed) {
   util::Rng rng(seed);
   auto graph = synth::GenerateTqqNetwork(config, &rng);
   EXPECT_TRUE(graph.ok());
-  const std::string path = TestScopedPath("snap_corrupt_src");
-  EXPECT_TRUE(SaveGraphSnapshot(graph.value(), path).ok());
-  std::ifstream in(path, std::ios::binary);
+  const TempPath src("snap_corrupt_src");
+  EXPECT_TRUE(SaveGraphSnapshot(graph.value(), src.path()).ok());
+  std::ifstream in(src.path(), std::ios::binary);
   std::stringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
 }
 
 // The reader memory-maps files, so corrupted payloads go through a real
-// temp file rather than a stream.
+// temp file rather than a stream. The file goes when this returns; a graph
+// that loaded keeps its mapping.
 util::Result<Graph> LoadFromBytes(const std::string& bytes,
                                   bool verify_edges = true) {
-  const std::string path = TestScopedPath("snap_corrupt_case");
+  const TempPath temp("snap_corrupt_case");
+  const std::string& path = temp.path();
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -183,7 +182,8 @@ TEST(SnapshotCorruptionTest, ForeignEndianRejected) {
 // including prefixes shorter than the 8-byte magic.
 TEST(SnapshotCorruptionTest, LoadGraphAutoSurvivesCorruptSnapshots) {
   const std::string bytes = SnapshotBytes(30, 39);
-  const std::string path = TestScopedPath("snap_corrupt_auto");
+  const TempPath temp("snap_corrupt_auto");
+  const std::string& path = temp.path();
   for (size_t keep : {0ul, 3ul, 7ul, 8ul, 64ul, 128ul, bytes.size() / 2,
                       bytes.size() - 1}) {
     {

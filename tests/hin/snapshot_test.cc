@@ -9,10 +9,13 @@
 #include "hin/tqq_schema.h"
 #include "obs/metrics.h"
 #include "synth/tqq_generator.h"
+#include "temp_path.h"
 #include "util/random.h"
 
 namespace hinpriv::hin {
 namespace {
+
+using testing_support::TempPath;
 
 void ExpectGraphsEqual(const Graph& a, const Graph& b) {
   ASSERT_EQ(a.num_vertices(), b.num_vertices());
@@ -50,7 +53,8 @@ Graph GenerateNetwork(size_t num_users, uint64_t seed) {
 
 TEST(SnapshotTest, RoundTripSyntheticNetwork) {
   const Graph graph = GenerateNetwork(800, 1);
-  const std::string path = testing::TempDir() + "/hinpriv_snapshot_rt.snap";
+  const TempPath temp("rt.snap");
+  const std::string& path = temp.path();
   ASSERT_TRUE(SaveGraphSnapshot(graph, path).ok());
   auto loaded = LoadGraphSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -65,7 +69,8 @@ TEST(SnapshotTest, RoundTripMultiEntityNetwork) {
   util::Rng rng(2);
   auto graph = synth::GenerateTqqFullNetwork(config, &rng);
   ASSERT_TRUE(graph.ok());
-  const std::string path = testing::TempDir() + "/hinpriv_snapshot_full.snap";
+  const TempPath temp("full.snap");
+  const std::string& path = temp.path();
   ASSERT_TRUE(SaveGraphSnapshot(graph.value(), path).ok());
   auto loaded = LoadGraphSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -78,7 +83,8 @@ TEST(SnapshotTest, EmptyGraphRoundTrips) {
   GraphBuilder builder(TqqTargetSchema());
   auto graph = std::move(builder).Build();
   ASSERT_TRUE(graph.ok());
-  const std::string path = testing::TempDir() + "/hinpriv_snapshot_empty.snap";
+  const TempPath temp("empty.snap");
+  const std::string& path = temp.path();
   ASSERT_TRUE(SaveGraphSnapshot(graph.value(), path).ok());
   auto loaded = LoadGraphSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -88,7 +94,8 @@ TEST(SnapshotTest, EmptyGraphRoundTrips) {
 
 TEST(SnapshotTest, VerifyEdgesAcceptsWellFormedSnapshot) {
   const Graph graph = GenerateNetwork(300, 3);
-  const std::string path = testing::TempDir() + "/hinpriv_snapshot_verify.snap";
+  const TempPath temp("verify.snap");
+  const std::string& path = temp.path();
   ASSERT_TRUE(SaveGraphSnapshot(graph, path).ok());
   SnapshotOptions options;
   options.verify_edges = true;
@@ -99,7 +106,8 @@ TEST(SnapshotTest, VerifyEdgesAcceptsWellFormedSnapshot) {
 
 TEST(SnapshotTest, MlockRequestIsSoft) {
   const Graph graph = GenerateNetwork(100, 4);
-  const std::string path = testing::TempDir() + "/hinpriv_snapshot_mlock.snap";
+  const TempPath temp("mlock.snap");
+  const std::string& path = temp.path();
   ASSERT_TRUE(SaveGraphSnapshot(graph, path).ok());
   SnapshotOptions options;
   options.mlock = true;
@@ -111,7 +119,8 @@ TEST(SnapshotTest, MlockRequestIsSoft) {
 
 TEST(SnapshotTest, LoadGraphAutoSniffsSnapshotMagic) {
   const Graph graph = GenerateNetwork(200, 5);
-  const std::string path = testing::TempDir() + "/hinpriv_snapshot_auto.snap";
+  const TempPath temp("auto.snap");
+  const std::string& path = temp.path();
   ASSERT_TRUE(SaveGraphAuto(graph, path).ok());  // .snap => snapshot format
   auto loaded = LoadGraphAuto(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -146,8 +155,8 @@ size_t MismatchedEdges(const Graph& expected, const Graph& mapped) {
 // sections, SIGBUS once a shorter one truncates the file.
 TEST(SnapshotTest, SaveOverLiveMappingLeavesItIntact) {
   const Graph original = GenerateNetwork(5000, 8);
-  const std::string path =
-      testing::TempDir() + "/hinpriv_snapshot_rewrite.snap";
+  const TempPath temp("rewrite.snap");
+  const std::string& path = temp.path();
   ASSERT_TRUE(SaveGraphSnapshot(original, path).ok());
   auto mapped = LoadGraphSnapshot(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -171,7 +180,8 @@ TEST(SnapshotTest, MissingFileIsIoError) {
 
 TEST(SnapshotTest, MappedGraphSurvivesMove) {
   const Graph graph = GenerateNetwork(150, 6);
-  const std::string path = testing::TempDir() + "/hinpriv_snapshot_move.snap";
+  const TempPath temp("move.snap");
+  const std::string& path = temp.path();
   ASSERT_TRUE(SaveGraphSnapshot(graph, path).ok());
   auto loaded = LoadGraphSnapshot(path);
   ASSERT_TRUE(loaded.ok());
@@ -186,7 +196,8 @@ TEST(SnapshotTest, MappedGraphSurvivesMove) {
 
 TEST(SnapshotTest, LoadRecordsMetrics) {
   const Graph graph = GenerateNetwork(100, 7);
-  const std::string path = testing::TempDir() + "/hinpriv_snapshot_obs.snap";
+  const TempPath temp("obs.snap");
+  const std::string& path = temp.path();
   ASSERT_TRUE(SaveGraphSnapshot(graph, path).ok());
   auto& registry = obs::MetricsRegistry::Global();
   const uint64_t loads_before =

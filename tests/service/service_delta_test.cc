@@ -24,6 +24,7 @@
 #include "synth/growth.h"
 #include "synth/tqq_generator.h"
 #include "util/random.h"
+#include "temp_path.h"
 
 namespace hinpriv::service {
 namespace {
@@ -65,10 +66,13 @@ hin::Graph HeapCopy(const hin::Graph& source) {
 }
 
 // Samples `batches` chained growth deltas against a copy of `base` and
-// writes them as a delta stream to a per-test temp file. `grown` is the
-// copy with every batch applied, for oracle checks.
+// writes them as a delta stream to a per-test temp file, removed with the
+// DeltaStream. `grown` is the copy with every batch applied, for oracle
+// checks.
 struct DeltaStream {
-  std::string path;
+  const std::string& path() const { return file.path(); }
+
+  testing_support::TempPath file;
   hin::Graph grown;
 };
 
@@ -94,12 +98,9 @@ DeltaStream WriteDeltaStream(const hin::Graph& base, size_t batches,
         hin::GraphBuilder::ApplyDelta(&preview, delta.value()).ok());
     stream.push_back(std::move(delta).value());
   }
-  const std::string path =
-      testing::TempDir() + "/hinpriv_service_delta_" +
-      testing::UnitTest::GetInstance()->current_test_info()->name() +
-      suffix + ".deltas";
-  EXPECT_TRUE(hin::SaveDeltaStreamToFile(stream, path).ok());
-  return DeltaStream{path, std::move(preview)};
+  testing_support::TempPath file("stream" + suffix + ".deltas");
+  EXPECT_TRUE(hin::SaveDeltaStreamToFile(stream, file.path()).ok());
+  return DeltaStream{std::move(file), std::move(preview)};
 }
 
 // Every served answer equals a cold attack over `grown`.
@@ -124,7 +125,7 @@ void ExpectServedMatchesCold(Client* client, const hin::Graph& target,
 TEST(ServiceDeltaTest, ApplyDeltaGrowsAuxAndAnswersTrackFreshAttack) {
   TestNetwork net = MakeNetwork(100, 31);
   DeltaStream stream = WriteDeltaStream(net.aux, 2, 32);
-  const std::string& path = stream.path;
+  const std::string& path = stream.path();
   const hin::Graph& grown = stream.grown;
 
   ServerConfig config;
@@ -165,12 +166,12 @@ TEST(ServiceDeltaTest, ApplyDeltaGrowsAuxAndAnswersTrackFreshAttack) {
   ExpectServedMatchesCold(&client.value(), net.anonymized, grown);
 
   server.Shutdown();
-  std::remove(path.c_str());
 }
 
 TEST(ServiceDeltaTest, RejectedWithoutMutableAux) {
   TestNetwork net = MakeNetwork(60, 33);
-  const std::string path = WriteDeltaStream(net.aux, 1, 34).path;
+  const DeltaStream stream = WriteDeltaStream(net.aux, 1, 34);
+  const std::string& path = stream.path();
 
   ServerConfig config;
   config.num_workers = 1;
@@ -185,7 +186,6 @@ TEST(ServiceDeltaTest, RejectedWithoutMutableAux) {
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response.value().code, ResponseCode::kInvalidRequest);
   server.Shutdown();
-  std::remove(path.c_str());
 }
 
 // A server whose auxiliary is a mapped snapshot grows like a heap one:
@@ -193,8 +193,8 @@ TEST(ServiceDeltaTest, RejectedWithoutMutableAux) {
 // attack over the grown graph.
 TEST(ServiceDeltaTest, MappedSnapshotGrowsLikeColdStart) {
   TestNetwork net = MakeNetwork(60, 35);
-  const std::string snap_path =
-      testing::TempDir() + "/hinpriv_service_delta_mapped.snap";
+  const testing_support::TempPath snap("aux.snap");
+  const std::string& snap_path = snap.path();
   ASSERT_TRUE(hin::SaveGraphSnapshot(net.aux, snap_path).ok());
   auto mapped = hin::LoadGraphSnapshot(snap_path);
   ASSERT_TRUE(mapped.ok());
@@ -209,7 +209,7 @@ TEST(ServiceDeltaTest, MappedSnapshotGrowsLikeColdStart) {
   ASSERT_TRUE(server.Start().ok());
   auto client = Client::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
-  auto response = client.value().ApplyDelta(stream.path);
+  auto response = client.value().ApplyDelta(stream.path());
   ASSERT_TRUE(response.ok());
   ASSERT_EQ(response.value().code, ResponseCode::kOk)
       << response.value().error;
@@ -218,8 +218,6 @@ TEST(ServiceDeltaTest, MappedSnapshotGrowsLikeColdStart) {
   EXPECT_EQ(mapped.value().num_edges(), stream.grown.num_edges());
   ExpectServedMatchesCold(&client.value(), net.anonymized, stream.grown);
   server.Shutdown();
-  std::remove(stream.path.c_str());
-  std::remove(snap_path.c_str());
 }
 
 // The growth fields of `payload` (a stats or health result).
@@ -281,16 +279,15 @@ TEST(ServiceDeltaTest, GrowthFieldsTrackEpochAndOverlay) {
               static_cast<int64_t>(overlay.compactions));
   };
   auto apply = [&](const DeltaStream& stream) {
-    auto batches = hin::LoadDeltaStreamFromFile(stream.path);
+    auto batches = hin::LoadDeltaStreamFromFile(stream.path());
     ASSERT_TRUE(batches.ok());
     for (const hin::GraphDelta& delta : batches.value()) {
       ASSERT_TRUE(hin::GraphBuilder::ApplyDelta(&replica, delta).ok());
     }
-    auto response = client.value().ApplyDelta(stream.path);
+    auto response = client.value().ApplyDelta(stream.path());
     ASSERT_TRUE(response.ok());
     ASSERT_EQ(response.value().code, ResponseCode::kOk)
         << response.value().error;
-    std::remove(stream.path.c_str());
   };
 
   expect_growth(0);
@@ -321,8 +318,8 @@ TEST(ServiceDeltaTest, RejectedOnUnreadableStream) {
   ASSERT_TRUE(server.Start().ok());
   auto client = Client::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
-  auto response = client.value().ApplyDelta(testing::TempDir() +
-                                            "/does_not_exist.deltas");
+  const testing_support::TempPath missing("missing.deltas");
+  auto response = client.value().ApplyDelta(missing.path());
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response.value().code, ResponseCode::kInvalidRequest);
   server.Shutdown();
@@ -334,8 +331,8 @@ TEST(ServiceDeltaTest, RejectedOnUnreadableStream) {
 // comes back as INVALID_REQUEST, and the server keeps serving and drains.
 TEST(ServiceDeltaTest, HostileSectionCountIsInvalidRequest) {
   TestNetwork net = MakeNetwork(60, 40);
-  const std::string path =
-      testing::TempDir() + "/hinpriv_service_delta_hostile.deltas";
+  const testing_support::TempPath temp("hostile.deltas");
+  const std::string& path = temp.path();
   {
     std::ofstream out(path);
     out << "hinpriv-delta 1\nbatch 60\nnew_vertices 18446744073709551615\n";
@@ -357,7 +354,6 @@ TEST(ServiceDeltaTest, HostileSectionCountIsInvalidRequest) {
   EXPECT_EQ(attack.value().code, ResponseCode::kOk);
   server.Shutdown();
   EXPECT_TRUE(server.finished());
-  std::remove(path.c_str());
 }
 
 // The race the warm-state lock exists for: apply_delta mutating the aux
@@ -368,7 +364,8 @@ TEST(ServiceDeltaTest, HostileSectionCountIsInvalidRequest) {
 // half-applied batch).
 TEST(ServiceDeltaTest, ApplyDeltaRacesInFlightQueries) {
   TestNetwork net = MakeNetwork(80, 38);
-  const std::string path = WriteDeltaStream(net.aux, 4, 39).path;
+  const DeltaStream stream = WriteDeltaStream(net.aux, 4, 39);
+  const std::string& path = stream.path();
 
   ServerConfig config;
   config.num_workers = 3;
@@ -434,7 +431,6 @@ TEST(ServiceDeltaTest, ApplyDeltaRacesInFlightQueries) {
     ASSERT_EQ(candidates->size(), expected.size()) << "vertex " << v;
   }
   server.Shutdown();
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "service/server.h"
 #include "synth/tqq_generator.h"
 #include "util/random.h"
+#include "temp_path.h"
 
 namespace hinpriv::service {
 namespace {
@@ -251,8 +252,8 @@ TEST(ServiceIntegrationTest, QueuedDeadlineExpiresWithoutCrashing) {
   config.num_workers = 1;
   config.queue_capacity = 4;
   config.dehin = MakeDehinConfig();
-  const std::string metrics_path =
-      testing::TempDir() + "/hinpriv_service_metrics.json";
+  const testing_support::TempPath metrics("metrics.json");
+  const std::string& metrics_path = metrics.path();
   config.metrics_json_path = metrics_path;
   Server server(&net.anonymized, &net.aux, config);
   ASSERT_TRUE(server.Start().ok());

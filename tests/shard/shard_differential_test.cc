@@ -28,6 +28,7 @@
 #include "shard/tier.h"
 #include "synth/tqq_generator.h"
 #include "util/random.h"
+#include "temp_path.h"
 
 namespace hinpriv::shard {
 namespace {
@@ -137,7 +138,8 @@ TEST(ShardDifferentialTest, MmappedSlicesMatchUnsharded) {
   const int n = 1;
   const auto expected = Reference(net, n);
   ShardTierConfig config = MakeTierConfig(2, n);
-  config.slice_prefix = ::testing::TempDir() + "shard_diff_mmap";
+  const testing_support::TempPath slices("slices");
+  config.slice_prefix = slices.path();
   {
     // First start extracts, persists, and serves from the mmapped slices.
     ShardTier tier(&net.anonymized, &net.aux, config);

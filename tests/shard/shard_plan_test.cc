@@ -11,6 +11,7 @@
 
 #include "hin/graph_builder.h"
 #include "hin/snapshot.h"
+#include "temp_path.h"
 
 namespace hinpriv::shard {
 namespace {
@@ -136,7 +137,8 @@ TEST(ShardSliceIoTest, SaveLoadRoundTrip) {
   auto slice = ExtractShardSlice(aux, plan, 1, /*halo_depth=*/2);
   ASSERT_TRUE(slice.ok());
 
-  const std::string prefix = ::testing::TempDir() + "shard_slice_rt";
+  const testing_support::TempPath slices("slices");
+  const std::string& prefix = slices.path();
   ASSERT_TRUE(SaveShardSlice(slice.value(), prefix, 1, 2).ok());
   auto loaded = LoadShardSlice(prefix, 1, 2, 2, hin::SnapshotOptions{});
   ASSERT_TRUE(loaded.ok());
@@ -149,7 +151,8 @@ TEST(ShardSliceIoTest, SaveLoadRoundTrip) {
 }
 
 TEST(ShardSliceIoTest, MissingSliceIsNotFound) {
-  const std::string prefix = ::testing::TempDir() + "shard_slice_absent";
+  const testing_support::TempPath slices("slices");
+  const std::string& prefix = slices.path();
   auto loaded = LoadShardSlice(prefix, 0, 2, 1, hin::SnapshotOptions{});
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), util::Status::Code::kNotFound);
@@ -162,7 +165,8 @@ TEST(ShardSliceIoTest, RejectsHaloDepthMismatchAndTruncation) {
   const ShardPlan plan(aux.num_vertices(), options);
   auto slice = ExtractShardSlice(aux, plan, 0, /*halo_depth=*/1);
   ASSERT_TRUE(slice.ok());
-  const std::string prefix = ::testing::TempDir() + "shard_slice_corrupt";
+  const testing_support::TempPath slices("slices");
+  const std::string& prefix = slices.path();
   ASSERT_TRUE(SaveShardSlice(slice.value(), prefix, 0, 2).ok());
 
   // A slice saved at depth 1 does not satisfy a depth-2 request: the

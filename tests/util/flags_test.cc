@@ -62,11 +62,11 @@ TEST(FlagParserTest, BoolSpellings) {
 
 TEST(FlagParserTest, HyphensNormalizeToUnderscores) {
   FlagParser flags;
-  flags.Define("no_prefilter", "false", "an ablation-style flag");
+  flags.Define("no_shared_cache", "false", "an ablation-style flag");
   flags.Define("aux_users", "10", "an int flag");
   ASSERT_TRUE(
-      ParseArgs(&flags, {"--no-prefilter", "--aux-users=25"}).ok());
-  EXPECT_TRUE(flags.GetBool("no_prefilter"));
+      ParseArgs(&flags, {"--no-shared-cache", "--aux-users=25"}).ok());
+  EXPECT_TRUE(flags.GetBool("no_shared_cache"));
   EXPECT_EQ(flags.GetInt("aux_users"), 25);
 }
 

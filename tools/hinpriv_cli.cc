@@ -348,9 +348,6 @@ int RunAttack(int argc, char** argv) {
                "reconfigured attack: strip majority strengths + saturation "
                "fallback (Section 6.2)");
   flags.Define("out", "", "optional TSV: target id -> candidate count");
-  flags.Define("dominance_kernel", "auto",
-               "prefilter strength-dominance kernel: auto|scalar|sse2|avx2 "
-               "(results are identical across kernels)");
   flags.Define("threads", "1",
                "worker threads; 0 = one per CPU this process may run on. "
                "With --mapping and no --out this runs the across-target "
@@ -387,12 +384,6 @@ int RunAttack(int argc, char** argv) {
   hin::Graph published = std::move(target).value();
   core::DehinConfig config;
   config.match = core::DefaultTqqMatchOptions();
-  if (!core::ParseDominanceKernel(flags.GetString("dominance_kernel"),
-                                  &config.dominance_kernel)) {
-    return Fail(util::Status::InvalidArgument(
-        "invalid --dominance-kernel '" + flags.GetString("dominance_kernel") +
-        "' (want auto|scalar|sse2|avx2)"));
-  }
   if (flags.GetBool("strip")) {
     auto stripped = core::StripMajorityStrengthLinks(published);
     if (!stripped.ok()) return Fail(stripped.status());
@@ -439,10 +430,9 @@ int RunAttack(int argc, char** argv) {
         metrics.num_targets, 100.0 * metrics.precision,
         metrics.num_containing_truth, metrics.mean_candidate_count,
         aux.value().num_vertices());
-    std::printf("prefilter rejects: %.1f%%; cache hits: %.1f%% (kernel %s)\n",
+    std::printf("prefilter rejects: %.1f%%; cache hits: %.1f%%\n",
                 100.0 * metrics.dehin_stats.PrefilterRejectRate(),
-                100.0 * metrics.dehin_stats.CacheHitRate(),
-                metrics.dehin_stats.dominance_kernel);
+                100.0 * metrics.dehin_stats.CacheHitRate());
     return EmitAttackTelemetry(std::move(pool), metrics_path, trace_path);
   }
 
@@ -828,8 +818,6 @@ int RunServe(int argc, char** argv) {
                "default max neighbor distance for requests that omit it");
   flags.Define("deadline_ms", "0",
                "default per-request deadline in ms (0 = none)");
-  flags.Define("dominance_kernel", "auto",
-               "prefilter strength-dominance kernel: auto|scalar|sse2|avx2");
   flags.Define("metrics_json", "",
                "write a final metrics snapshot to this path on shutdown");
   flags.Define("trace_out", "",
@@ -888,12 +876,6 @@ int RunServe(int argc, char** argv) {
   config.metrics_json_path = flags.GetString("metrics_json");
   config.dehin.match = core::DefaultTqqMatchOptions();
   config.dehin.max_distance = config.default_max_distance;
-  if (!core::ParseDominanceKernel(flags.GetString("dominance_kernel"),
-                                  &config.dehin.dominance_kernel)) {
-    return Fail(util::Status::InvalidArgument(
-        "invalid --dominance_kernel '" + flags.GetString("dominance_kernel") +
-        "' (want auto|scalar|sse2|avx2)"));
-  }
 
   service::InstallShutdownSignalHandlers();
   const size_t shards =
