@@ -280,16 +280,7 @@ util::Result<std::vector<hin::VertexId>> Dehin::Deanonymize(
   LocalStats local;
   local.cancel = cancel;
   std::vector<hin::VertexId> candidates;
-  // Candidate-eligibility cutoff (sharded tier): vertices at or beyond the
-  // limit can still appear as neighbors inside LinkMatch, just never as
-  // root candidates.
-  const hin::VertexId limit =
-      config_.candidate_limit > 0 &&
-              config_.candidate_limit < aux_->num_vertices()
-          ? static_cast<hin::VertexId>(config_.candidate_limit)
-          : static_cast<hin::VertexId>(aux_->num_vertices());
   auto consider = [&](hin::VertexId va) {
-    if (va >= limit) return;
     if (local.cancel != nullptr) {
       // Per-candidate poll: catches an already-expired deadline before any
       // work and bounds the stop latency by one candidate's evaluation.
@@ -312,7 +303,8 @@ util::Result<std::vector<hin::VertexId>> Dehin::Deanonymize(
     index_->ForEachCandidate(state.rows, vt, consider);
   } else {
     GlobalMetrics().full_scans->Increment();
-    for (hin::VertexId va = 0; va < limit; ++va) {
+    const auto num_aux = static_cast<hin::VertexId>(aux_->num_vertices());
+    for (hin::VertexId va = 0; va < num_aux; ++va) {
       if (local.stopped) break;
       if (EntityMatch(target, state, vt, va)) consider(va);
     }
@@ -370,19 +362,13 @@ util::Result<std::vector<hin::VertexId>> Dehin::DeanonymizeParallel(
   // of the graph) and the parallel phase fans out the expensive LinkMatch
   // tests; without it, the entity scan itself is the bulk of the work and
   // the parallel phase runs directly over the vertex range.
-  const hin::VertexId limit =
-      config_.candidate_limit > 0 &&
-              config_.candidate_limit < aux_->num_vertices()
-          ? static_cast<hin::VertexId>(config_.candidate_limit)
-          : static_cast<hin::VertexId>(aux_->num_vertices());
   std::vector<hin::VertexId> pool;
   const bool pool_is_entity_matched = walks_index();
   size_t n = 0;
   if (pool_is_entity_matched) {
     GlobalMetrics().index_scans->Increment();
-    index_->ForEachCandidate(state.rows, vt, [&](hin::VertexId va) {
-      if (va < limit) pool.push_back(va);
-    });
+    index_->ForEachCandidate(state.rows, vt,
+                             [&](hin::VertexId va) { pool.push_back(va); });
     if (max_distance == 0) {
       // Profile-only attack: enumeration already was the whole scan.
       std::sort(pool.begin(), pool.end());
@@ -392,7 +378,7 @@ util::Result<std::vector<hin::VertexId>> Dehin::DeanonymizeParallel(
     n = pool.size();
   } else {
     GlobalMetrics().full_scans->Increment();
-    n = limit;
+    n = aux_->num_vertices();
   }
 
   // Phase 2 — grain-parallel candidate tests. Each claimed grain gets its
@@ -400,10 +386,9 @@ util::Result<std::vector<hin::VertexId>> Dehin::DeanonymizeParallel(
   // the match cache, exactly like the serial cancellable path) and its
   // own result slot, indexed by grain ordinal so the merge below is
   // independent of which worker ran what when.
-  size_t grain = options.grain;
-  if (grain == 0) {
-    grain = options.grain_policy.Resolve(n, executor->num_workers());
-  }
+  const size_t grain = options.grain != 0
+                           ? options.grain
+                           : exec::DefaultGrain(n, executor->num_workers());
   const size_t num_grains = n == 0 ? 0 : (n + grain - 1) / grain;
   std::vector<std::vector<hin::VertexId>> grain_results(num_grains);
   std::atomic<uint64_t> total_prefilter_rejects{0};

@@ -37,15 +37,6 @@ struct DehinConfig {
   // a pure function of the two graphs and the config. Turn off
   // (--no-shared-cache) to fall back to the per-call memo.
   bool use_shared_cache = true;
-  // Only auxiliary vertices with id < candidate_limit are eligible
-  // candidates (0 = every vertex). The neighborhood recursion still walks
-  // the whole graph — only the root candidate scan is restricted. This is
-  // the sharded tier's hook: a shard's subgraph orders its owned vertices
-  // first and its halo (neighborhood-completion) vertices after, and sets
-  // the limit to the owned count so halo vertices — whose own
-  // neighborhoods may be truncated at the shard boundary — are never
-  // scored as candidates.
-  size_t candidate_limit = 0;
   // A link type (and direction) whose target-side neighborhood covers more
   // than this fraction of the target graph is considered saturated by fake
   // links and skipped: a rational adversary knows real social networks
@@ -177,13 +168,8 @@ class Dehin {
     // the process-wide exec::Executor::Global().
     exec::Executor* executor = nullptr;
     // Auxiliary vertices (or index candidates) per claimed grain; 0 picks
-    // the adaptive grain from `grain_policy` (~8 chunks per worker by
-    // default).
+    // exec::DefaultGrain (about 8 grains per worker).
     size_t grain = 0;
-    // Adaptive-grain policy applied when `grain` is 0; the
-    // parallel_scaling bench sweeps chunks_per_worker/max_grain through
-    // this knob.
-    exec::GrainPolicy grain_policy;
     // Same cooperative-stop contract as the cancellable Deanonymize:
     // polled per grain claim and per candidate, returns
     // Status::DeadlineExceeded / Status::Cancelled, and never inserts

@@ -292,10 +292,8 @@ ParallelForResult Executor::ParallelFor(
   state->body = &body;
   state->cancel = options.cancel;
   state->n = n;
-  state->grain = options.grain;
-  if (state->grain == 0) {
-    state->grain = options.grain_policy.Resolve(n, num_workers());
-  }
+  state->grain =
+      options.grain != 0 ? options.grain : DefaultGrain(n, num_workers());
 
   const size_t chunks = (n + state->grain - 1) / state->grain;
   // The caller always participates inline (so a 1-worker executor, or a

@@ -37,32 +37,22 @@ size_t ResolveThreads(size_t requested);
 // behind a backlog of scan grains.
 enum class Priority { kHigh, kNormal };
 
-// How the adaptive grain is derived when a ParallelFor (or the intra-query
-// candidate scan riding on it) leaves `grain` at 0: aim for
-// `chunks_per_worker` claims per worker — enough slack that skewed
-// iteration costs rebalance, few enough that the shared claim counter
-// stays cold — clamped to [min_grain, max_grain] so huge ranges don't
-// degenerate into per-item tasks. The defaults are the historical
-// hard-coded policy; the parallel_scaling bench sweeps them.
-struct GrainPolicy {
-  size_t chunks_per_worker = 8;
-  size_t min_grain = 1;
-  size_t max_grain = 8192;
-
-  size_t Resolve(size_t n, size_t num_workers) const {
-    const size_t target_chunks = std::max<size_t>(num_workers, 1) *
-                                 std::max<size_t>(chunks_per_worker, 1);
-    const size_t lo = std::max<size_t>(min_grain, 1);
-    const size_t hi = std::max(lo, max_grain);
-    return std::clamp<size_t>(n / target_chunks, lo, hi);
-  }
-};
+// The grain a ParallelFor (or the intra-query candidate scan riding on
+// it) uses when it leaves `grain` at 0: about 8 claims per worker — enough
+// slack that skewed iteration costs rebalance, few enough that the shared
+// claim counter stays cold — clamped to [1, 8192] so huge ranges don't
+// degenerate into per-item tasks.
+inline size_t DefaultGrain(size_t n, size_t num_workers) {
+  constexpr size_t kChunksPerWorker = 8;
+  constexpr size_t kMaxGrain = 8192;
+  return std::clamp<size_t>(
+      n / (std::max<size_t>(num_workers, 1) * kChunksPerWorker), 1,
+      kMaxGrain);
+}
 
 struct ParallelForOptions {
-  // Iterations per claimed chunk; 0 derives the grain from `grain_policy`.
+  // Iterations per claimed chunk; 0 picks DefaultGrain().
   size_t grain = 0;
-  // Adaptive-grain policy applied when `grain` is 0.
-  GrainPolicy grain_policy;
   // Polled before every grain claim; once it fires no further grain is
   // claimed (grains already claimed run to completion, so the executed set
   // stays exactly [0, completed)).

@@ -41,8 +41,8 @@ util::Result<Graph> LoadGraphFromFile(const std::string& path);
 // The one call that opens a graph file: reads the first 8 bytes and maps
 // the file as a snapshot (snapshot.h) on the "HINPRIVS" magic, with
 // `options` applied, or parses it as text otherwise. Every consumer of
-// `convert` output (CLI subcommands, the attack service, the shard tier)
-// goes through this so callers never care which format a file is in.
+// `convert` output (CLI subcommands, the attack service, perfbench) goes
+// through this so callers never care which format a file is in.
 util::Result<Graph> LoadGraphAuto(const std::string& path,
                                   const SnapshotOptions& options = {});
 

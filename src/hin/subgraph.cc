@@ -46,56 +46,6 @@ util::Result<SubgraphResult> InducedSubgraph(
   return result;
 }
 
-util::Result<HaloSubgraphResult> HaloInducedSubgraph(
-    const Graph& parent, const std::vector<VertexId>& seeds, int depth) {
-  std::vector<uint8_t> included(parent.num_vertices(), 0);
-  std::vector<VertexId> ordered;
-  ordered.reserve(seeds.size());
-  for (VertexId pv : seeds) {
-    if (pv >= parent.num_vertices()) {
-      return util::Status::OutOfRange("halo seed id out of range");
-    }
-    if (included[pv]) {
-      return util::Status::InvalidArgument("duplicate halo seed");
-    }
-    included[pv] = 1;
-    ordered.push_back(pv);
-  }
-  // Level-by-level BFS over every link type in both directions; discovery
-  // order is deterministic (frontier order, then link type, then out
-  // before in), so identical inputs always produce identical subgraphs.
-  const size_t num_links = parent.num_link_types();
-  std::vector<VertexId> frontier = ordered;
-  std::vector<VertexId> next;
-  for (int d = 0; d < depth && !frontier.empty(); ++d) {
-    next.clear();
-    for (VertexId pv : frontier) {
-      for (LinkTypeId lt = 0; lt < num_links; ++lt) {
-        for (const Edge& e : parent.OutEdges(lt, pv)) {
-          if (!included[e.neighbor]) {
-            included[e.neighbor] = 1;
-            next.push_back(e.neighbor);
-          }
-        }
-        for (const Edge& e : parent.InEdges(lt, pv)) {
-          if (!included[e.neighbor]) {
-            included[e.neighbor] = 1;
-            next.push_back(e.neighbor);
-          }
-        }
-      }
-    }
-    ordered.insert(ordered.end(), next.begin(), next.end());
-    frontier.swap(next);
-  }
-  auto induced = InducedSubgraph(parent, ordered);
-  if (!induced.ok()) return induced.status();
-  HaloSubgraphResult result{std::move(induced.value().graph),
-                            std::move(induced.value().to_parent),
-                            seeds.size()};
-  return result;
-}
-
 util::Result<SubgraphResult> SampleInducedSubgraph(const Graph& parent,
                                                    size_t count,
                                                    util::Rng* rng,

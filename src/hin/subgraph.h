@@ -24,32 +24,6 @@ struct SubgraphResult {
 util::Result<SubgraphResult> InducedSubgraph(
     const Graph& parent, const std::vector<VertexId>& vertices);
 
-// A seed set plus its n-hop neighborhood closure, extracted as one induced
-// subgraph. Sub-ids [0, num_seeds) are the seeds in their given order;
-// halo vertices follow in BFS discovery order. Built for the sharded
-// attack tier: with depth >= the attack's max neighbor distance n, every
-// vertex within distance n-1 of a seed keeps its complete neighborhood
-// (all its neighbors are within distance n and therefore included), and
-// distance-n vertices — which the LinkMatch recursion only consults for
-// profile attributes and the strength of the already-included connecting
-// edge — keep those too, so per-seed candidate verdicts computed on the
-// shard are bit-identical to the full graph's.
-struct HaloSubgraphResult {
-  Graph graph;
-  // to_parent[sub-vertex-id] = vertex id in the parent graph.
-  std::vector<VertexId> to_parent;
-  // Seed count: sub-ids < num_seeds are seeds, the rest are halo.
-  size_t num_seeds = 0;
-};
-
-// Extracts the induced subgraph on `seeds` plus every vertex reachable
-// from them within `depth` hops, following all link types in both
-// directions (a superset of any MatchOptions' traversal, so the
-// completeness guarantee above holds regardless of match configuration).
-// Duplicate or out-of-range seeds are an error; depth < 0 is treated as 0.
-util::Result<HaloSubgraphResult> HaloInducedSubgraph(
-    const Graph& parent, const std::vector<VertexId>& seeds, int depth);
-
 // Uniformly samples `count` distinct vertices (paper Section 6.1: "vertices
 // are randomly sampled and all the edges among them are preserved") and
 // extracts the induced subgraph. When `entity_type` is valid, sampling is

@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <unordered_set>
 
 namespace hinpriv::obs {
 
@@ -38,14 +37,6 @@ void AppendTypeLine(std::string* out, const std::string& name,
 }  // namespace
 
 bool IsLintedMetricName(std::string_view name) {
-  if (name.find('|') != std::string_view::npos) {
-    // The only admitted use of '|' is exactly one well-formed shard-label
-    // suffix on an otherwise linted base name.
-    const SplitMetricName split = SplitShardLabel(name);
-    if (split.shard < 0) return false;
-    if (split.base.find('|') != std::string_view::npos) return false;
-    return IsLintedMetricName(split.base);
-  }
   if (name.empty() || name.front() == '/' || name.back() == '/') return false;
   char prev = '\0';
   for (char c : name) {
@@ -56,39 +47,6 @@ bool IsLintedMetricName(std::string_view name) {
     prev = c;
   }
   return true;
-}
-
-SplitMetricName SplitShardLabel(std::string_view name) {
-  SplitMetricName out;
-  out.base = name;
-  const size_t bar = name.rfind('|');
-  if (bar == std::string_view::npos) return out;
-  constexpr std::string_view kKey = "shard=";
-  const std::string_view suffix = name.substr(bar + 1);
-  if (suffix.size() <= kKey.size() || suffix.substr(0, kKey.size()) != kKey) {
-    return out;
-  }
-  const std::string_view digits = suffix.substr(kKey.size());
-  if (digits.empty() || digits.size() > 2) return out;
-  if (digits.size() > 1 && digits.front() == '0') return out;  // no 00, 01
-  int value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return out;
-    value = value * 10 + (c - '0');
-  }
-  if (value >= kMaxShardLabel) return out;
-  out.base = name.substr(0, bar);
-  out.shard = value;
-  return out;
-}
-
-std::string ShardMetricName(std::string_view base, int shard) {
-  if (shard < 0) return std::string(base);
-  if (shard >= kMaxShardLabel) shard = kMaxShardLabel - 1;
-  std::string out(base);
-  out += "|shard=";
-  out += std::to_string(shard);
-  return out;
 }
 
 std::string PrometheusName(std::string_view name, PrometheusKind kind) {
@@ -104,53 +62,27 @@ std::string PrometheusName(std::string_view name, PrometheusKind kind) {
 std::string ToPrometheusText(const MetricsSnapshot& snapshot) {
   std::string out;
   out.reserve(2048);
-  // TYPE may legally appear only once per exposition name; labeled shard
-  // series share the base name, so dedup instead of emitting per
-  // instrument. (The snapshot is name-sorted, which keeps one base's
-  // labeled series adjacent in practice; the set makes it correct even
-  // when an unrelated name sorts between them.)
-  std::unordered_set<std::string> typed;
-  const auto type_line = [&](const std::string& name, const char* type) {
-    if (typed.insert(name).second) AppendTypeLine(&out, name, type);
-  };
-  // The `{shard="N"}` selector for single-sample series ("" unlabeled).
-  const auto shard_selector = [](int shard) {
-    return shard < 0 ? std::string()
-                     : "{shard=\"" + std::to_string(shard) + "\"}";
-  };
   for (const CounterSnapshot& counter : snapshot.counters) {
-    const SplitMetricName split = SplitShardLabel(counter.name);
     const std::string name =
-        PrometheusName(split.base, PrometheusKind::kCounter);
-    type_line(name, "counter");
+        PrometheusName(counter.name, PrometheusKind::kCounter);
+    AppendTypeLine(&out, name, "counter");
     out.append(name);
-    out.append(shard_selector(split.shard));
     out.push_back(' ');
     AppendUint(&out, counter.value);
     out.push_back('\n');
   }
   for (const GaugeSnapshot& gauge : snapshot.gauges) {
-    const SplitMetricName split = SplitShardLabel(gauge.name);
-    const std::string name = PrometheusName(split.base, PrometheusKind::kGauge);
-    type_line(name, "gauge");
+    const std::string name = PrometheusName(gauge.name, PrometheusKind::kGauge);
+    AppendTypeLine(&out, name, "gauge");
     out.append(name);
-    out.append(shard_selector(split.shard));
     out.push_back(' ');
     AppendDouble(&out, gauge.value);
     out.push_back('\n');
   }
   for (const HistogramSnapshot& histogram : snapshot.histograms) {
-    const SplitMetricName split = SplitShardLabel(histogram.name);
     const std::string name =
-        PrometheusName(split.base, PrometheusKind::kHistogram);
-    type_line(name, "histogram");
-    // The shard label rides next to `le` inside the bucket selector and
-    // alone on _sum/_count.
-    const std::string bucket_suffix =
-        split.shard < 0
-            ? std::string("\"} ")
-            : "\",shard=\"" + std::to_string(split.shard) + "\"} ";
-    const std::string plain = shard_selector(split.shard);
+        PrometheusName(histogram.name, PrometheusKind::kHistogram);
+    AppendTypeLine(&out, name, "histogram");
     // Cumulative buckets at the log2 upper bounds, emitted up to the last
     // populated bucket (every later `le` would repeat the same cumulative
     // count that +Inf carries anyway).
@@ -164,25 +96,20 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot) {
       out.append(name);
       out.append("_bucket{le=\"");
       AppendUint(&out, Histogram::BucketHigh(b));
-      out.append(bucket_suffix);
+      out.append("\"} ");
       AppendUint(&out, cumulative);
       out.push_back('\n');
     }
     out.append(name);
-    out.append("_bucket{le=\"+Inf");
-    out.append(bucket_suffix);
+    out.append("_bucket{le=\"+Inf\"} ");
     AppendUint(&out, histogram.count);
     out.push_back('\n');
     out.append(name);
-    out.append("_sum");
-    out.append(plain);
-    out.push_back(' ');
+    out.append("_sum ");
     AppendUint(&out, histogram.sum);
     out.push_back('\n');
     out.append(name);
-    out.append("_count");
-    out.append(plain);
-    out.push_back(' ');
+    out.append("_count ");
     AppendUint(&out, histogram.count);
     out.push_back('\n');
   }

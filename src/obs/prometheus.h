@@ -21,32 +21,7 @@ namespace hinpriv::obs {
 // True iff `name` follows the registry naming convention: nonempty, only
 // [a-z0-9_/], and no empty path segment (no leading/trailing or doubled
 // '/'). The metric-name lint test enforces this across the live registry.
-//
-// One bounded label dimension is admitted on top of the path convention:
-// a `|shard=N` suffix (N a decimal in [0, kMaxShardLabel) with no leading
-// zeros) marks a per-shard instance of the base instrument. The exporter
-// renders the suffix as a real Prometheus `shard="N"` label on the base
-// name instead of mangling it into the name, so an M-shard tier exports M
-// labeled series per instrument, not M distinct metric names.
 bool IsLintedMetricName(std::string_view name);
-
-// Upper bound (exclusive) on the shard label value — keeps the label
-// dimension bounded by construction, as Prometheus cardinality hygiene
-// demands.
-inline constexpr int kMaxShardLabel = 64;
-
-// `name` split into the base instrument name and the shard label value
-// (-1 when `name` carries no well-formed `|shard=N` suffix).
-struct SplitMetricName {
-  std::string_view base;
-  int shard = -1;
-};
-SplitMetricName SplitShardLabel(std::string_view name);
-
-// The registry name for `base` under shard label `shard`; -1 returns the
-// base unchanged. Values outside [-1, kMaxShardLabel) are clamped into
-// range so a misconfigured caller cannot mint unbounded label values.
-std::string ShardMetricName(std::string_view base, int shard);
 
 enum class PrometheusKind { kCounter, kGauge, kHistogram };
 

@@ -1,13 +1,12 @@
 #include "service/local_scan.h"
 
-#include <algorithm>
 #include <chrono>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "hin/graph_builder.h"
 #include "hin/graph_delta.h"
-#include "obs/prometheus.h"
 #include "obs/trace.h"
 
 namespace hinpriv::service {
@@ -26,12 +25,10 @@ LocalScan::LocalScan(const hin::Graph* target, const hin::Graph* auxiliary,
     : target_(target),
       aux_(auxiliary),
       mutable_aux_(config.mutable_aux),
-      id_map_(config.aux_id_map),
       dehin_(auxiliary, config.dehin) {
   for (size_t i = 0; i < growth_.size(); ++i) {
     growth_[i].gauge = obs::MetricsRegistry::Global().GetGauge(
-        obs::ShardMetricName(std::string("service/") + kGrowthFields[i],
-                             config.metric_shard));
+        std::string("service/") + kGrowthFields[i]);
   }
 }
 
@@ -75,18 +72,7 @@ Response LocalScan::AttackOne(hin::VertexId target, int max_distance,
             : ResponseCode::kCancelled,
         result.status().message());
   }
-  const std::vector<hin::VertexId>& candidates = result.value();
-  // A shard worker serves a slice whose vertex ids are slice-local;
-  // translate accepted candidates back to auxiliary-graph ids so the
-  // coordinator merges in one id space. The map is monotone over the
-  // owned prefix, so the list stays sorted.
-  std::vector<uint64_t> ids(
-      candidates.begin(),
-      candidates.begin() + std::min(candidates.size(), kMaxEncodedCandidates));
-  for (uint64_t& id : ids) {
-    if (id < id_map_.size()) id = id_map_[id];
-  }
-  return AttackAnswer(target, max_distance, candidates.size(), ids);
+  return AttackAnswer(target, max_distance, result.value());
 }
 
 Response LocalScan::ApplyDelta(const std::string& path,
@@ -185,10 +171,7 @@ void LocalScan::AppendGrowth(JsonValue* payload) const {
   }
 }
 
-HealthState LocalScan::AppendHealth(HealthState own, JsonValue* payload) {
-  AppendGrowth(payload);
-  return own;
-}
+void LocalScan::AppendHealth(JsonValue* payload) { AppendGrowth(payload); }
 
 void LocalScan::AppendStats(JsonValue* payload) {
   AppendGrowth(payload);

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <shared_mutex>
 #include <string>
-#include <vector>
 
 #include "core/dehin.h"
 #include "exec/executor.h"
@@ -15,15 +14,13 @@
 
 namespace hinpriv::service {
 
-// The local-scan role: attack_one runs core::Dehin over the auxiliary
-// graph in this process, with the intra-query parallel scan on the
-// server's pool, and apply_delta grows that graph and its warm state in
-// place. A shard worker is a local scan over its slice whose candidates
-// are translated back to parent ids through config.aux_id_map.
+// The server's attack handler: attack_one runs core::Dehin over the
+// auxiliary graph in this process, with the intra-query parallel scan on
+// the server's pool, and apply_delta grows that graph and its warm state
+// in place.
 class LocalScan : public Handler {
  public:
-  // Both graphs are borrowed. Reads dehin, mutable_aux, aux_id_map and
-  // metric_shard from `config`.
+  // Both graphs are borrowed. Reads dehin and mutable_aux from `config`.
   LocalScan(const hin::Graph* target, const hin::Graph* auxiliary,
             const ServerConfig& config);
 
@@ -37,7 +34,7 @@ class LocalScan : public Handler {
                       const util::CancelToken& token) override;
   // Both add the growth fields (see growth_).
   void AppendStats(JsonValue* payload) override;
-  HealthState AppendHealth(HealthState own, JsonValue* payload) override;
+  void AppendHealth(JsonValue* payload) override;
 
  private:
   // Stores the epoch and the auxiliary graph's overlay size in growth_.
@@ -48,7 +45,6 @@ class LocalScan : public Handler {
   const hin::Graph* target_;
   const hin::Graph* aux_;
   hin::Graph* mutable_aux_;
-  std::vector<hin::VertexId> id_map_;
   // Whether attack_one scans in parallel: the pool has more than one
   // worker. Set by Start().
   bool parallel_scan_ = false;

@@ -243,24 +243,22 @@ util::Result<Response> DecodeResponse(const JsonValue& doc) {
 }
 
 Response AttackAnswer(hin::VertexId target, int max_distance,
-                      uint64_t num_candidates,
-                      const std::vector<uint64_t>& sorted_ids) {
-  const size_t encoded = std::min<size_t>(
-      std::min<uint64_t>(num_candidates, sorted_ids.size()),
-      kMaxEncodedCandidates);
+                      const std::vector<hin::VertexId>& candidates) {
+  const size_t encoded = std::min(candidates.size(), kMaxEncodedCandidates);
   JsonValue list = JsonValue::Array();
   for (size_t i = 0; i < encoded; ++i) {
-    list.Append(JsonValue::Int(static_cast<int64_t>(sorted_ids[i])));
+    list.Append(JsonValue::Int(candidates[i]));
   }
   Response response;
   response.result = JsonValue::Object();
   response.result.Set("target", JsonValue::Int(target));
   response.result.Set("max_distance", JsonValue::Int(max_distance));
   response.result.Set("num_candidates",
-                      JsonValue::Int(static_cast<int64_t>(num_candidates)));
-  response.result.Set("deanonymized", JsonValue::Bool(num_candidates == 1));
+                      JsonValue::Int(static_cast<int64_t>(candidates.size())));
+  response.result.Set("deanonymized", JsonValue::Bool(candidates.size() == 1));
   response.result.Set("candidates", std::move(list));
-  response.result.Set("truncated", JsonValue::Bool(encoded < num_candidates));
+  response.result.Set("truncated",
+                      JsonValue::Bool(encoded < candidates.size()));
   return response;
 }
 

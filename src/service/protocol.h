@@ -142,14 +142,13 @@ util::Result<Request> DecodeRequest(const JsonValue& doc);
 JsonValue EncodeResponse(const Response& response);
 util::Result<Response> DecodeResponse(const JsonValue& doc);
 
-// An OK attack_one answer: `num_candidates` is the exact candidate count
-// and `sorted_ids` the candidates' auxiliary-graph ids ascending, of which
-// the first kMaxEncodedCandidates are encoded. De-anonymization succeeded
-// iff the count is one; the entity's risk is then 1/k with k the count
-// (Definition 7 with loss 1).
+// An OK attack_one answer over `candidates`, the auxiliary-graph ids
+// ascending as Dehin returns them: `num_candidates` is their exact count
+// and the first kMaxEncodedCandidates are encoded (`truncated` when
+// more exist). De-anonymization succeeded iff the count is one; the
+// entity's risk is then 1/k with k the count (Definition 7 with loss 1).
 Response AttackAnswer(hin::VertexId target, int max_distance,
-                      uint64_t num_candidates,
-                      const std::vector<uint64_t>& sorted_ids);
+                      const std::vector<hin::VertexId>& candidates);
 
 // Frame I/O over a socket (or any stream) fd. Writes are complete-or-error
 // (short writes retried, EINTR transparent, SIGPIPE suppressed via

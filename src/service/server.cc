@@ -59,10 +59,6 @@ const char* HealthStateName(HealthState state) {
   return "ok";
 }
 
-std::string Server::MetricName(const char* base) const {
-  return obs::ShardMetricName(base, config_.metric_shard);
-}
-
 Server::Server(const hin::Graph* target, const hin::Graph* auxiliary,
                ServerConfig config)
     : Server(target, std::unique_ptr<Handler>(), std::move(config)) {
@@ -85,35 +81,30 @@ Server::Server(const hin::Graph* target, std::unique_ptr<Handler> handler,
                   {}}),
       slow_log_(config_.slow_log_capacity) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  requests_received_ =
-      registry.GetCounter(MetricName("service/requests_received"));
-  responses_ok_ = registry.GetCounter(MetricName("service/responses_ok"));
-  shed_ = registry.GetCounter(MetricName("service/shed"));
-  deadline_exceeded_ =
-      registry.GetCounter(MetricName("service/deadline_exceeded"));
-  cancelled_ = registry.GetCounter(MetricName("service/cancelled"));
-  invalid_ = registry.GetCounter(MetricName("service/invalid_requests"));
-  internal_errors_ = registry.GetCounter(MetricName("service/internal_errors"));
-  connections_accepted_ =
-      registry.GetCounter(MetricName("service/connections_accepted"));
-  batches_ = registry.GetCounter(MetricName("service/batches"));
-  write_errors_ = registry.GetCounter(MetricName("service/write_errors"));
-  queue_depth_gauge_ = registry.GetGauge(MetricName("service/queue_depth"));
-  latency_us_ =
-      registry.GetHistogram(MetricName("service/request_latency_us"));
-  batch_size_ = registry.GetHistogram(MetricName("service/batch_size"));
-  admin_requests_ = registry.GetCounter(MetricName("service/admin_requests"));
-  health_gauge_ = registry.GetGauge(MetricName("service/health_state"));
-  health_transitions_ =
-      registry.GetCounter(MetricName("service/health_transitions"));
+  requests_received_ = registry.GetCounter("service/requests_received");
+  responses_ok_ = registry.GetCounter("service/responses_ok");
+  shed_ = registry.GetCounter("service/shed");
+  deadline_exceeded_ = registry.GetCounter("service/deadline_exceeded");
+  cancelled_ = registry.GetCounter("service/cancelled");
+  invalid_ = registry.GetCounter("service/invalid_requests");
+  internal_errors_ = registry.GetCounter("service/internal_errors");
+  connections_accepted_ = registry.GetCounter("service/connections_accepted");
+  batches_ = registry.GetCounter("service/batches");
+  write_errors_ = registry.GetCounter("service/write_errors");
+  queue_depth_gauge_ = registry.GetGauge("service/queue_depth");
+  latency_us_ = registry.GetHistogram("service/request_latency_us");
+  batch_size_ = registry.GetHistogram("service/batch_size");
+  admin_requests_ = registry.GetCounter("service/admin_requests");
+  health_gauge_ = registry.GetGauge("service/health_state");
+  health_transitions_ = registry.GetCounter("service/health_transitions");
   for (size_t d = 0; d < kDistanceSlots; ++d) {
     const std::string suffix = d <= kMaxDistanceBucket
                                    ? "d" + std::to_string(d)
                                    : std::string("overflow");
-    attack_by_distance_[d] = registry.GetCounter(
-        MetricName(("service/attack_one/" + suffix).c_str()));
-    deanon_by_distance_[d] = registry.GetCounter(
-        MetricName(("service/deanonymized/" + suffix).c_str()));
+    attack_by_distance_[d] =
+        registry.GetCounter("service/attack_one/" + suffix);
+    deanon_by_distance_[d] =
+        registry.GetCounter("service/deanonymized/" + suffix);
   }
 }
 
@@ -178,11 +169,11 @@ void Server::EvaluateHealth() {
   const size_t depth = queue_.size();
   const size_t capacity = queue_.capacity();
   const auto shed =
-      window_.CounterRate(MetricName("service/shed"), config_.shed_window_sec);
-  const auto miss = window_.CounterRate(MetricName("service/deadline_exceeded"),
-                                        kMissWindowSec);
-  const auto received = window_.CounterRate(
-      MetricName("service/requests_received"), kMissWindowSec);
+      window_.CounterRate("service/shed", config_.shed_window_sec);
+  const auto miss =
+      window_.CounterRate("service/deadline_exceeded", kMissWindowSec);
+  const auto received =
+      window_.CounterRate("service/requests_received", kMissWindowSec);
   if (shed.delta > 0 || (capacity > 0 && depth >= capacity)) {
     next = HealthState::kShedding;
   } else if ((capacity > 0 &&
@@ -205,16 +196,14 @@ HealthState Server::health() const {
 Server::LiveStats Server::Live(double window_sec) const {
   LiveStats live;
   const auto received =
-      window_.CounterRate(MetricName("service/requests_received"), window_sec);
+      window_.CounterRate("service/requests_received", window_sec);
   live.window_sec = received.seconds;
   live.qps = received.rate;
   live.p99_us =
-      window_
-          .HistogramWindow(MetricName("service/request_latency_us"), window_sec)
+      window_.HistogramWindow("service/request_latency_us", window_sec)
           .Percentile(99.0);
   live.queue_depth = queue_.size();
-  live.requests_received =
-      window_.CounterValue(MetricName("service/requests_received"));
+  live.requests_received = window_.CounterValue("service/requests_received");
   live.health = health();
   return live;
 }
@@ -246,8 +235,8 @@ void Server::OnFrame(uint64_t conn_id, std::string frame) {
     // Introspection verbs bypass the admission queue: they answer within
     // deadline even when the serving path is saturated and shedding —
     // exactly when an operator needs them. They run on the admin thread,
-    // never here, so a slow one (a coordinator's shard fan-out) cannot
-    // stall the loop.
+    // never here, so a slow one (a large trace dump) cannot stall the
+    // loop.
     std::unique_lock<std::mutex> lock(admin_mu_);
     if (!admin_stop_) {
       admin_queue_.push_back(std::move(pending));
@@ -440,7 +429,6 @@ Response Server::ProcessAttackOne(const Request& request,
   }
   const int max_distance = ResolveMaxDistance(request);
   Response response = handler_->AttackOne(request.target, max_distance, token);
-  if (response.code == ResponseCode::kInvalidRequest) return response;
   const size_t distance_slot =
       max_distance >= 0 && max_distance <= kMaxDistanceBucket
           ? static_cast<size_t>(max_distance)
@@ -551,19 +539,16 @@ Response Server::ProcessStats() {
     JsonValue entry = JsonValue::Object();
     entry.Set("requested_window_sec", JsonValue::Number(w));
     const auto received =
-        window_.CounterRate(MetricName("service/requests_received"), w);
+        window_.CounterRate("service/requests_received", w);
     entry.Set("window_sec", JsonValue::Number(received.seconds));
     entry.Set("qps", JsonValue::Number(received.rate));
     entry.Set("shed_per_sec",
+              JsonValue::Number(window_.CounterRate("service/shed", w).rate));
+    entry.Set("deadline_miss_per_sec",
               JsonValue::Number(
-                  window_.CounterRate(MetricName("service/shed"), w).rate));
-    entry.Set(
-        "deadline_miss_per_sec",
-        JsonValue::Number(
-            window_.CounterRate(MetricName("service/deadline_exceeded"), w)
-                .rate));
+                  window_.CounterRate("service/deadline_exceeded", w).rate));
     const obs::HistogramSnapshot latency =
-        window_.HistogramWindow(MetricName("service/request_latency_us"), w);
+        window_.HistogramWindow("service/request_latency_us", w);
     JsonValue lat = JsonValue::Object();
     lat.Set("count", JsonValue::Int(static_cast<int64_t>(latency.count)));
     lat.Set("p50_us", JsonValue::Number(latency.Percentile(50.0)));
@@ -616,19 +601,19 @@ Response Server::ProcessStats() {
 
 Response Server::ProcessHealth() {
   JsonValue payload = JsonValue::Object();
-  const HealthState state = handler_->AppendHealth(health(), &payload);
-  payload.Set("health", JsonValue::Str(HealthStateName(state)));
+  handler_->AppendHealth(&payload);
+  payload.Set("health", JsonValue::Str(HealthStateName(health())));
   payload.Set("queue_depth",
               JsonValue::Int(static_cast<int64_t>(queue_.size())));
   payload.Set("queue_capacity",
               JsonValue::Int(static_cast<int64_t>(queue_.capacity())));
   const auto shed =
-      window_.CounterRate(MetricName("service/shed"), config_.shed_window_sec);
+      window_.CounterRate("service/shed", config_.shed_window_sec);
   payload.Set("shed_per_sec", JsonValue::Number(shed.rate));
-  const auto miss = window_.CounterRate(MetricName("service/deadline_exceeded"),
-                                        kMissWindowSec);
-  const auto received = window_.CounterRate(
-      MetricName("service/requests_received"), kMissWindowSec);
+  const auto miss =
+      window_.CounterRate("service/deadline_exceeded", kMissWindowSec);
+  const auto received =
+      window_.CounterRate("service/requests_received", kMissWindowSec);
   payload.Set("deadline_miss_rate",
               JsonValue::Number(
                   received.delta > 0

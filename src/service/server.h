@@ -38,10 +38,7 @@ struct ServerConfig {
   // intra-query scan grains at kNormal, so admitted requests never starve
   // behind another query's scan work. With more than one worker, attack_one
   // always uses the intra-query parallel candidate scan
-  // (Dehin::DeanonymizeParallel), bit-identical to the serial path. A pool
-  // is never shared between servers: a coordinator's drain tasks block on
-  // shard replies, and a pool shared with its shards would deadlock once
-  // every worker held one.
+  // (Dehin::DeanonymizeParallel), bit-identical to the serial path.
   size_t num_workers = 4;
   // Bound of the request queue = admission control. A full queue sheds
   // with BUSY instead of queueing into certain deadline misses.
@@ -70,19 +67,6 @@ struct ServerConfig {
   // Null (the default) rejects apply_delta with INVALID_REQUEST.
   hin::Graph* mutable_aux = nullptr;
 
-  // Shard-worker side (see DESIGN.md §12): sub-id -> parent-id
-  // translation applied to accepted candidates before they are encoded
-  // (ShardSlice::to_parent). The map is monotone over the owned prefix, so
-  // per-shard candidate lists stay sorted after translation. Empty = serve
-  // ids untranslated.
-  std::vector<hin::VertexId> aux_id_map;
-  // >= 0 labels every service/* instrument of this server with a
-  // `|shard=N` suffix (rendered as a real `shard="N"` Prometheus label),
-  // so an M-shard tier in one process exports M labeled series instead of
-  // fighting over one set of counters. -1 = unlabeled (the coordinator and
-  // standalone servers).
-  int metric_shard = -1;
-
   // --- live introspection ---------------------------------------------------
   // Watchdog tick: every tick the global registry is sampled into the
   // windowed ring and the health state is re-evaluated. <= 0 disables the
@@ -109,13 +93,11 @@ enum class HealthState {
 
 const char* HealthStateName(HealthState state);
 
-// The role half of a server. Server is the front-end every role shares;
-// a handler answers the verbs that depend on where the auxiliary graph
-// lives. LocalScan (service/local_scan.h) scans it in process;
-// shard::ScatterGather fans attack_one out to shard servers that each
-// own a slice of it. attack_one and apply_delta run concurrently on the
-// server's workers; the stats and health additions run on its admin
-// thread.
+// The attack half of a server: Server is the front-end, and a handler
+// answers the verbs that read or grow the auxiliary graph. LocalScan
+// (service/local_scan.h) is the one production handler; tests substitute
+// their own. attack_one and apply_delta run concurrently on the server's
+// workers; the stats and health additions run on its admin thread.
 class Handler {
  public:
   Handler() = default;
@@ -128,31 +110,25 @@ class Handler {
   virtual util::Status Start(exec::Executor*) { return util::Status::OK(); }
   // attack_one for a target the front-end has range-checked, at the
   // resolved distance; an OK answer is built with AttackAnswer().
-  // INVALID_REQUEST means the handler refused the request outright, and
-  // the per-distance attack counters skip it.
   virtual Response AttackOne(hin::VertexId target, int max_distance,
                              const util::CancelToken& token) = 0;
-  // apply_delta of the server-side hinpriv-delta stream at `path`; a role
-  // that cannot grow its graph refuses INVALID_REQUEST.
+  // apply_delta of the server-side hinpriv-delta stream at `path`; a
+  // handler that cannot grow its graph refuses INVALID_REQUEST.
   virtual Response ApplyDelta(const std::string& path,
                               const util::CancelToken& token) = 0;
-  // Adds the role's fields to a stats payload.
+  // Adds the handler's fields to a stats payload.
   virtual void AppendStats(JsonValue* payload) = 0;
-  // Adds the role's fields to a health payload and returns the state to
-  // report, given the server's own.
-  virtual HealthState AppendHealth(HealthState own, JsonValue*) {
-    return own;
-  }
+  // Adds the handler's fields to a health payload.
+  virtual void AppendHealth(JsonValue*) {}
 };
 
-// The resident de-anonymization attack service, the front-end of every
-// role. It owns the sockets (a single-threaded epoll EventLoop that only
-// parses frames and hands them off), the bounded admission queue and
-// its drain tasks on an owned work-stealing pool, deadlines, the `risk`
-// and `sleep` verbs, the admin verbs (answered on a dedicated admin
-// thread so they respond while the pool is saturated), the health
-// watchdog, the slow-query log and the graceful drain. attack_one and
-// apply_delta go to the role's Handler.
+// The resident de-anonymization attack service. It owns the sockets (a
+// single-threaded epoll EventLoop that only parses frames and hands them
+// off), the bounded admission queue and its drain tasks on an owned
+// work-stealing pool, deadlines, the `risk` and `sleep` verbs, the admin
+// verbs (answered on a dedicated admin thread so they respond while the
+// pool is saturated), the health watchdog, the slow-query log and the
+// graceful drain. attack_one and apply_delta go to its Handler.
 //
 // Production semantics (see DESIGN.md §7):
 //   * admission control — a full queue sheds with BUSY immediately;
@@ -167,17 +143,16 @@ class Handler {
 // invalid, connections, batches, write_errors), the service/queue_depth
 // gauge, service/request_latency_us and service/batch_size histograms,
 // and HINPRIV_SPAN coverage of the loop/worker paths, so a serving run
-// produces the same Chrome-trace flame timelines as the batch path. With
-// config.metric_shard >= 0 every instrument carries a `|shard=N` label.
+// produces the same Chrome-trace flame timelines as the batch path.
 class Server {
  public:
-  // The local-scan role: both graphs are borrowed and must outlive the
+  // A LocalScan server: both graphs are borrowed and must outlive the
   // server, which builds the expensive Dehin state over `auxiliary` once
   // at Start() and answers attack_one from it.
   Server(const hin::Graph* target, const hin::Graph* auxiliary,
          ServerConfig config);
-  // Any role: `handler` answers attack_one and apply_delta. `target` is
-  // borrowed (risk needs only the target graph).
+  // `handler` answers attack_one and apply_delta. `target` is borrowed
+  // (risk needs only the target graph).
   Server(const hin::Graph* target, std::unique_ptr<Handler> handler,
          ServerConfig config);
   ~Server();  // implies Shutdown()
@@ -260,12 +235,6 @@ class Server {
   // Counts `response` under its code's service/* counter and sends it.
   void Reply(uint64_t conn_id, const Response& response);
 
-  // The registry instrument name for `base` under this server's shard
-  // label (config_.metric_shard). Every instrument resolution AND every
-  // windowed-aggregator query must go through this, or a labeled shard
-  // server would sample one name and query another.
-  std::string MetricName(const char* base) const;
-
   // Per-distance risk results over the target graph, computed lazily and
   // cached (signature pass + per-tuple risk); per-entity queries then cost
   // one array read.
@@ -329,8 +298,7 @@ class Server {
   static constexpr int kMaxDistanceBucket = 8;
   static constexpr size_t kDistanceSlots = kMaxDistanceBucket + 2;
 
-  // Registry instruments, resolved once at construction (under the
-  // metric_shard label when configured).
+  // Registry instruments, resolved once at construction.
   obs::Counter* requests_received_;
   obs::Counter* responses_ok_;
   obs::Counter* shed_;

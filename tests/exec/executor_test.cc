@@ -351,48 +351,20 @@ TEST(ParallelForTest, GlobalExecutorIsUsable) {
   EXPECT_EQ(sum.load(), 256u);
 }
 
+TEST(DefaultGrainTest, ResolvesTargetChunksWithClamp) {
+  // 8 chunks per worker: 64k iterations over 8 workers → grain 1024.
+  EXPECT_EQ(DefaultGrain(65536, 8), 1024u);
+  // Small ranges never resolve below one iteration.
+  EXPECT_EQ(DefaultGrain(10, 8), 1u);
+  EXPECT_EQ(DefaultGrain(0, 8), 1u);
+  // Huge ranges clamp at 8192 so chunks stay claimable.
+  EXPECT_EQ(DefaultGrain(100'000'000, 1), 8192u);
+  // A zero worker count counts as one worker.
+  EXPECT_EQ(DefaultGrain(100, 0), 12u);
+}
+
 // Repeated mixed load: ParallelFors racing fire-and-forget tasks across
 // two executors. Mostly a TSan target.
-TEST(GrainPolicyTest, ResolvesTargetChunksWithClamp) {
-  const GrainPolicy defaults;
-  // 8 chunks per worker: 64k iterations over 8 workers → grain 1024.
-  EXPECT_EQ(defaults.Resolve(65536, 8), 1024u);
-  // Small ranges never resolve below min_grain.
-  EXPECT_EQ(defaults.Resolve(10, 8), 1u);
-  EXPECT_EQ(defaults.Resolve(0, 8), 1u);
-  // Huge ranges clamp at max_grain so chunks stay claimable.
-  EXPECT_EQ(defaults.Resolve(100'000'000, 1), 8192u);
-
-  GrainPolicy custom{/*chunks_per_worker=*/2, /*min_grain=*/4,
-                     /*max_grain=*/16};
-  EXPECT_EQ(custom.Resolve(64, 2), 16u);   // 64/4 clamps to max 16
-  EXPECT_EQ(custom.Resolve(8, 2), 4u);     // below min clamps up
-  EXPECT_EQ(custom.Resolve(48, 2), 12u);   // in range: 48/4
-  // Degenerate configuration (zeroes) still yields a sane grain.
-  GrainPolicy zeros{/*chunks_per_worker=*/0, /*min_grain=*/0,
-                    /*max_grain=*/0};
-  EXPECT_EQ(zeros.Resolve(100, 0), 1u);
-}
-
-TEST(ParallelForTest, ExplicitPolicyMatchesExplicitGrainResults) {
-  Executor pool(3);
-  constexpr size_t kN = 1000;
-  std::vector<std::atomic<int>> hits(kN);
-  ParallelForOptions options;
-  options.grain_policy.chunks_per_worker = 2;
-  options.grain_policy.max_grain = 64;
-  const ParallelForResult result = pool.ParallelFor(
-      kN,
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-      },
-      options);
-  EXPECT_EQ(result.completed, kN);
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "i=" << i;
-  }
-}
-
 TEST(ExecutorStressTest, MixedLoadCompletes) {
   Executor a(3);
   Executor b(2);

@@ -84,49 +84,6 @@ TEST(InducedSubgraphTest, RejectsDuplicatesAndOutOfRange) {
   EXPECT_FALSE(InducedSubgraph(parent, {0, 99}).ok());
 }
 
-TEST(HaloInducedSubgraphTest, DepthZeroEqualsInducedOnSeeds) {
-  const Graph parent = MakeGraph();
-  auto halo = HaloInducedSubgraph(parent, {0, 3}, 0);
-  ASSERT_TRUE(halo.ok());
-  EXPECT_EQ(halo.value().num_seeds, 2u);
-  EXPECT_EQ(halo.value().to_parent, (std::vector<VertexId>{0, 3}));
-  // Only the 0->3 mention survives among the seeds themselves.
-  EXPECT_EQ(halo.value().graph.num_vertices(), 2u);
-  EXPECT_EQ(halo.value().graph.num_edges(), 1u);
-}
-
-TEST(HaloInducedSubgraphTest, DepthOnePullsInBothEdgeDirections) {
-  const Graph parent = MakeGraph();
-  // Seed 2: out-neighbor 3 (follow 2->3) and in-neighbor 1 (follow 1->2)
-  // both join the halo; seeds come first in to_parent.
-  auto halo = HaloInducedSubgraph(parent, {2}, 1);
-  ASSERT_TRUE(halo.ok());
-  EXPECT_EQ(halo.value().num_seeds, 1u);
-  EXPECT_EQ(halo.value().to_parent, (std::vector<VertexId>{2, 3, 1}));
-  // Edges among {1, 2, 3}: 1->2 and 2->3.
-  EXPECT_EQ(halo.value().graph.num_edges(), 2u);
-}
-
-TEST(HaloInducedSubgraphTest, DeeperHaloReachesAcrossLinkTypes) {
-  const Graph parent = MakeGraph();
-  // Depth 2 from seed 2 adds 0 (via the in-edges 0->3 mention and 0->1
-  // follow discovered from the depth-1 frontier).
-  auto halo = HaloInducedSubgraph(parent, {2}, 2);
-  ASSERT_TRUE(halo.ok());
-  EXPECT_EQ(halo.value().to_parent, (std::vector<VertexId>{2, 3, 1, 0}));
-  // Determinism: an identical call yields an identical subgraph.
-  auto again = HaloInducedSubgraph(parent, {2}, 2);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.value().to_parent, halo.value().to_parent);
-  EXPECT_EQ(again.value().graph.num_edges(), halo.value().graph.num_edges());
-}
-
-TEST(HaloInducedSubgraphTest, RejectsDuplicateAndOutOfRangeSeeds) {
-  const Graph parent = MakeGraph();
-  EXPECT_FALSE(HaloInducedSubgraph(parent, {1, 1}, 1).ok());
-  EXPECT_FALSE(HaloInducedSubgraph(parent, {99}, 1).ok());
-}
-
 TEST(SampleInducedSubgraphTest, SamplesRequestedCount) {
   const Graph parent = MakeGraph();
   util::Rng rng(1);

@@ -36,42 +36,9 @@ TEST(MetricNameLintTest, AcceptsConventionRejectsViolations) {
   EXPECT_FALSE(IsLintedMetricName("has space"));
   EXPECT_FALSE(IsLintedMetricName("has-dash"));
   EXPECT_FALSE(IsLintedMetricName("dotted.name"));
-}
-
-TEST(MetricNameLintTest, AdmitsExactlyOneBoundedShardLabel) {
-  EXPECT_TRUE(IsLintedMetricName("service/requests_received|shard=0"));
-  EXPECT_TRUE(IsLintedMetricName("service/requests_received|shard=7"));
-  EXPECT_TRUE(IsLintedMetricName("service/requests_received|shard=63"));
-
-  EXPECT_FALSE(IsLintedMetricName("service/requests_received|shard=64"));
-  EXPECT_FALSE(IsLintedMetricName("service/requests_received|shard=01"));
-  EXPECT_FALSE(IsLintedMetricName("service/requests_received|shard="));
-  EXPECT_FALSE(IsLintedMetricName("service/requests_received|shard=-1"));
+  // No label syntax: a name carries no dimension beyond its path.
   EXPECT_FALSE(IsLintedMetricName("service/requests_received|replica=1"));
-  EXPECT_FALSE(IsLintedMetricName("service/x|shard=1|shard=2"));
-  EXPECT_FALSE(IsLintedMetricName("|shard=1"));
-  EXPECT_FALSE(IsLintedMetricName("Upper/case|shard=1"));
-}
-
-TEST(ShardMetricNameTest, RoundTripsThroughSplit) {
-  EXPECT_EQ(ShardMetricName("service/requests_received", 3),
-            "service/requests_received|shard=3");
-  EXPECT_EQ(ShardMetricName("service/requests_received", -1),
-            "service/requests_received");
-  // Out-of-range values clamp instead of minting unbounded labels.
-  EXPECT_EQ(ShardMetricName("service/x", kMaxShardLabel + 5),
-            "service/x|shard=" + std::to_string(kMaxShardLabel - 1));
-
-  SplitMetricName split = SplitShardLabel("service/requests_received|shard=3");
-  EXPECT_EQ(split.base, "service/requests_received");
-  EXPECT_EQ(split.shard, 3);
-  split = SplitShardLabel("service/requests_received");
-  EXPECT_EQ(split.base, "service/requests_received");
-  EXPECT_EQ(split.shard, -1);
-  // A malformed suffix is not a label; the whole string is the base.
-  split = SplitShardLabel("service/x|shard=99");
-  EXPECT_EQ(split.base, "service/x|shard=99");
-  EXPECT_EQ(split.shard, -1);
+  EXPECT_FALSE(IsLintedMetricName("a|b"));
 }
 
 // The exposition output is deterministic (name-sorted snapshot, fixed
@@ -100,38 +67,6 @@ TEST(PrometheusTextTest, GoldenExport) {
       "hinpriv_service_request_latency_us_bucket{le=\"+Inf\"} 4\n"
       "hinpriv_service_request_latency_us_sum 11\n"
       "hinpriv_service_request_latency_us_count 4\n";
-  EXPECT_EQ(ToPrometheusText(registry.Snapshot()), expected);
-}
-
-// Shard-labeled instruments export as one base metric with a real
-// `shard="N"` label — one TYPE line shared across the labeled series —
-// rather than M mangled metric names.
-TEST(PrometheusTextTest, ShardLabelGoldenExport) {
-  MetricsRegistry registry;
-  registry.GetCounter("service/requests_received")->Add(3);
-  registry.GetCounter("service/requests_received|shard=0")->Add(1);
-  registry.GetCounter("service/requests_received|shard=1")->Add(2);
-  registry.GetGauge("service/queue_depth|shard=1")->Set(4);
-  Histogram* latency =
-      registry.GetHistogram("service/request_latency_us|shard=0");
-  latency->Record(1);
-  latency->Record(5);
-
-  const std::string expected =
-      "# TYPE hinpriv_service_requests_received_total counter\n"
-      "hinpriv_service_requests_received_total 3\n"
-      "hinpriv_service_requests_received_total{shard=\"0\"} 1\n"
-      "hinpriv_service_requests_received_total{shard=\"1\"} 2\n"
-      "# TYPE hinpriv_service_queue_depth gauge\n"
-      "hinpriv_service_queue_depth{shard=\"1\"} 4\n"
-      "# TYPE hinpriv_service_request_latency_us histogram\n"
-      "hinpriv_service_request_latency_us_bucket{le=\"0\",shard=\"0\"} 0\n"
-      "hinpriv_service_request_latency_us_bucket{le=\"1\",shard=\"0\"} 1\n"
-      "hinpriv_service_request_latency_us_bucket{le=\"3\",shard=\"0\"} 1\n"
-      "hinpriv_service_request_latency_us_bucket{le=\"7\",shard=\"0\"} 2\n"
-      "hinpriv_service_request_latency_us_bucket{le=\"+Inf\",shard=\"0\"} 2\n"
-      "hinpriv_service_request_latency_us_sum{shard=\"0\"} 6\n"
-      "hinpriv_service_request_latency_us_count{shard=\"0\"} 2\n";
   EXPECT_EQ(ToPrometheusText(registry.Snapshot()), expected);
 }
 

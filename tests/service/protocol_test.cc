@@ -5,6 +5,7 @@
 
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -90,6 +91,45 @@ TEST(ProtocolTest, ResponseRoundTrips) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().code, ResponseCode::kBusy);
   EXPECT_EQ(decoded.value().error, "queue full");
+}
+
+// An attack_one answer encodes at most kMaxEncodedCandidates ids but
+// reports the exact count; a list of one is a de-anonymization.
+TEST(ProtocolTest, AttackAnswerTruncatesToEncodedCap) {
+  std::vector<hin::VertexId> candidates(1500);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    candidates[i] = static_cast<hin::VertexId>(2 * i + 1);
+  }
+  Response response = AttackAnswer(9, 2, candidates);
+  EXPECT_EQ(response.code, ResponseCode::kOk);
+  EXPECT_EQ(response.result.GetInt("target"), 9);
+  EXPECT_EQ(response.result.GetInt("max_distance"), 2);
+  EXPECT_EQ(response.result.GetInt("num_candidates"), 1500);
+  EXPECT_TRUE(response.result.GetBool("truncated"));
+  EXPECT_FALSE(response.result.GetBool("deanonymized", true));
+  const JsonValue* list = response.result.Find("candidates");
+  ASSERT_NE(list, nullptr);
+  ASSERT_EQ(list->size(), kMaxEncodedCandidates);
+  for (size_t i = 0; i < kMaxEncodedCandidates; ++i) {
+    ASSERT_EQ(list->at(i).AsInt(), static_cast<int64_t>(candidates[i]));
+  }
+
+  response = AttackAnswer(9, 2, {42});
+  EXPECT_EQ(response.result.GetInt("num_candidates"), 1);
+  EXPECT_TRUE(response.result.GetBool("deanonymized"));
+  EXPECT_FALSE(response.result.GetBool("truncated", true));
+  list = response.result.Find("candidates");
+  ASSERT_NE(list, nullptr);
+  ASSERT_EQ(list->size(), 1u);
+  EXPECT_EQ(list->at(0).AsInt(), 42);
+
+  response = AttackAnswer(9, 2, {});
+  EXPECT_EQ(response.result.GetInt("num_candidates", -1), 0);
+  EXPECT_FALSE(response.result.GetBool("deanonymized", true));
+  EXPECT_FALSE(response.result.GetBool("truncated", true));
+  list = response.result.Find("candidates");
+  ASSERT_NE(list, nullptr);
+  EXPECT_EQ(list->size(), 0u);
 }
 
 TEST(ProtocolTest, DecodeRequestValidates) {

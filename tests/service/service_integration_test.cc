@@ -345,7 +345,7 @@ TEST(ServiceIntegrationTest, ShutdownWithIdleConnectionsCompletes) {
   EXPECT_TRUE(server.finished());
 }
 
-// A role whose attack_one throws. The pool swallows task exceptions, so
+// A handler whose attack_one throws. The pool swallows task exceptions, so
 // the front-end itself must answer INTERNAL and count the drain task
 // down; otherwise the client never hears back and Shutdown() waits for
 // the task forever.
@@ -355,7 +355,7 @@ class ThrowingHandler : public Handler {
     throw std::runtime_error("handler failure");
   }
   Response ApplyDelta(const std::string&, const util::CancelToken&) override {
-    return ErrorResponse(ResponseCode::kInvalidRequest, "read-only role");
+    return ErrorResponse(ResponseCode::kInvalidRequest, "read-only handler");
   }
   void AppendStats(JsonValue*) override {}
 };

@@ -5,8 +5,9 @@
 # the same network through the text path. While the snapshot server runs,
 # net.snap is rewritten from a smaller graph: the writer renames a new file
 # into place, so the live mapping must keep answering from the old graph.
-# This is the end-to-end (process boundary + TCP) complement to
-# tests/core/dehin_snapshot_differential_test.
+# Each server must then drain cleanly on SIGTERM: exit 0 and print the
+# drain banner. This is the end-to-end (process boundary + TCP) complement
+# to tests/core/dehin_snapshot_differential_test.
 #
 # First, a text round trip through the CLI on a network that spans many
 # text-reader chunks: text -> snapshot -> text must give back the same
@@ -54,8 +55,20 @@ query_all() { # port outfile — normalized to just the candidate sets, so
   done
 }
 
+stop_cleanly() { # pid log name — SIGTERM must drain: exit 0, drain banner
+  kill "$1"
+  local rc=0
+  wait "$1" || rc=$?
+  if [ "$rc" -ne 0 ] ||
+     ! grep -q "draining in-flight requests" "$2"; then
+    echo "$3 server did not drain cleanly (exit $rc)" >&2
+    cat "$2" >&2
+    exit 1
+  fi
+}
+
 "$CLI" serve --target="$WORK/pub.graph" --aux="$WORK/net.snap" \
-  --port="$SNAP_PORT" &
+  --port="$SNAP_PORT" > "$WORK/snap_serve.log" &
 SNAP_PID=$!
 wait_ready "$SNAP_PORT"
 query_all "$SNAP_PORT" "$WORK/snap.out"
@@ -63,17 +76,17 @@ query_all "$SNAP_PORT" "$WORK/snap.out"
 "$CLI" generate --users=500 --seed=8 --out="$WORK/small.graph"
 "$CLI" convert --in="$WORK/small.graph" --out="$WORK/net.snap"
 query_all "$SNAP_PORT" "$WORK/rewritten.out"
-kill "$SNAP_PID" && wait "$SNAP_PID" 2>/dev/null || true
+stop_cleanly "$SNAP_PID" "$WORK/snap_serve.log" snapshot
 
 "$CLI" serve --target="$WORK/pub.graph" --aux="$WORK/net.graph" \
-  --port="$TEXT_PORT" &
+  --port="$TEXT_PORT" > "$WORK/text_serve.log" &
 TEXT_PID=$!
 wait_ready "$TEXT_PORT"
 query_all "$TEXT_PORT" "$WORK/text.out"
-kill "$TEXT_PID" && wait "$TEXT_PID" 2>/dev/null || true
+stop_cleanly "$TEXT_PID" "$WORK/text_serve.log" text
 
 [ -s "$WORK/snap.out" ] || { echo "no candidate sets captured" >&2; exit 1; }
 diff -u "$WORK/snap.out" "$WORK/text.out"
 diff -u "$WORK/rewritten.out" "$WORK/text.out"
 echo "snapshot serve smoke: $(wc -l < "$WORK/snap.out") answers, parity OK," \
-  "also after rewriting the served snapshot"
+  "also after rewriting the served snapshot; both servers drained cleanly"

@@ -20,9 +20,9 @@ namespace hinpriv::testing_support {
 // tree's tests/tmp.
 //
 // The path is also a stem: removal takes every file in the directory whose
-// name starts with it, so a set of files named from one stem — shard
-// slices, a "_src"/"_case" pair, a ".graph" beside a ".snap" — goes with
-// it. Give two live TempPaths of one test leaves that are not prefixes of
+// name starts with it, so a set of files named from one stem — the
+// three files of a KDD Cup layout, a "_src"/"_case" pair, a ".graph"
+// beside a ".snap" — goes with it. Give two live TempPaths of one test leaves that are not prefixes of
 // each other. Files may be removed while mapped; a mapping outlives its
 // name.
 class TempPath {

@@ -54,7 +54,6 @@
 #include "service/client.h"
 #include "service/server.h"
 #include "service/signal.h"
-#include "shard/tier.h"
 #include "hin/graph_builder.h"
 #include "hin/graph_delta.h"
 #include "synth/growth.h"
@@ -798,8 +797,8 @@ int RunServe(int argc, char** argv) {
                "'convert') is mapped instead of parsed (instant warmstart; "
                "pages shared between replicas mapping the same file)");
   flags.Define("mlock", "false",
-               "for a snapshot --aux or shard slices: pin the mapping in RAM "
-               "so queries never take a page-cache miss (soft-fails under "
+               "for a snapshot --aux: pin the mapping in RAM so queries "
+               "never take a page-cache miss (soft-fails under "
                "RLIMIT_MEMLOCK)");
   flags.Define("host", "127.0.0.1",
                "IPv4 listen address (keep the service on loopback: it hands "
@@ -826,19 +825,6 @@ int RunServe(int argc, char** argv) {
   flags.Define("heartbeat_sec", "0",
                "print a one-line self-report (q/s, queue depth, p99, "
                "health) to stderr every N seconds (0 = off)");
-  flags.Define("shards", "0",
-               "run a sharded scatter-gather tier: hash-partition the "
-               "auxiliary graph into N shard servers behind one "
-               "coordinator on --host:--port (0 = single unsharded "
-               "server)");
-  flags.Define("halo_depth", "-1",
-               "shard slice halo depth; attack_one up to this "
-               "max_distance is bit-identical to the unsharded scan and "
-               "deeper requests are rejected (-1 = --max_distance)");
-  flags.Define("shard_dir", "",
-               "persist per-shard slice snapshots in this directory and "
-               "mmap them on later runs (empty = extract in memory)");
-  flags.Define("shard_workers", "2", "worker pool size of each shard server");
   auto status = flags.Parse(argc, argv);
   if (!status.ok()) return Fail(status);
   if (flags.help_requested()) {
@@ -877,64 +863,19 @@ int RunServe(int argc, char** argv) {
   config.dehin.match = core::DefaultTqqMatchOptions();
   config.dehin.max_distance = config.default_max_distance;
 
+  // Streaming growth: text-loaded and mapped auxiliaries both take
+  // apply_delta (batches land in the graph's heap overlay).
+  config.mutable_aux = &aux.value();
+
   service::InstallShutdownSignalHandlers();
-  const size_t shards =
-      static_cast<size_t>(std::max<int64_t>(flags.GetInt("shards"), 0));
-  std::unique_ptr<service::Server> server;
-  std::unique_ptr<shard::ShardTier> tier;
-  service::Server* front = nullptr;
-  if (shards > 0) {
-    shard::ShardTierConfig tier_config;
-    tier_config.num_shards = shards;
-    const int64_t halo = flags.GetInt("halo_depth");
-    tier_config.halo_depth =
-        halo >= 0 ? static_cast<int>(halo) : config.default_max_distance;
-    const std::string shard_dir = flags.GetString("shard_dir");
-    if (!shard_dir.empty()) tier_config.slice_prefix = shard_dir + "/aux";
-    tier_config.snapshot = snapshot_options;
-    tier_config.shard_server = config;
-    tier_config.shard_server.num_workers =
-        static_cast<size_t>(flags.GetInt("shard_workers"));
-    tier_config.shard_server.metrics_json_path.clear();
-    tier_config.coordinator = config;
-    tier = std::make_unique<shard::ShardTier>(&target.value(), &aux.value(),
-                                              std::move(tier_config));
-    status = tier->Start();
-    if (!status.ok()) return Fail(status);
-    front = tier->coordinator();
-    size_t min_owned = aux.value().num_vertices();
-    size_t max_owned = 0;
-    for (size_t owned : tier->owned_counts()) {
-      min_owned = std::min(min_owned, owned);
-      max_owned = std::max(max_owned, owned);
-    }
-    std::printf("serving %s (aux %s) on %s:%u — %zu shards (halo depth %zu, "
-                "owned %zu–%zu vertices, %lld workers each), coordinator "
-                "queue %zu; SIGINT/SIGTERM drains gracefully\n",
-                flags.GetString("target").c_str(), aux_path.c_str(),
-                config.host.c_str(), static_cast<unsigned>(front->port()),
-                tier->num_shards(),
-                static_cast<size_t>(tier_config.halo_depth), min_owned,
-                max_owned,
-                static_cast<long long>(flags.GetInt("shard_workers")),
-                config.queue_capacity);
-  } else {
-    // Streaming growth: text-loaded and mapped auxiliaries both take
-    // apply_delta (batches land in the graph's heap overlay); a shard tier
-    // would need re-partitioning and never takes it.
-    config.mutable_aux = &aux.value();
-    server = std::make_unique<service::Server>(&target.value(), &aux.value(),
-                                               config);
-    status = server->Start();
-    if (!status.ok()) return Fail(status);
-    front = server.get();
-    std::printf("serving %s (aux %s) on %s:%u — %zu workers, queue %zu, "
-                "batch %zu; SIGINT/SIGTERM drains gracefully\n",
-                flags.GetString("target").c_str(), aux_path.c_str(),
-                config.host.c_str(),
-                static_cast<unsigned>(front->port()), config.num_workers,
-                config.queue_capacity, config.max_batch);
-  }
+  service::Server server(&target.value(), &aux.value(), config);
+  status = server.Start();
+  if (!status.ok()) return Fail(status);
+  std::printf("serving %s (aux %s) on %s:%u — %zu workers, queue %zu, "
+              "batch %zu; SIGINT/SIGTERM drains gracefully\n",
+              flags.GetString("target").c_str(), aux_path.c_str(),
+              config.host.c_str(), static_cast<unsigned>(server.port()),
+              config.num_workers, config.queue_capacity, config.max_batch);
   std::fflush(stdout);
 
   const double heartbeat_sec = flags.GetDouble("heartbeat_sec");
@@ -948,7 +889,7 @@ int RunServe(int argc, char** argv) {
         std::chrono::steady_clock::now() >= next_heartbeat) {
       // Self-report through the same windowed aggregator the stats verb
       // reads, so the log line and a live `stats --watch` agree.
-      const service::Server::LiveStats live = front->Live(heartbeat_sec);
+      const service::Server::LiveStats live = server.Live(heartbeat_sec);
       std::fprintf(stderr,
                    "[serve] health=%s qps=%.1f p99=%.0fus queue=%zu "
                    "received=%llu (%.1fs window)\n",
@@ -962,11 +903,7 @@ int RunServe(int argc, char** argv) {
     }
   }
   std::printf("shutdown signal received; draining in-flight requests\n");
-  if (tier != nullptr) {
-    tier->Shutdown();
-  } else {
-    server->Shutdown();
-  }
+  server.Shutdown();
   if (!trace_path.empty()) {
     obs::StopTracing();
     const util::Status written = obs::WriteChromeTrace(trace_path);
