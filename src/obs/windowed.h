@@ -19,7 +19,7 @@ namespace hinpriv::obs {
 // and histogram percentiles (p50/p95/p99 of only the samples recorded
 // inside the window). This is what turns the export-at-exit registry into
 // a live product-metrics plane: the resident service's `stats` verb, the
-// `serve` heartbeat, and the watchdog health state all read through it.
+// `serve` heartbeat, and the server's health state all read through it.
 //
 // Window semantics: a query for `window_sec` differences the newest sample
 // against the newest retained sample at least that old; when history is

@@ -24,9 +24,9 @@ namespace hinpriv::service {
 // EPOLLOUT armed only while a connection has unsent bytes.
 //
 // Contract with the handler: it runs on the loop thread, so it only
-// parses and hands off, and never computes or blocks. Serving verbs are
-// admitted into the bounded queue (or shed BUSY) and run on the
-// executor; admin verbs go to the server's admin thread. The loop never
+// parses and hands off, and never computes or blocks. Each admitted
+// serving verb runs as one executor task (or sheds BUSY); admin verbs go
+// to the server's admin thread. The loop never
 // runs request work, so one slow answer cannot stall the other
 // connections' reads and writes.
 //

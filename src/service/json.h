@@ -66,7 +66,9 @@ class JsonValue {
   bool is_object() const { return kind_ == Kind::kObject; }
 
   // Typed reads; the fallback is returned on kind mismatch so protocol
-  // decoding can treat absent and mistyped fields uniformly.
+  // decoding can treat absent and mistyped fields uniformly. AsInt also
+  // returns it for a number outside [-2^63, 2^63), where the cast would
+  // be undefined.
   bool AsBool(bool fallback = false) const {
     return is_bool() ? bool_ : fallback;
   }
@@ -74,7 +76,9 @@ class JsonValue {
     return is_number() ? number_ : fallback;
   }
   int64_t AsInt(int64_t fallback = 0) const {
-    return is_number() ? static_cast<int64_t>(number_) : fallback;
+    return is_number() && number_ >= -0x1p63 && number_ < 0x1p63
+               ? static_cast<int64_t>(number_)
+               : fallback;
   }
   const std::string& AsString() const { return string_; }
 

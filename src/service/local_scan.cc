@@ -41,7 +41,6 @@ util::Status LocalScan::Start(exec::Executor* executor) {
         "mutable_aux must alias the auxiliary graph");
   }
   executor_ = executor;
-  parallel_scan_ = executor->num_workers() > 1;
   PublishGrowth();
   if (target_->num_vertices() > 0) {
     HINPRIV_SPAN("service/warm_target_state");
@@ -55,16 +54,15 @@ Response LocalScan::AttackOne(hin::VertexId target, int max_distance,
   // Shared against apply_delta's exclusive hold: a query never observes a
   // half-applied growth batch. Uncontended when no deltas are in flight.
   std::shared_lock<std::shared_mutex> warm_lock(warm_mu_);
-  // A parallel scan fans the query's candidate scan out across the pool
-  // (grains run at kNormal priority, below the kHigh drain tasks); the
-  // result is bit-identical to the serial path.
+  // The scan fans the query's candidate scan out across the pool (grains
+  // run at kNormal priority, below the kHigh request tasks), or runs the
+  // serial cancellable scan on a one-worker pool; either way the result
+  // is bit-identical to the serial path.
   core::Dehin::ParallelScanOptions scan;
   scan.executor = executor_;
   scan.cancel = &token;
   util::Result<std::vector<hin::VertexId>> result =
-      parallel_scan_
-          ? dehin_.DeanonymizeParallel(*target_, target, max_distance, scan)
-          : dehin_.Deanonymize(*target_, target, max_distance, &token);
+      dehin_.DeanonymizeParallel(*target_, target, max_distance, scan);
   if (!result.ok()) {
     return ErrorResponse(
         result.status().code() == util::Status::Code::kDeadlineExceeded
@@ -183,7 +181,6 @@ void LocalScan::AppendStats(JsonValue* payload) {
     payload->Set("aux_edges",
                  JsonValue::Int(static_cast<int64_t>(aux_->num_edges())));
   }
-  payload->Set("parallel_scan", JsonValue::Bool(parallel_scan_));
   const core::DehinStats stats = dehin_.stats();
   JsonValue dehin = JsonValue::Object();
   dehin.Set("prefilter_rejects",

@@ -16,8 +16,8 @@ namespace hinpriv::service {
 
 // The server's attack handler: attack_one runs core::Dehin over the
 // auxiliary graph in this process, with the intra-query parallel scan on
-// the server's pool, and apply_delta grows that graph and its warm state
-// in place.
+// the server's pool (serial on a one-worker pool), and apply_delta grows
+// that graph and its warm state in place.
 class LocalScan : public Handler {
  public:
   // Both graphs are borrowed. Reads dehin and mutable_aux from `config`.
@@ -45,9 +45,6 @@ class LocalScan : public Handler {
   const hin::Graph* target_;
   const hin::Graph* aux_;
   hin::Graph* mutable_aux_;
-  // Whether attack_one scans in parallel: the pool has more than one
-  // worker. Set by Start().
-  bool parallel_scan_ = false;
   exec::Executor* executor_ = nullptr;
   core::Dehin dehin_;
   // Warm-state lock for streaming growth: apply_delta holds it exclusively

@@ -198,11 +198,13 @@ util::Result<Request> DecodeRequest(const JsonValue& doc) {
   if (request.method == Method::kAttackOne && !request.has_target) {
     return util::Status::InvalidArgument("attack_one requires 'target'");
   }
-  request.max_distance =
-      static_cast<int>(doc.GetInt("max_distance", -1));
-  if (request.max_distance > 32) {
+  // Range-checked as the int64 it arrived as, then narrowed.
+  const int64_t max_distance = doc.GetInt("max_distance", -1);
+  if (max_distance > 32) {
     return util::Status::InvalidArgument("'max_distance' out of range");
   }
+  request.max_distance =
+      max_distance < 0 ? -1 : static_cast<int>(max_distance);
   request.deadline_ms = doc.GetDouble("deadline_ms", 0.0);
   request.sleep_ms = doc.GetDouble("sleep_ms", 0.0);
   request.path = doc.GetString("path");

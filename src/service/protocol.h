@@ -21,8 +21,8 @@ namespace hinpriv::service {
 //
 // Requests flow client -> server, responses server -> client, matched by
 // the client-chosen `id`. Responses to one connection may arrive out of
-// request order (the worker pool processes the queue concurrently), so
-// clients must match on id, not position.
+// request order (the worker pool serves admitted requests concurrently),
+// so clients must match on id, not position.
 //
 // Request document:
 //   {"id": 7, "method": "attack_one", "target": 123,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -23,14 +24,25 @@ constexpr double kMaxSleepMs = 10'000.0;
 // Snapshots retained in the windowed ring; tick * ring bounds the widest
 // answerable window (the default tick covers a 60s window with headroom).
 constexpr size_t kIntrospectionRing = 256;
-// Health policy beyond the shed window (see ServerConfig::shed_window_sec).
+// Health policy (see DESIGN.md §11): "shedding" when any request was shed
+// within kShedWindowSec or the queue is full; otherwise "degraded" when the
+// queue sits at kDegradedQueueFraction of capacity or more than
+// kDegradedMissRate of the requests of the last kMissWindowSec missed their
+// deadline; otherwise "ok".
+constexpr double kShedWindowSec = 1.0;
 constexpr double kMissWindowSec = 10.0;
 constexpr double kDegradedQueueFraction = 0.75;
 constexpr double kDegradedMissRate = 0.10;
+// Worst-N slow-query log returned by the `stats` verb.
+constexpr size_t kSlowLogCapacity = 16;
+// Longest wait MillisToDuration represents. A client's deadline_ms can be
+// as large as 1e300; a day is "no deadline" in practice, and the clamp
+// keeps the conversion inside the clock's integer range.
+constexpr double kMaxWaitMs = 24 * 3600 * 1000.0;
 
 std::chrono::steady_clock::duration MillisToDuration(double ms) {
   return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::milli>(ms));
+      std::chrono::duration<double, std::milli>(std::min(ms, kMaxWaitMs)));
 }
 
 uint64_t ElapsedUs(std::chrono::steady_clock::time_point from,
@@ -72,14 +84,14 @@ Server::Server(const hin::Graph* target, std::unique_ptr<Handler> handler,
     : target_(target),
       config_(std::move(config)),
       handler_(std::move(handler)),
-      queue_(config_.queue_capacity),
       window_(nullptr,
               obs::WindowedAggregatorOptions{
                   std::chrono::milliseconds(
                       std::max(1, config_.introspection_tick_ms)),
                   kIntrospectionRing,
                   {}}),
-      slow_log_(config_.slow_log_capacity) {
+      slow_log_(kSlowLogCapacity) {
+  config_.queue_capacity = std::max<size_t>(1, config_.queue_capacity);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   requests_received_ = registry.GetCounter("service/requests_received");
   responses_ok_ = registry.GetCounter("service/responses_ok");
@@ -89,7 +101,6 @@ Server::Server(const hin::Graph* target, std::unique_ptr<Handler> handler,
   invalid_ = registry.GetCounter("service/invalid_requests");
   internal_errors_ = registry.GetCounter("service/internal_errors");
   connections_accepted_ = registry.GetCounter("service/connections_accepted");
-  batches_ = registry.GetCounter("service/batches");
   write_errors_ = registry.GetCounter("service/write_errors");
   queue_depth_gauge_ = registry.GetGauge("service/queue_depth");
   latency_us_ = registry.GetHistogram("service/request_latency_us");
@@ -136,49 +147,27 @@ util::Status Server::Start() {
   port_ = loop_->port();
 
   started_at_ = std::chrono::steady_clock::now();
+  // Seed the ring before serving so the first stats/health query already
+  // has a baseline sample to difference against.
+  if (config_.introspection_tick_ms > 0) window_.SampleNow();
   admin_thread_ = std::thread([this] { AdminLoop(); });
-  if (config_.introspection_tick_ms > 0) {
-    // Seed the ring before serving so the first stats/health query already
-    // has a baseline sample to difference against.
-    window_.SampleNow();
-    watchdog_ = std::thread([this] { WatchdogLoop(); });
-  }
   loop_->Start();
   return util::Status::OK();
 }
 
-void Server::WatchdogLoop() {
-  obs::SetCurrentThreadName("service/watchdog");
-  const auto tick =
-      std::chrono::milliseconds(std::max(1, config_.introspection_tick_ms));
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(watchdog_mu_);
-      if (watchdog_cv_.wait_for(lock, tick,
-                                [this] { return watchdog_stop_; })) {
-        return;
-      }
-    }
-    window_.SampleNow();
-    EvaluateHealth();
-  }
-}
-
 void Server::EvaluateHealth() {
   HealthState next = HealthState::kOk;
-  const size_t depth = queue_.size();
-  const size_t capacity = queue_.capacity();
-  const auto shed =
-      window_.CounterRate("service/shed", config_.shed_window_sec);
+  const size_t depth = queued_.load();
+  const size_t capacity = config_.queue_capacity;
+  const auto shed = window_.CounterRate("service/shed", kShedWindowSec);
   const auto miss =
       window_.CounterRate("service/deadline_exceeded", kMissWindowSec);
   const auto received =
       window_.CounterRate("service/requests_received", kMissWindowSec);
-  if (shed.delta > 0 || (capacity > 0 && depth >= capacity)) {
+  if (shed.delta > 0 || depth >= capacity) {
     next = HealthState::kShedding;
-  } else if ((capacity > 0 &&
-              static_cast<double>(depth) >=
-                  kDegradedQueueFraction * static_cast<double>(capacity)) ||
+  } else if (static_cast<double>(depth) >=
+                 kDegradedQueueFraction * static_cast<double>(capacity) ||
              (received.delta > 0 &&
               static_cast<double>(miss.delta) >
                   kDegradedMissRate * static_cast<double>(received.delta))) {
@@ -202,7 +191,7 @@ Server::LiveStats Server::Live(double window_sec) const {
   live.p99_us =
       window_.HistogramWindow("service/request_latency_us", window_sec)
           .Percentile(99.0);
-  live.queue_depth = queue_.size();
+  live.queue_depth = queued_.load();
   live.requests_received = window_.CounterValue("service/requests_received");
   live.health = health();
   return live;
@@ -245,111 +234,122 @@ void Server::OnFrame(uint64_t conn_id, std::string frame) {
       return;
     }
   }
-  if (stopping_.load(std::memory_order_acquire)) {
-    Reply(conn_id, ErrorResponse(ResponseCode::kShuttingDown,
-                                 "server is draining", id));
-    return;
-  }
-  // One high-priority drain task per admitted request: requests are
-  // admitted ahead of any queued intra-query scan grains (kNormal), so a
-  // long parallel scan cannot starve the request path. The task is counted
-  // before the push: once Shutdown has closed the queue it waits for the
-  // count to reach zero, so an item must hold the count up (and with it
-  // the pool) from the moment it becomes visible.
+  // Admission: one kHigh task per admitted request, so requests run ahead
+  // of any queued intra-query scan grains (kNormal) and a long parallel
+  // scan cannot starve the request path. stopping_ is read and the task
+  // counted under drain_mu_, where Shutdown() sets stopping_ before it
+  // waits for the count: no task is submitted after that wait returns.
+  ResponseCode refusal = ResponseCode::kOk;
   {
     std::lock_guard<std::mutex> drain_lock(drain_mu_);
-    ++drain_tasks_;
+    if (stopping_) {
+      refusal = ResponseCode::kShuttingDown;
+    } else if (queued_.load() >= config_.queue_capacity) {
+      refusal = ResponseCode::kBusy;
+    } else {
+      ++queued_;
+      ++drain_tasks_;
+    }
   }
-  if (!queue_.TryPush(std::move(pending))) {
-    FinishDrainTask();
+  if (refusal == ResponseCode::kShuttingDown) {
+    Reply(conn_id, ErrorResponse(refusal, "server is draining", id));
+    return;
+  }
+  if (refusal == ResponseCode::kBusy) {
     // Admission control: a full queue sheds immediately instead of
     // building a backlog that would blow every queued deadline.
     shed_->Increment();
-    Reply(conn_id,
-          ErrorResponse(ResponseCode::kBusy, "request queue full", id));
+    Reply(conn_id, ErrorResponse(refusal, "request queue full", id));
     return;
   }
-  queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
-  executor_->Submit([this] { DrainOne(); }, exec::Priority::kHigh);
-}
-
-void Server::FinishDrainTask() {
-  std::lock_guard<std::mutex> lock(drain_mu_);
-  if (--drain_tasks_ == 0) drain_cv_.notify_all();
+  queue_depth_gauge_->Set(static_cast<double>(queued_.load()));
+  executor_->Submit(
+      [this, pending = std::move(pending)] { ServeAdmitted(pending); },
+      exec::Priority::kHigh);
 }
 
 void Server::AdminLoop() {
   obs::SetCurrentThreadName("service/admin");
+  const bool ticking = config_.introspection_tick_ms > 0;
+  const auto tick =
+      std::chrono::milliseconds(std::max(1, config_.introspection_tick_ms));
+  auto next_tick = std::chrono::steady_clock::now() + tick;
   while (true) {
-    PendingRequest pending;
+    std::optional<PendingRequest> pending;
     {
       std::unique_lock<std::mutex> lock(admin_mu_);
-      admin_cv_.wait(lock,
-                     [this] { return admin_stop_ || !admin_queue_.empty(); });
-      if (admin_queue_.empty()) return;  // admin_stop_ and drained
-      pending = std::move(admin_queue_.front());
-      admin_queue_.pop_front();
+      const auto ready = [this] {
+        return admin_stop_ || !admin_queue_.empty();
+      };
+      if (ticking) {
+        admin_cv_.wait_until(lock, next_tick, ready);
+      } else {
+        admin_cv_.wait(lock, ready);
+      }
+      if (!admin_queue_.empty()) {
+        pending = std::move(admin_queue_.front());
+        admin_queue_.pop_front();
+      } else if (admin_stop_) {
+        return;  // stopped, and everything it held is answered
+      }
     }
-    obs::ScopedRequestId rid_scope(pending.rid);
+    // The introspection tick: sample the registry into the windowed ring
+    // and re-evaluate health, whether or not a verb woke the thread.
+    if (ticking && std::chrono::steady_clock::now() >= next_tick) {
+      window_.SampleNow();
+      EvaluateHealth();
+      next_tick = std::chrono::steady_clock::now() + tick;
+    }
+    if (!pending.has_value()) continue;
+    obs::ScopedRequestId rid_scope(pending->rid);
     HINPRIV_SPAN("service/admin");
     admin_requests_->Increment();
-    Response response = ProcessAdmin(pending.request);
-    response.id = pending.request.id;
-    Reply(pending.conn_id, response);
+    Response response = ProcessAdmin(pending->request);
+    response.id = pending->request.id;
+    Reply(pending->conn_id, response);
   }
 }
 
-void Server::DrainOne() {
-  std::vector<PendingRequest> batch;
-  const auto same_method = [](const PendingRequest& a,
-                              const PendingRequest& b) {
-    return a.request.method == b.request.method;
-  };
-  const size_t n = queue_.TryPopBatch(std::max<size_t>(1, config_.max_batch),
-                                      &batch, same_method);
-  if (n > 0) {
-    queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
-    batches_->Increment();
-    batch_size_->Record(n);
-    for (const PendingRequest& pending : batch) {
-      obs::ScopedRequestId rid_scope(pending.rid);
-      HINPRIV_SPAN("service/handle_request");
-      const auto popped = std::chrono::steady_clock::now();
-      Response response;
-      // A throwing handler must still answer and count this task down:
-      // the pool would swallow the exception, leaving the client without
-      // a reply and Shutdown() waiting for a drain that never finishes.
-      try {
-        response = Process(pending);
-      } catch (const std::exception& e) {
-        response = ErrorResponse(ResponseCode::kInternal,
-                                 std::string("unhandled exception: ") +
-                                     e.what());
-      } catch (...) {
-        response = ErrorResponse(ResponseCode::kInternal,
-                                 "unhandled exception");
-      }
-      response.id = pending.request.id;
-      const auto processed = std::chrono::steady_clock::now();
-      Reply(pending.conn_id, response);
-      const auto responded = std::chrono::steady_clock::now();
-      latency_us_->Record(ElapsedUs(pending.admitted, responded));
-
-      SlowQueryRecord record;
-      record.rid = pending.rid;
-      record.method = pending.request.method;
-      record.target = pending.request.target;
-      record.has_target = pending.request.has_target;
-      record.max_distance = ResolveMaxDistance(pending.request);
-      record.code = response.code;
-      record.queue_us = ElapsedUs(pending.admitted, popped);
-      record.run_us = ElapsedUs(popped, processed);
-      record.write_us = ElapsedUs(processed, responded);
-      record.total_us = ElapsedUs(pending.admitted, responded);
-      slow_log_.Record(record);
-    }
+void Server::ServeAdmitted(const PendingRequest& pending) {
+  const auto started = std::chrono::steady_clock::now();
+  queue_depth_gauge_->Set(static_cast<double>(--queued_));
+  batch_size_->Record(1);
+  obs::ScopedRequestId rid_scope(pending.rid);
+  HINPRIV_SPAN("service/handle_request");
+  Response response;
+  // A throwing handler must still answer and count this task down: the
+  // pool would swallow the exception, leaving the client without a
+  // reply and Shutdown() waiting for a drain that never finishes.
+  try {
+    response = Process(pending);
+  } catch (const std::exception& e) {
+    response = ErrorResponse(ResponseCode::kInternal,
+                             std::string("unhandled exception: ") +
+                                 e.what());
+  } catch (...) {
+    response = ErrorResponse(ResponseCode::kInternal, "unhandled exception");
   }
-  FinishDrainTask();
+  response.id = pending.request.id;
+  const auto processed = std::chrono::steady_clock::now();
+  Reply(pending.conn_id, response);
+  const auto responded = std::chrono::steady_clock::now();
+  latency_us_->Record(ElapsedUs(pending.admitted, responded));
+
+  SlowQueryRecord record;
+  record.rid = pending.rid;
+  record.method = pending.request.method;
+  record.target = pending.request.target;
+  record.has_target = pending.request.has_target;
+  record.max_distance = ResolveMaxDistance(pending.request);
+  record.code = response.code;
+  record.queue_us = ElapsedUs(pending.admitted, started);
+  record.run_us = ElapsedUs(started, processed);
+  record.write_us = ElapsedUs(processed, responded);
+  record.total_us = ElapsedUs(pending.admitted, responded);
+  slow_log_.Record(record);
+
+  std::lock_guard<std::mutex> lock(drain_mu_);
+  if (--drain_tasks_ == 0) drain_cv_.notify_all();
 }
 
 int Server::ResolveMaxDistance(const Request& request) const {
@@ -383,7 +383,7 @@ Response Server::Process(const PendingRequest& pending) {
     case Method::kSleep:
       return ProcessSleep(request, token);
     default:
-      // Admin verbs go to the admin thread and never reach the queue.
+      // Admin verbs go to the admin thread and are never admitted.
       return ErrorResponse(ResponseCode::kInternal, "unhandled method");
   }
 }
@@ -511,9 +511,10 @@ Response Server::ProcessStats() {
               JsonValue::Int(static_cast<int64_t>(target_->num_vertices())));
   payload.Set("target_edges",
               JsonValue::Int(static_cast<int64_t>(target_->num_edges())));
-  payload.Set("queue_depth", JsonValue::Int(static_cast<int64_t>(queue_.size())));
+  payload.Set("queue_depth",
+              JsonValue::Int(static_cast<int64_t>(queued_.load())));
   payload.Set("queue_capacity",
-              JsonValue::Int(static_cast<int64_t>(queue_.capacity())));
+              JsonValue::Int(static_cast<int64_t>(config_.queue_capacity)));
   payload.Set("num_workers",
               JsonValue::Int(static_cast<int64_t>(executor_->num_workers())));
 
@@ -604,11 +605,10 @@ Response Server::ProcessHealth() {
   handler_->AppendHealth(&payload);
   payload.Set("health", JsonValue::Str(HealthStateName(health())));
   payload.Set("queue_depth",
-              JsonValue::Int(static_cast<int64_t>(queue_.size())));
+              JsonValue::Int(static_cast<int64_t>(queued_.load())));
   payload.Set("queue_capacity",
-              JsonValue::Int(static_cast<int64_t>(queue_.capacity())));
-  const auto shed =
-      window_.CounterRate("service/shed", config_.shed_window_sec);
+              JsonValue::Int(static_cast<int64_t>(config_.queue_capacity)));
+  const auto shed = window_.CounterRate("service/shed", kShedWindowSec);
   payload.Set("shed_per_sec", JsonValue::Number(shed.rate));
   const auto miss =
       window_.CounterRate("service/deadline_exceeded", kMissWindowSec);
@@ -731,21 +731,19 @@ void Server::Shutdown() {
       finished_.load(std::memory_order_acquire)) {
     return;
   }
-  stopping_.store(true, std::memory_order_release);
 
-  // 1. Stop accepting new connections. Established connections keep their
-  //    sockets: frames that still arrive are answered SHUTTING_DOWN by
-  //    OnFrame (stopping_ is set), and responses to in-flight requests
-  //    still go out through the loop.
+  // 1. Admit nothing more, then stop accepting new connections.
+  //    Established connections keep their sockets: frames that still
+  //    arrive are answered SHUTTING_DOWN by OnFrame, and responses to
+  //    in-flight requests still go out through the loop.
+  {
+    std::lock_guard<std::mutex> drain_lock(drain_mu_);
+    stopping_ = true;
+  }
   if (loop_ != nullptr) loop_->StopAccepting();
 
-  // 2. Drain: stopping_ and the closed queue refuse new admissions, and a
-  //    frame already past the stopping_ check on the loop thread counted
-  //    its drain task before its push could land. Each push submitted one
-  //    task and every task pops at least one item whenever the queue is
-  //    nonempty, so outstanding-tasks >= queued-items always holds: once
-  //    the count hits zero, every admitted request has been answered.
-  queue_.Close();
+  // 2. Drain: every request OnFrame admitted holds one counted task, so
+  //    once the count hits zero every admitted request has been answered.
   {
     std::unique_lock<std::mutex> drain_lock(drain_mu_);
     drain_cv_.wait(drain_lock, [this] { return drain_tasks_ == 0; });
@@ -754,7 +752,7 @@ void Server::Shutdown() {
 
   // 3. Stop the admin thread after the serving drain; it answers what it
   //    already holds before exiting, and OnFrame answers later admin
-  //    verbs SHUTTING_DOWN.
+  //    verbs SHUTTING_DOWN. Its introspection tick stops with it.
   if (admin_thread_.joinable()) {
     {
       std::lock_guard<std::mutex> admin_lock(admin_mu_);
@@ -767,15 +765,6 @@ void Server::Shutdown() {
   // Joining the pool here (rather than at destruction) keeps the
   // post-Shutdown server inert.
   executor_.reset();
-
-  // Stop the introspection watchdog after the drain so the last health
-  // evaluation saw the final counter values.
-  {
-    std::lock_guard<std::mutex> watchdog_lock(watchdog_mu_);
-    watchdog_stop_ = true;
-  }
-  watchdog_cv_.notify_all();
-  if (watchdog_.joinable()) watchdog_.join();
 
   // 4. Flush: every response above was enqueued into the loop; Shutdown
   //    keeps writing until the queues empty (bounded by the loop's drain

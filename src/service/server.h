@@ -1,6 +1,7 @@
 #ifndef HINPRIV_SERVICE_SERVER_H_
 #define HINPRIV_SERVICE_SERVER_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -19,7 +20,6 @@
 #include "obs/windowed.h"
 #include "service/event_loop.h"
 #include "service/protocol.h"
-#include "service/request_queue.h"
 #include "service/slow_query_log.h"
 #include "util/cancellation.h"
 #include "util/status.h"
@@ -34,19 +34,15 @@ struct ServerConfig {
   // 0 = kernel-assigned ephemeral port (read back via Server::port()).
   uint16_t port = 0;
   // Size of the execution pool every server owns (0 = one worker per CPU
-  // the process may run on). Request drain tasks run on it at Priority::kHigh and
-  // intra-query scan grains at kNormal, so admitted requests never starve
-  // behind another query's scan work. With more than one worker, attack_one
-  // always uses the intra-query parallel candidate scan
-  // (Dehin::DeanonymizeParallel), bit-identical to the serial path.
+  // the process may run on). Each admitted request runs as one task at
+  // Priority::kHigh and intra-query scan grains at kNormal, so admitted
+  // requests never starve behind another query's scan work. attack_one
+  // runs Dehin::DeanonymizeParallel, which scans serially on one worker.
   size_t num_workers = 4;
-  // Bound of the request queue = admission control. A full queue sheds
-  // with BUSY instead of queueing into certain deadline misses.
+  // Admission control: at most this many admitted requests wait for a
+  // worker (floored at one); beyond that a request sheds with BUSY
+  // instead of queueing into certain deadline misses.
   size_t queue_capacity = 128;
-  // Micro-batching: one worker pops up to this many same-method requests
-  // at once so consecutive attack_one calls reuse the hot per-target state
-  // and cache lines. 1 disables batching.
-  size_t max_batch = 8;
   // Default max neighbor distance n for requests that omit it.
   int default_max_distance = 1;
   // Default per-request deadline for requests that omit it; 0 = none.
@@ -68,23 +64,16 @@ struct ServerConfig {
   hin::Graph* mutable_aux = nullptr;
 
   // --- live introspection ---------------------------------------------------
-  // Watchdog tick: every tick the global registry is sampled into the
-  // windowed ring and the health state is re-evaluated. <= 0 disables the
-  // watchdog thread entirely (stats still answers, with empty windows and
-  // health pinned at "ok").
+  // Introspection tick: every tick the admin thread samples the global
+  // registry into the windowed ring and re-evaluates the health state
+  // (DESIGN.md §11). <= 0 disables sampling (stats still answers, with
+  // empty windows and health pinned at "ok").
   int introspection_tick_ms = 250;
-  // Worst-N slow-query log returned by the `stats` verb.
-  size_t slow_log_capacity = 16;
-  // Health policy (see DESIGN.md §11): "shedding" when any request was
-  // shed within shed_window_sec or the queue is full; otherwise
-  // "degraded" when the queue sits at three quarters of capacity or more
-  // than 10% of the requests of the last 10 s missed their deadline;
-  // otherwise "ok".
-  double shed_window_sec = 1.0;
 };
 
-// Watchdog-derived serving condition, exported as the service/health_state
-// gauge (the numeric value) and by the `health` admin verb (the name).
+// Serving condition re-evaluated every introspection tick, exported as the
+// service/health_state gauge (the numeric value) and by the `health` admin
+// verb (the name).
 enum class HealthState {
   kOk = 0,
   kDegraded = 1,
@@ -124,26 +113,27 @@ class Handler {
 
 // The resident de-anonymization attack service. It owns the sockets (a
 // single-threaded epoll EventLoop that only parses frames and hands them
-// off), the bounded admission queue and its drain tasks on an owned
-// work-stealing pool, deadlines, the `risk` and `sleep` verbs, the admin
-// verbs (answered on a dedicated admin thread so they respond while the
-// pool is saturated), the health watchdog, the slow-query log and the
+// off), admission into an owned work-stealing pool (one kHigh task per
+// admitted request), deadlines, the `risk` and `sleep` verbs, the admin
+// verbs and the introspection tick (both on a dedicated admin thread, so
+// they respond while the pool is saturated), the slow-query log and the
 // graceful drain. attack_one and apply_delta go to its Handler.
 //
 // Production semantics (see DESIGN.md §7):
-//   * admission control — a full queue sheds with BUSY immediately;
+//   * admission control — once queue_capacity admitted requests wait for
+//     a worker, a request sheds with BUSY immediately;
 //   * per-request deadlines — enforced both while queued and inside the
 //     handler via util::CancelToken (DEADLINE_EXCEEDED);
-//   * micro-batching — same-method runs pop together for cache locality;
 //   * graceful drain — Shutdown() stops accepting, finishes every
 //     admitted request, flushes every queued response, joins all threads,
 //     and writes a final metrics snapshot.
 //
 // Telemetry: service/* counters (received, ok, shed, deadline_exceeded,
-// invalid, connections, batches, write_errors), the service/queue_depth
-// gauge, service/request_latency_us and service/batch_size histograms,
-// and HINPRIV_SPAN coverage of the loop/worker paths, so a serving run
-// produces the same Chrome-trace flame timelines as the batch path.
+// invalid, connections, write_errors), the service/queue_depth gauge,
+// service/request_latency_us and service/batch_size histograms (the
+// latter records 1 per served request), and HINPRIV_SPAN coverage of the
+// loop/worker paths, so a serving run produces the same Chrome-trace
+// flame timelines as the batch path.
 class Server {
  public:
   // A LocalScan server: both graphs are borrowed and must outlive the
@@ -160,15 +150,15 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds, listens, spawns the event loop, admin, watchdog and worker
-  // threads, and starts the handler (which warms its state so the first
-  // request does not pay the build).
+  // Binds, listens, spawns the event loop, admin and worker threads, and
+  // starts the handler (which warms its state so the first request does
+  // not pay the build).
   util::Status Start();
 
   // The actually-bound port (differs from config.port when that was 0).
   uint16_t port() const { return port_; }
 
-  // Current watchdog health verdict (kOk until the first watchdog tick).
+  // Current health verdict (kOk until the first introspection tick).
   HealthState health() const;
 
   // One-line self-report over roughly the last `window_sec` seconds, read
@@ -204,15 +194,13 @@ class Server {
   };
 
   // EventLoop frame handler: parse, then hand admin verbs to the admin
-  // thread and admit serving verbs into the queue (or shed). Runs on the
+  // thread and admit serving verbs as pool tasks (or shed). Runs on the
   // loop thread — never blocks on compute.
   void OnFrame(uint64_t conn_id, std::string frame);
-  // One executor task per admitted request: drains up to max_batch
-  // compatible head items non-blockingly (another task may already have
-  // batched this task's item away, in which case it pops nothing).
-  void DrainOne();
-  void FinishDrainTask();
-  // Serves the admin verbs off the event loop, in arrival order.
+  // The pool task of one admitted request: serves exactly that request.
+  void ServeAdmitted(const PendingRequest& pending);
+  // Serves the admin verbs off the event loop, in arrival order, and runs
+  // the introspection tick between them.
   void AdminLoop();
 
   // Serving verbs; the id is set by the caller.
@@ -229,7 +217,6 @@ class Server {
   Response ProcessMetrics(const Request& request);
   Response ProcessTraceDump(const Request& request);
 
-  void WatchdogLoop();
   void EvaluateHealth();
 
   // Counts `response` under its code's service/* counter and sends it.
@@ -254,11 +241,9 @@ class Server {
   uint16_t port_ = 0;
 
   std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
   std::atomic<bool> finished_{false};
   std::mutex shutdown_mu_;  // serializes Shutdown callers
 
-  BoundedQueue<PendingRequest> queue_;
   std::unique_ptr<EventLoop> loop_;
   std::thread admin_thread_;
   std::mutex admin_mu_;
@@ -266,28 +251,29 @@ class Server {
   std::deque<PendingRequest> admin_queue_;
   bool admin_stop_ = false;
 
-  // The owned execution pool. Outstanding drain tasks are counted so
-  // Shutdown can wait for the queue to empty: every push is counted (before
-  // it happens) and submits exactly one task, and a task pops at least one
-  // item whenever the queue is nonempty, so tasks-outstanding >=
-  // items-queued always holds and drain_tasks_ == 0 implies the queue is
-  // drained.
+  // The owned execution pool; its kHigh FIFO is the admission queue.
+  // Each admitted request is one task, counted in drain_tasks_ from
+  // admission until it has answered, so tasks == admitted requests and
+  // drain_tasks_ == 0 means every admitted request was answered.
+  // stopping_ and the count change together under drain_mu_: once
+  // Shutdown() has set stopping_, no task is counted or submitted.
   std::unique_ptr<exec::Executor> executor_;
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
-  size_t drain_tasks_ = 0;
+  bool stopping_ = false;   // drain_mu_
+  size_t drain_tasks_ = 0;  // drain_mu_
+  // The bound: admitted requests whose task has not started. Only the loop
+  // thread increments it (so check-then-add never overshoots
+  // queue_capacity); each task decrements it when it starts.
+  std::atomic<size_t> queued_{0};
 
   std::mutex risk_mu_;
   std::map<int, RiskEntry> risk_cache_;
 
   // Introspection plane: a windowed view over the global registry, fed by
-  // the watchdog thread (which also re-evaluates the health verdict each
-  // tick), plus the worst-N slow-query log and the request-id source.
+  // the admin thread's tick (which also re-evaluates the health verdict),
+  // plus the worst-N slow-query log and the request-id source.
   obs::WindowedAggregator window_;
-  std::thread watchdog_;
-  std::mutex watchdog_mu_;
-  std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;
   std::atomic<int> health_{static_cast<int>(HealthState::kOk)};
   std::chrono::steady_clock::time_point started_at_{};
   std::atomic<uint64_t> next_rid_{0};
@@ -307,7 +293,6 @@ class Server {
   obs::Counter* invalid_;
   obs::Counter* internal_errors_;
   obs::Counter* connections_accepted_;
-  obs::Counter* batches_;
   obs::Counter* write_errors_;
   obs::Gauge* queue_depth_gauge_;
   obs::Histogram* latency_us_;

@@ -54,6 +54,19 @@ TEST(JsonTest, IntegersSerializeExactly) {
   EXPECT_EQ(JsonValue::Int(-42).Serialize(), "-42");
 }
 
+// A number outside the int64 range reads as the fallback: casting it
+// would be undefined behaviour.
+TEST(JsonTest, AsIntFallsBackOutsideInt64Range) {
+  for (const std::string doc : {"1e300", "-1e300", "9.3e18"}) {
+    auto parsed = JsonValue::Parse(doc);
+    ASSERT_TRUE(parsed.ok()) << doc;
+    EXPECT_EQ(parsed.value().AsInt(-7), -7) << doc;
+  }
+  auto parsed = JsonValue::Parse("42");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().AsInt(-7), 42);
+}
+
 TEST(ProtocolTest, RequestRoundTrips) {
   Request request;
   request.id = 42;
@@ -156,6 +169,18 @@ TEST(ProtocolTest, DecodeRequestValidates) {
       R"({"id":1,"method":"risk","max_distance":1000000})");
   ASSERT_TRUE(doc.ok());
   EXPECT_FALSE(DecodeRequest(doc.value()).ok());
+  // A max_distance that is 2 modulo 2^32 is still out of range.
+  doc = JsonValue::Parse(
+      R"({"id":1,"method":"attack_one","target":0,"max_distance":4294967298})");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_FALSE(DecodeRequest(doc.value()).ok());
+  // Any negative max_distance means the server default.
+  doc = JsonValue::Parse(
+      R"({"id":1,"method":"risk","max_distance":-4294967295})");
+  ASSERT_TRUE(doc.ok());
+  auto decoded = DecodeRequest(doc.value());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().max_distance, -1);
 }
 
 class FramePipeTest : public testing::Test {

@@ -327,8 +327,9 @@ TEST(ServiceDeltaTest, RejectedOnUnreadableStream) {
 
 // A hostile section count must not throw out of the stream loader on a
 // worker: the pool would swallow the exception, the client would never
-// get a reply, and Shutdown() would wait forever for the drain task. It
-// comes back as INVALID_REQUEST, and the server keeps serving and drains.
+// get a reply, and Shutdown() would wait forever for the request's task.
+// It comes back as INVALID_REQUEST, and the server keeps serving and
+// drains.
 TEST(ServiceDeltaTest, HostileSectionCountIsInvalidRequest) {
   TestNetwork net = MakeNetwork(60, 40);
   const testing_support::TempPath temp("hostile.deltas");

@@ -2,8 +2,11 @@
 // loopback socket, concurrent clients, and parity against the batch
 // evaluator on the same anonymized/auxiliary pair.
 
+#include <unistd.h>
+
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -21,6 +24,7 @@
 #include "eval/metrics.h"
 #include "service/client.h"
 #include "service/json.h"
+#include "service/protocol.h"
 #include "service/server.h"
 #include "synth/tqq_generator.h"
 #include "util/random.h"
@@ -71,22 +75,20 @@ TEST(ServiceIntegrationTest, ConcurrentQueriesMatchBatchEvaluator) {
   ServerConfig config;
   config.num_workers = 3;
   config.queue_capacity = 64;
-  config.max_batch = 4;
   config.default_max_distance = 1;
   config.dehin = MakeDehinConfig();
   Server server(&net.anonymized, &net.aux, config);
   ASSERT_TRUE(server.Start().ok());
   ASSERT_GT(server.port(), 0);
 
-  // The server owns a pool of num_workers, and with more than one worker
-  // attack_one runs the intra-query parallel scan.
+  // The server owns a pool of num_workers, over which attack_one runs the
+  // intra-query parallel scan.
   {
     auto client = Client::Connect("127.0.0.1", server.port());
     ASSERT_TRUE(client.ok());
     auto stats = client.value().Stats();
     ASSERT_TRUE(stats.ok());
     EXPECT_EQ(stats.value().result.GetInt("num_workers", -1), 3);
-    EXPECT_TRUE(stats.value().result.GetBool("parallel_scan", false));
   }
 
   // Reference answers from the library the batch evaluator uses.
@@ -188,62 +190,73 @@ TEST(ServiceIntegrationTest, ConcurrentQueriesMatchBatchEvaluator) {
 
 TEST(ServiceIntegrationTest, SaturatedQueueShedsWithBusy) {
   const TestNetwork net = MakeNetwork(40, 12);
-  ServerConfig config;
-  config.num_workers = 1;
-  config.queue_capacity = 1;
-  config.max_batch = 1;
-  config.dehin = MakeDehinConfig();
-  Server server(&net.anonymized, &net.aux, config);
-  ASSERT_TRUE(server.Start().ok());
+  // The bound floors at one, so capacity 0 admits exactly one request
+  // behind the busy worker, like capacity 1.
+  for (const size_t capacity : {size_t{0}, size_t{1}}) {
+    SCOPED_TRACE("queue_capacity " + std::to_string(capacity));
+    ServerConfig config;
+    config.num_workers = 1;
+    config.queue_capacity = capacity;
+    config.dehin = MakeDehinConfig();
+    Server server(&net.anonymized, &net.aux, config);
+    ASSERT_TRUE(server.Start().ok());
 
-  // Occupy the single worker with a long sleep, then fill the one queue
-  // slot with another; the third request must be shed immediately with
-  // BUSY — never blocked.
-  auto holder = Client::Connect("127.0.0.1", server.port());
-  auto filler = Client::Connect("127.0.0.1", server.port());
-  auto prober = Client::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(holder.ok() && filler.ok() && prober.ok());
+    // Occupy the single worker with a long sleep, then fill the one queue
+    // slot with another; the third request must be shed immediately with
+    // BUSY — never blocked.
+    auto holder = Client::Connect("127.0.0.1", server.port());
+    auto filler = Client::Connect("127.0.0.1", server.port());
+    auto prober = Client::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(holder.ok() && filler.ok() && prober.ok());
 
-  std::thread hold([&] {
-    auto r = holder.value().Sleep(600);
-    EXPECT_TRUE(r.ok());
-    EXPECT_EQ(r.value().code, ResponseCode::kOk);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  std::thread fill([&] {
-    auto r = filler.value().Sleep(600);
-    EXPECT_TRUE(r.ok());
-    EXPECT_EQ(r.value().code, ResponseCode::kOk);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    std::thread hold([&] {
+      auto r = holder.value().Sleep(600);
+      EXPECT_TRUE(r.ok());
+      EXPECT_EQ(r.value().code, ResponseCode::kOk);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    std::thread fill([&] {
+      auto r = filler.value().Sleep(600);
+      EXPECT_TRUE(r.ok());
+      EXPECT_EQ(r.value().code, ResponseCode::kOk);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
 
-  const auto probe_start = std::chrono::steady_clock::now();
-  auto probe = prober.value().AttackOne(0, 1);
-  const auto probe_elapsed = std::chrono::steady_clock::now() - probe_start;
-  ASSERT_TRUE(probe.ok());
-  EXPECT_EQ(probe.value().code, ResponseCode::kBusy);
-  // Shedding is immediate: the reply must come back long before the
-  // sleeps holding the worker and the queue slot resolve.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
-                probe_elapsed)
-                .count(),
-            500);
+    // health reads the bound and the one request waiting behind the worker.
+    auto health = prober.value().Health();
+    ASSERT_TRUE(health.ok());
+    ASSERT_EQ(health.value().code, ResponseCode::kOk);
+    EXPECT_EQ(health.value().result.GetInt("queue_depth", -1), 1);
+    EXPECT_EQ(health.value().result.GetInt("queue_capacity", -1), 1);
 
-  // Admin verbs bypass the admission queue entirely: stats answers OK on
-  // the admin thread even while the worker and queue are both occupied.
-  const auto stats_start = std::chrono::steady_clock::now();
-  auto stats = prober.value().Stats();
-  const auto stats_elapsed = std::chrono::steady_clock::now() - stats_start;
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().code, ResponseCode::kOk);
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
-                stats_elapsed)
-                .count(),
-            500);
+    const auto probe_start = std::chrono::steady_clock::now();
+    auto probe = prober.value().AttackOne(0, 1);
+    const auto probe_elapsed = std::chrono::steady_clock::now() - probe_start;
+    ASSERT_TRUE(probe.ok());
+    EXPECT_EQ(probe.value().code, ResponseCode::kBusy);
+    // Shedding is immediate: the reply must come back long before the
+    // sleeps holding the worker and the queue slot resolve.
+    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                  probe_elapsed)
+                  .count(),
+              500);
 
-  hold.join();
-  fill.join();
-  server.Shutdown();
+    // Admin verbs bypass the admission queue entirely: stats answers OK on
+    // the admin thread even while the worker and queue are both occupied.
+    const auto stats_start = std::chrono::steady_clock::now();
+    auto stats = prober.value().Stats();
+    const auto stats_elapsed = std::chrono::steady_clock::now() - stats_start;
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats.value().code, ResponseCode::kOk);
+    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                  stats_elapsed)
+                  .count(),
+              500);
+
+    hold.join();
+    fill.join();
+    server.Shutdown();
+  }
 }
 
 TEST(ServiceIntegrationTest, QueuedDeadlineExpiresWithoutCrashing) {
@@ -281,6 +294,11 @@ TEST(ServiceIntegrationTest, QueuedDeadlineExpiresWithoutCrashing) {
   auto ok_again = victim.value().AttackOne(0, 1);
   ASSERT_TRUE(ok_again.ok());
   EXPECT_EQ(ok_again.value().code, ResponseCode::kOk);
+  // A deadline far beyond the clock's range is no deadline; converting it
+  // must not overflow.
+  auto far = victim.value().AttackOne(0, 1, /*deadline_ms=*/1e300);
+  ASSERT_TRUE(far.ok());
+  EXPECT_EQ(far.value().code, ResponseCode::kOk);
 
   // Graceful shutdown flushes a final hinpriv-metrics-v1 snapshot with
   // live service/* counters.
@@ -345,8 +363,106 @@ TEST(ServiceIntegrationTest, ShutdownWithIdleConnectionsCompletes) {
   EXPECT_TRUE(server.finished());
 }
 
+// Reads one response frame from a raw connection.
+util::Result<Response> ReadResponse(int fd) {
+  auto frame = ReadFrame(fd);
+  if (!frame.ok()) return frame.status();
+  if (!frame.value().has_value()) {
+    return util::Status::IoError("connection closed");
+  }
+  auto doc = JsonValue::Parse(*frame.value());
+  if (!doc.ok()) return doc.status();
+  return DecodeResponse(doc.value());
+}
+
+// Shutdown() answers every request admitted before it, and a frame that
+// arrives during the drain, on a connection opened before it, answers
+// SHUTTING_DOWN.
+TEST(ServiceIntegrationTest, ShutdownAnswersEveryAdmittedRequest) {
+  const TestNetwork net = MakeNetwork(60, 17);
+  ServerConfig config;
+  config.num_workers = 1;
+  config.queue_capacity = 8;
+  config.dehin = MakeDehinConfig();
+  Server server(&net.anonymized, &net.aux, config);
+  ASSERT_TRUE(server.Start().ok());
+  auto late = Client::Connect("127.0.0.1", server.port());
+  auto pipelined = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(late.ok() && pipelined.ok());
+  const int fd = pipelined.value();
+
+  // One connection's frames are admitted in order: a sleep that holds the
+  // one worker, three attacks behind it, then a health probe. The admin
+  // thread answers the probe while the sleep runs, after all three attacks
+  // were admitted.
+  constexpr hin::VertexId kTargets[] = {3, 11, 29};
+  std::vector<Request> requests(5);
+  requests[0].method = Method::kSleep;
+  requests[0].sleep_ms = 1000;
+  for (size_t i = 0; i < 3; ++i) {
+    requests[1 + i].method = Method::kAttackOne;
+    requests[1 + i].target = kTargets[i];
+    requests[1 + i].has_target = true;
+    requests[1 + i].max_distance = 1;
+  }
+  requests[4].method = Method::kHealth;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].id = i;
+    ASSERT_TRUE(WriteFrame(fd, EncodeRequest(requests[i]).Serialize()).ok());
+  }
+  std::map<uint64_t, Response> answers;
+  while (answers.count(4) == 0) {
+    auto response = ReadResponse(fd);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    answers[response.value().id] = response.value();
+  }
+  EXPECT_GE(answers[4].result.GetInt("queue_depth", -1), 3);
+
+  std::thread shutdown([&] { server.Shutdown(); });
+  // Shutdown() refuses admission before it stops accepting, so once a
+  // connect is refused, later frames answer SHUTTING_DOWN.
+  const auto refuse_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  bool refused = false;
+  while (!refused && std::chrono::steady_clock::now() < refuse_deadline) {
+    auto probe = ConnectTcp("127.0.0.1", server.port());
+    refused = !probe.ok();
+    if (probe.ok()) ::close(probe.value());
+  }
+  auto after = late.value().AttackOne(0, 1);
+  shutdown.join();
+  EXPECT_TRUE(refused);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value().code, ResponseCode::kShuttingDown);
+  EXPECT_TRUE(server.finished());
+
+  // Every admitted request was answered before the server closed the
+  // connection.
+  while (answers.size() < requests.size()) {
+    auto response = ReadResponse(fd);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    answers[response.value().id] = response.value();
+  }
+  ::close(fd);
+  EXPECT_EQ(answers[0].code, ResponseCode::kOk);
+  core::Dehin reference(&net.aux, MakeDehinConfig());
+  for (size_t i = 0; i < 3; ++i) {
+    const Response& answer = answers[1 + i];
+    ASSERT_EQ(answer.code, ResponseCode::kOk) << answer.error;
+    const std::vector<hin::VertexId> expected =
+        reference.Deanonymize(net.anonymized, kTargets[i], 1);
+    const JsonValue* candidates = answer.result.Find("candidates");
+    ASSERT_NE(candidates, nullptr);
+    ASSERT_EQ(candidates->size(), expected.size());
+    for (size_t c = 0; c < expected.size(); ++c) {
+      EXPECT_EQ(candidates->at(c).AsInt(-1),
+                static_cast<int64_t>(expected[c]));
+    }
+  }
+}
+
 // A handler whose attack_one throws. The pool swallows task exceptions, so
-// the front-end itself must answer INTERNAL and count the drain task
+// the front-end itself must answer INTERNAL and count the request's task
 // down; otherwise the client never hears back and Shutdown() waits for
 // the task forever.
 class ThrowingHandler : public Handler {

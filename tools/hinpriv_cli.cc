@@ -395,12 +395,9 @@ int RunAttack(int argc, char** argv) {
 
   // One executor serves both parallel shapes: across-target evaluation
   // (one task per target) and the intra-query candidate scan (grains of
-  // one target's scan).
+  // one target's scan). --threads=1 gives it one worker.
   const size_t threads = static_cast<size_t>(flags.GetInt("threads"));
-  std::unique_ptr<exec::Executor> pool;
-  if (threads != 1) {
-    pool = std::make_unique<exec::Executor>(exec::ResolveThreads(threads));
-  }
+  auto pool = std::make_unique<exec::Executor>(exec::ResolveThreads(threads));
 
   // Across-target path: score every target through
   // eval::EvaluateAttackParallel (per-worker spans, shared match cache
@@ -454,19 +451,15 @@ int RunAttack(int argc, char** argv) {
     // Stop at a target boundary on SIGINT/SIGTERM; partial per-target
     // output and telemetry are still flushed below.
     if (service::ShutdownToken().ShouldStop()) break;
-    std::vector<hin::VertexId> candidates;
-    if (pool != nullptr && pool->num_workers() > 1) {
-      // Intra-query scan: this one target's candidate scan fans out over
-      // the pool; the merged result is bit-identical to the serial call.
-      core::Dehin::ParallelScanOptions scan;
-      scan.executor = pool.get();
-      scan.cancel = &service::ShutdownToken();
-      auto result = dehin.DeanonymizeParallel(published, v, n, scan);
-      if (!result.ok()) break;  // signal: stop at the target boundary
-      candidates = std::move(result).value();
-    } else {
-      candidates = dehin.Deanonymize(published, v, n);
-    }
+    // Intra-query scan: this one target's candidate scan fans out over the
+    // pool (serial on one worker); the result is bit-identical to the
+    // serial call.
+    core::Dehin::ParallelScanOptions scan;
+    scan.executor = pool.get();
+    scan.cancel = &service::ShutdownToken();
+    auto result = dehin.DeanonymizeParallel(published, v, n, scan);
+    if (!result.ok()) break;  // signal: stop at the target boundary
+    const std::vector<hin::VertexId> candidates = std::move(result).value();
     ++evaluated;
     candidate_counts[v] = candidates.size();
     candidate_sum += static_cast<double>(candidates.size());
@@ -811,8 +804,6 @@ int RunServe(int argc, char** argv) {
                "may run on)");
   flags.Define("queue_capacity", "128",
                "request queue bound; a full queue sheds with BUSY");
-  flags.Define("max_batch", "8",
-               "micro-batch size for compatible queued requests (1 = off)");
   flags.Define("max_distance", "1",
                "default max neighbor distance for requests that omit it");
   flags.Define("deadline_ms", "0",
@@ -856,7 +847,6 @@ int RunServe(int argc, char** argv) {
   config.port = static_cast<uint16_t>(flags.GetInt("port"));
   config.num_workers = static_cast<size_t>(flags.GetInt("workers"));
   config.queue_capacity = static_cast<size_t>(flags.GetInt("queue_capacity"));
-  config.max_batch = static_cast<size_t>(flags.GetInt("max_batch"));
   config.default_max_distance = static_cast<int>(flags.GetInt("max_distance"));
   config.default_deadline_ms = flags.GetDouble("deadline_ms");
   config.metrics_json_path = flags.GetString("metrics_json");
@@ -871,11 +861,11 @@ int RunServe(int argc, char** argv) {
   service::Server server(&target.value(), &aux.value(), config);
   status = server.Start();
   if (!status.ok()) return Fail(status);
-  std::printf("serving %s (aux %s) on %s:%u — %zu workers, queue %zu, "
-              "batch %zu; SIGINT/SIGTERM drains gracefully\n",
+  std::printf("serving %s (aux %s) on %s:%u — %zu workers, queue %zu; "
+              "SIGINT/SIGTERM drains gracefully\n",
               flags.GetString("target").c_str(), aux_path.c_str(),
               config.host.c_str(), static_cast<unsigned>(server.port()),
-              config.num_workers, config.queue_capacity, config.max_batch);
+              config.num_workers, config.queue_capacity);
   std::fflush(stdout);
 
   const double heartbeat_sec = flags.GetDouble("heartbeat_sec");
