@@ -199,7 +199,8 @@ class Dehin {
 
   // Incrementally absorbs one growth batch into the warm state, after the
   // auxiliary graph has been mutated in place by
-  // hin::GraphBuilder::ApplyDelta (call order matters): the candidate
+  // hin::GraphBuilder::ApplyDelta or CommitDelta (call order matters): the
+  // candidate
   // index recompiles the profile rows of O(|delta|) vertices and moves
   // their bucket entries, and every cached target state's shared match
   // cache is invalidated epoch-wise for the delta's d-hop closure (d = its

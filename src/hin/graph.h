@@ -83,10 +83,31 @@ struct GraphOverlay {
   uint64_t compactions = 0;
 };
 
+// What PreparedDelta carries (graph.cc).
+struct PreparedBatch;
+struct AdjacencyBatch;
+
 }  // namespace internal
 
 class SnapshotReader;
 struct GraphDelta;
+
+// One growth batch built against one state of a Graph, ready for
+// GraphBuilder::CommitDelta to install (graph_builder.h). Move-only. After
+// the commit it holds the buffers the commit replaced, so they are freed
+// when it is dropped rather than inside the commit.
+class PreparedDelta {
+ public:
+  PreparedDelta(PreparedDelta&&) noexcept;
+  PreparedDelta& operator=(PreparedDelta&&) noexcept;
+  ~PreparedDelta();
+
+ private:
+  friend class Graph;
+  explicit PreparedDelta(std::unique_ptr<internal::PreparedBatch> batch);
+
+  std::unique_ptr<internal::PreparedBatch> batch_;
+};
 
 // A heterogeneous information network instance (Definition 1): a directed
 // graph whose vertices carry an entity type and per-type profile
@@ -97,13 +118,14 @@ struct GraphDelta;
 // data is exposed through std::span views over an owned arena — either a
 // heap arena filled by GraphBuilder (graph_builder.h) or an mmap'd snapshot
 // (snapshot.h) used in place with zero deserialization. The arena is never
-// written. The graph is mutated only by GraphBuilder::ApplyDelta, under the
-// caller's exclusion, which puts every change into a heap overlay: a
-// patched vertex's adjacency run lives in its own vector, and the
-// accessors check a per-vertex patch row before the CSR (one compare when
-// nothing is patched). Between deltas const access is safe to share across
-// threads; moving a Graph does not invalidate spans already taken from it
-// (neither the arena's nor the overlay's bytes move).
+// written. The graph is mutated only by GraphBuilder::CommitDelta, under
+// the caller's exclusion, which installs a batch PrepareDelta built with
+// const access into a heap overlay: a patched vertex's adjacency run lives
+// in its own vector, and the accessors check a per-vertex patch row before
+// the CSR (one compare when nothing is patched). Outside a commit, const
+// access (PrepareDelta's included) is safe to share across threads; moving
+// a Graph does not invalidate spans already taken from it (neither the
+// arena's nor the overlay's bytes move).
 class Graph {
  public:
   Graph(const Graph&) = delete;
@@ -203,20 +225,16 @@ class Graph {
                              adj.offsets[v + 1] - adj.offsets[v]);
   }
 
-  // The body of GraphBuilder::ApplyDelta (graph_builder.h): validates the
-  // delta, then writes it into the overlay.
-  util::Status ApplyDelta(const GraphDelta& delta);
-  // Makes `run` vertex v's run in one adjacency. An empty run for a vertex
-  // without one of its own takes the shared kEmptyRun row.
-  void SetRun(bool incoming, LinkTypeId lt, VertexId v, std::vector<Edge> run);
-  // Merges `adds` (sorted by neighbor; repeats fold by summing strengths)
-  // into v's run in one adjacency and returns how many entries the run
-  // gained. A run v owns grows in place; any other run is copied once.
-  size_t MergeRun(bool incoming, LinkTypeId lt, VertexId v,
-                  std::span<const Edge> adds);
-  // Folds one adjacency's CSR and runs into a fresh heap CSR once it has
-  // more than V/4 runs of its own.
-  void CompactIfLarge(bool incoming, LinkTypeId lt);
+  // The bodies of GraphBuilder::PrepareDelta and CommitDelta
+  // (graph_builder.h).
+  util::Result<PreparedDelta> PrepareDelta(const GraphDelta& delta) const;
+  util::Status CommitDelta(PreparedDelta* prepared);
+  // Places one adjacency's grouped adds in their runs and builds what the
+  // commit installs there (graph.cc).
+  void PrepareAdjacency(bool incoming, LinkTypeId lt, size_t num_new,
+                        internal::AdjacencyBatch* batch) const;
+  void CommitAdjacency(bool incoming, LinkTypeId lt,
+                       internal::AdjacencyBatch* batch);
 
   NetworkSchema schema_;
   std::span<const EntityTypeId> vtype_;
@@ -227,6 +245,8 @@ class Graph {
   std::vector<CsrView> out_;  // one per link type
   std::vector<CsrView> in_;   // one per link type
   size_t num_edges_ = 0;
+  // Batches committed; a PreparedDelta records it to refuse a stale commit.
+  uint64_t commits_ = 0;
   bool mapped_ = false;
   // Type-erased owner of the base bytes the spans above reference: an
   // internal::GraphArena for built graphs, a util::MappedFile for

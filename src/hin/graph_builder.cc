@@ -192,8 +192,19 @@ util::Result<Graph> GraphBuilder::Build() && {
   return g;
 }
 
+util::Result<PreparedDelta> GraphBuilder::PrepareDelta(
+    const Graph& graph, const GraphDelta& delta) {
+  return graph.PrepareDelta(delta);
+}
+
+util::Status GraphBuilder::CommitDelta(Graph* graph, PreparedDelta* prepared) {
+  return graph->CommitDelta(prepared);
+}
+
 util::Status GraphBuilder::ApplyDelta(Graph* graph, const GraphDelta& delta) {
-  return graph->ApplyDelta(delta);
+  util::Result<PreparedDelta> prepared = PrepareDelta(*graph, delta);
+  if (!prepared.ok()) return prepared.status();
+  return CommitDelta(graph, &prepared.value());
 }
 
 util::Status CopyVerticesWithAttributes(const Graph& source,

@@ -58,19 +58,39 @@ class GraphBuilder {
   // builder.
   util::Result<Graph> Build() &&;
 
-  // Applies one growth batch (graph_delta.h) to a heap-built or mapped
-  // graph. The base arena stays read-only: the batch lands in the graph's
-  // overlay (graph.h), which appends the new vertices to heap copies of
-  // the per-vertex columns, applies growable-attribute bumps to those
-  // copies, and merges the new edges into per-vertex runs of their own.
-  // Only the runs the batch touches are rewritten, at O(|delta| log
-  // |delta| + sum of their degrees); an adjacency whose patched runs
-  // exceed V/4 is folded into a fresh heap CSR in O(V + E). The result is
-  // bit-identical to what Build() would produce over the union edge
-  // multiset. Invalid deltas are rejected before the first write, leaving
-  // the graph untouched. The caller must guarantee exclusive access to the
-  // graph (and everything holding spans into it) for the duration of the
-  // call.
+  // Builds one growth batch (graph_delta.h) for a heap-built or mapped
+  // graph without writing the graph, so readers may keep reading it. The
+  // base arena stays read-only: the batch lands in the graph's overlay
+  // (graph.h). PrepareDelta validates the delta (an invalid one returns
+  // its Status), sorts and folds the adds, and builds everything the batch
+  // needs that is not O(|delta|): each touched run that lives in the CSR,
+  // or belongs to a new vertex, merged at exact size; each run the overlay
+  // owns merged at doubled capacity when it lacks room for the inserts,
+  // else only the inserts' positions; copies with room of any column or
+  // table the commit would outgrow, the first delta's O(V) column copies
+  // among them; and, for an adjacency the batch takes past V/4 runs of its
+  // own, the whole adjacency folded into a fresh heap CSR in O(V + E).
+  // Its cost is O(|delta| log |delta| + the touched runs' degrees) apart
+  // from those O(V) pieces.
+  static util::Result<PreparedDelta> PrepareDelta(const Graph& graph,
+                                                  const GraphDelta& delta);
+  // Installs a batch PrepareDelta built against the graph's current state:
+  // appends the new vertices to the columns, applies the bumps, moves or
+  // swaps the prepared buffers in, merges the inserts into runs with room
+  // by shifting each tail once, and updates the views and num_edges. It
+  // allocates nothing, and its work beyond O(|delta|) is those tail
+  // shifts, plus moving the run table's row headers when it doubles. The
+  // buffers it replaces go back into `prepared`, to be freed when the
+  // caller drops it. The grown graph is bit-identical to what Build()
+  // would produce over the union edge multiset. A batch prepared against
+  // another graph or another state of this one (one commit since) is
+  // refused with FailedPrecondition and changes nothing. The caller must
+  // guarantee exclusive access to the graph (and everything holding spans
+  // into it, PrepareDelta included) for the duration of the call.
+  static util::Status CommitDelta(Graph* graph, PreparedDelta* prepared);
+  // PrepareDelta, then CommitDelta: an invalid delta leaves the graph
+  // untouched. The caller must guarantee exclusive access, as for
+  // CommitDelta, for the whole call.
   static util::Status ApplyDelta(Graph* graph, const GraphDelta& delta);
 
  private:

@@ -58,9 +58,9 @@ struct GraphDelta {
 // vertices with positive deltas, edge endpoints resolve against the
 // post-append vertex set with entity types matching the link definition,
 // strengths are >= 1, and self-links appear only where allowed. Duplicate
-// edges (vs. the base graph or within the delta) are checked during
-// GraphBuilder::ApplyDelta's merge, where non-growable link types reject
-// them and growable ones fold by summing.
+// edges (vs. the base graph or within the delta) are checked by
+// GraphBuilder::PrepareDelta, where non-growable link types reject them
+// and growable ones fold by summing.
 util::Status ValidateDelta(const Graph& graph, const GraphDelta& delta);
 
 // Text serialization of a delta stream: one or more batches, replayed in

@@ -25,7 +25,9 @@ LocalScan::LocalScan(const hin::Graph* target, const hin::Graph* auxiliary,
     : target_(target),
       aux_(auxiliary),
       mutable_aux_(config.mutable_aux),
-      dehin_(auxiliary, config.dehin) {
+      dehin_(auxiliary, config.dehin),
+      hold_us_(obs::MetricsRegistry::Global().GetHistogram(
+          "service/apply_delta_hold_us")) {
   for (size_t i = 0; i < growth_.size(); ++i) {
     growth_[i].gauge = obs::MetricsRegistry::Global().GetGauge(
         std::string("service/") + kGrowthFields[i]);
@@ -90,14 +92,18 @@ Response LocalScan::ApplyDelta(const std::string& path,
                          stream.status().message());
   }
 
+  // One writer at a time: a second request prepares against the state the
+  // first one committed.
+  std::lock_guard<std::mutex> writer(writer_mu_);
   const auto t0 = std::chrono::steady_clock::now();
+  std::chrono::steady_clock::duration hold{};
   size_t batches_applied = 0;
   uint64_t new_vertices = 0, new_edges = 0, attr_bumps = 0;
   for (const hin::GraphDelta& delta : stream.value()) {
     // Deadline between batches: already-applied batches are fully
-    // reflected in the warm state (graph + index + stats + caches commit
-    // under one exclusive hold), so stopping here leaves the server
-    // consistent at a batch boundary.
+    // reflected in the warm state (graph + index + caches commit under one
+    // exclusive hold), so stopping here leaves the server consistent at a
+    // batch boundary.
     if (token.ShouldStop()) {
       return ErrorResponse(
           token.deadline_exceeded() ? ResponseCode::kDeadlineExceeded
@@ -106,25 +112,40 @@ Response LocalScan::ApplyDelta(const std::string& path,
               std::to_string(stream.value().size()) +
               " batches (each applied batch is fully committed)");
     }
+    // Prepare only reads the graph, as attack_one does, so queries keep
+    // running; a rejected batch leaves the graph exactly as the previous
+    // batch committed it.
+    util::Result<hin::PreparedDelta> prepared = [&] {
+      HINPRIV_SPAN("service/apply_delta/prepare");
+      return hin::GraphBuilder::PrepareDelta(*mutable_aux_, delta);
+    }();
+    if (!prepared.ok()) {
+      return ErrorResponse(ResponseCode::kInvalidRequest,
+                           "batch " + std::to_string(batches_applied) + ": " +
+                               prepared.status().message());
+    }
     {
       std::unique_lock<std::shared_mutex> warm_lock(warm_mu_);
-      // ApplyDelta validates before mutating, so a rejected batch leaves
-      // the graph exactly as the previous batch committed it.
-      util::Status applied = hin::GraphBuilder::ApplyDelta(mutable_aux_, delta);
-      if (!applied.ok()) {
-        return ErrorResponse(ResponseCode::kInvalidRequest,
-                             "batch " + std::to_string(batches_applied) +
-                                 ": " + applied.message());
-      }
-      util::Status warmed = dehin_.ApplyAuxDelta(delta);
-      if (!warmed.ok()) {
-        // Graph mutated but the warm state refresh failed — can only be a
-        // programming error (precondition mismatch); surface it loudly.
-        return ErrorResponse(ResponseCode::kInternal, warmed.message());
+      HINPRIV_SPAN("service/apply_delta/commit");
+      const auto held = std::chrono::steady_clock::now();
+      util::Status committed =
+          hin::GraphBuilder::CommitDelta(mutable_aux_, &prepared.value());
+      if (committed.ok()) committed = dehin_.ApplyAuxDelta(delta);
+      if (!committed.ok()) {
+        // The writer lock rules out a stale batch, and the graph matches
+        // the delta Dehin gets: either failing is a programming error.
+        return ErrorResponse(ResponseCode::kInternal, committed.message());
       }
       ++delta_epoch_;
       PublishGrowth();
+      const auto batch_hold = std::chrono::steady_clock::now() - held;
+      hold += batch_hold;
+      hold_us_->Record(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(batch_hold)
+              .count()));
     }
+    // `prepared` now holds the buffers the commit replaced; they are freed
+    // at the end of this iteration, after the hold.
     ++batches_applied;
     new_vertices += delta.new_vertices.size();
     new_edges += delta.edge_adds.size();
@@ -133,6 +154,8 @@ Response LocalScan::ApplyDelta(const std::string& path,
   const auto apply_us = std::chrono::duration_cast<std::chrono::microseconds>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
+  const auto hold_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(hold).count();
 
   Response response;
   JsonValue& payload = response.result = JsonValue::Object();
@@ -147,6 +170,7 @@ Response LocalScan::ApplyDelta(const std::string& path,
   payload.Set("num_edges",
               JsonValue::Int(static_cast<int64_t>(mutable_aux_->num_edges())));
   payload.Set("apply_us", JsonValue::Number(static_cast<double>(apply_us)));
+  payload.Set("hold_us", JsonValue::Number(static_cast<double>(hold_us)));
   return response;
 }
 

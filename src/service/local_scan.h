@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 
@@ -47,13 +48,18 @@ class LocalScan : public Handler {
   hin::Graph* mutable_aux_;
   exec::Executor* executor_ = nullptr;
   core::Dehin dehin_;
+  // Serializes apply_delta requests, so each batch is prepared against
+  // the state the previous one committed. Held across a whole stream.
+  std::mutex writer_mu_;
   // Warm-state lock for streaming growth: apply_delta holds it exclusively
-  // while mutating the auxiliary graph + Dehin warm state batch by batch;
-  // attack_one holds it shared. Uncontended in the common case (no deltas
-  // in flight), and the unique_lock acquire/release per batch gives
-  // queries a window between batches of a long stream.
+  // per batch, only to commit the prepared graph batch and refresh the
+  // Dehin warm state; attack_one holds it shared. Uncontended in the
+  // common case (no deltas in flight), and the acquire/release per batch
+  // gives queries a window between batches of a long stream.
   std::shared_mutex warm_mu_;
   uint64_t delta_epoch_ = 0;  // batches applied since start; warm_mu_
+  // Each batch's exclusive hold of warm_mu_ (service/apply_delta_hold_us).
+  obs::Histogram* hold_us_;
   // Growth as of the last committed batch, one entry per field of
   // kGrowthFields (local_scan.cc): the delta epoch (batches applied since
   // start) and the overlay's patched runs, patched edges and compactions.

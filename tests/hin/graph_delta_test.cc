@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <new>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,6 +23,31 @@
 #include "util/line_reader.h"
 #include "util/random.h"
 #include "temp_path.h"
+
+// A counting operator new for this test binary: while g_counting is set on
+// a thread, the bytes that thread allocates add up in g_counted_bytes. The
+// scalar forms are all replaced, so every block they hand out is a malloc
+// block freed by free() (which GCC's mismatch warning cannot see).
+namespace {
+thread_local bool g_counting = false;
+thread_local size_t g_counted_bytes = 0;
+}  // namespace
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  if (g_counting) g_counted_bytes += size;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  if (g_counting) g_counted_bytes += size;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace hinpriv::hin {
 namespace {
@@ -547,6 +576,213 @@ TEST(GraphDeltaTest, BatchStreamMatchesRebuildOnHeapAndMappedBases) {
   EXPECT_GT(heap.overlay_stats().compactions, 0u);
   EXPECT_EQ(mapped.value().overlay_stats().compactions,
             heap.overlay_stats().compactions);
+}
+
+// --- Prepare outside the lock, commit under it ------------------------------
+
+// Sums every accessor's view of `graph`, so a reader touches each run,
+// patch row and attribute column.
+uint64_t Sweep(const Graph& graph) {
+  uint64_t sum = 0;
+  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+    for (LinkTypeId lt = 0; lt < graph.num_link_types(); ++lt) {
+      for (const Edge& e : graph.OutEdges(lt, v)) {
+        sum += e.neighbor + e.strength;
+      }
+      for (const Edge& e : graph.InEdges(lt, v)) {
+        sum += e.neighbor + e.strength;
+      }
+    }
+    sum += static_cast<uint64_t>(graph.attribute(v, 0) + graph.attribute(v, 1));
+  }
+  return sum;
+}
+
+// Prepare writes nothing the graph's readers read: reader threads sweep
+// the graph while PrepareDelta runs, on a heap and on a mapped base (under
+// TSan this is the race check), and the committed graph equals the
+// rebuild after every batch.
+TEST(GraphDeltaTest, PrepareRacesReaders) {
+  util::Rng rng(83);
+  UnionMultiset all = RandomBase(400, &rng);
+  Graph heap = all.Build();
+  const TempPath snap("race.snap");
+  ASSERT_TRUE(SaveGraphSnapshot(heap, snap.path()).ok());
+  auto mapped = LoadGraphSnapshot(snap.path());
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  constexpr int kReaders = 2;
+  for (int b = 0; b < 8; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    const GraphDelta delta = RandomBatch(heap, &rng);
+    for (Graph* graph : {&heap, &mapped.value()}) {
+      std::atomic<int> started{0};
+      std::atomic<bool> done{false};
+      std::vector<uint64_t> sums(kReaders, 0);
+      std::vector<std::thread> readers;
+      for (int r = 0; r < kReaders; ++r) {
+        readers.emplace_back([graph, r, &started, &done, &sums] {
+          sums[r] += Sweep(*graph);
+          started.fetch_add(1);
+          while (!done.load()) sums[r] += Sweep(*graph);
+        });
+      }
+      while (started.load() < kReaders) std::this_thread::yield();
+      // Several prepares, so the readers overlap every step of one.
+      util::Result<PreparedDelta> prepared =
+          GraphBuilder::PrepareDelta(*graph, delta);
+      for (int i = 0; i < 4 && prepared.ok(); ++i) {
+        prepared = GraphBuilder::PrepareDelta(*graph, delta);
+      }
+      done.store(true);
+      for (std::thread& reader : readers) reader.join();
+      for (const uint64_t sum : sums) EXPECT_GT(sum, 0u);
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      ASSERT_TRUE(GraphBuilder::CommitDelta(graph, &prepared.value()).ok());
+    }
+    all.Absorb(delta);
+    const Graph rebuilt = all.Build();
+    ExpectGraphsIdentical(heap, rebuilt);
+    ExpectGraphsIdentical(mapped.value(), rebuilt);
+  }
+}
+
+// A batch prepared before another one committed describes a state the
+// graph has left: the commit refuses it and changes nothing, and so it
+// does for a batch prepared against another graph.
+TEST(GraphDeltaTest, StalePreparedDeltaIsRefused) {
+  Graph graph = BuildBase();
+  GraphDelta other;  // same vertex count, so only the commit count differs
+  other.base_num_vertices = 4;
+  other.edge_adds.push_back({1, 2, 0, 6});
+  other.attr_bumps.push_back({3, 1, 2});
+  auto stale = GraphBuilder::PrepareDelta(graph, SampleDelta());
+  auto first = GraphBuilder::PrepareDelta(graph, other);
+  ASSERT_TRUE(stale.ok() && first.ok());
+  ASSERT_TRUE(GraphBuilder::CommitDelta(&graph, &first.value()).ok());
+  EXPECT_EQ(GraphBuilder::CommitDelta(&graph, &stale.value()).code(),
+            util::Status::Code::kFailedPrecondition);
+  EXPECT_EQ(GraphBuilder::CommitDelta(&graph, &first.value()).code(),
+            util::Status::Code::kFailedPrecondition);
+
+  Graph twin = BuildBase();
+  auto foreign = GraphBuilder::PrepareDelta(twin, other);
+  ASSERT_TRUE(foreign.ok());
+  EXPECT_EQ(GraphBuilder::CommitDelta(&graph, &foreign.value()).code(),
+            util::Status::Code::kFailedPrecondition);
+
+  // BuildBase() plus `other`, built from scratch.
+  GraphBuilder builder(DeltaSchema());
+  builder.AddVertices(0, 4);
+  for (VertexId v = 0; v < 4; ++v) {
+    EXPECT_TRUE(builder.SetAttribute(v, 0, 1980 + static_cast<int>(v)).ok());
+    EXPECT_TRUE(
+        builder.SetAttribute(v, 1, 10 * static_cast<int>(v) + (v == 3 ? 2 : 0))
+            .ok());
+  }
+  EXPECT_TRUE(builder.AddEdge(0, 1, 0).ok());
+  EXPECT_TRUE(builder.AddEdge(2, 3, 0).ok());
+  EXPECT_TRUE(builder.AddEdge(0, 2, 1, 5).ok());
+  EXPECT_TRUE(builder.AddEdge(3, 1, 1, 2).ok());
+  EXPECT_TRUE(builder.AddEdge(2, 0, 1, 6).ok());
+  auto expected = std::move(builder).Build();
+  ASSERT_TRUE(expected.ok());
+  ExpectGraphsIdentical(graph, expected.value());
+}
+
+// Bytes a prepare and the commit after it allocated on this thread.
+struct ApplyBytes {
+  size_t prepare = 0;
+  size_t commit = 0;
+};
+
+ApplyBytes CountedApply(Graph* graph, const GraphDelta& delta) {
+  ApplyBytes bytes;
+  g_counted_bytes = 0;
+  g_counting = true;
+  util::Result<PreparedDelta> prepared =
+      GraphBuilder::PrepareDelta(*graph, delta);
+  g_counting = false;
+  bytes.prepare = g_counted_bytes;
+  EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+  if (!prepared.ok()) return bytes;
+  g_counted_bytes = 0;
+  g_counting = true;
+  const util::Status committed =
+      GraphBuilder::CommitDelta(graph, &prepared.value());
+  g_counting = false;
+  bytes.commit = g_counted_bytes;
+  EXPECT_TRUE(committed.ok()) << committed.ToString();
+  return bytes;
+}
+
+// The commit runs under the service's exclusive hold, so what it may cost
+// is bounded here without a clock: it allocates nothing that grows with
+// the graph or a run. The base has 10,000 vertices and a hub whose
+// mention in-run holds 10,000 entries; merging into that run under the
+// hold would allocate 80 KB.
+constexpr size_t kCommitBytesBound = 1024;
+
+TEST(GraphDeltaTest, CommitAllocationIsBoundedIndependentOfGraphAndRunSize) {
+  constexpr VertexId kVertices = 10000;
+  constexpr VertexId kHub = 0;
+  constexpr LinkTypeId kFollow = 0, kMention = 1;
+  UnionMultiset all;
+  for (VertexId v = 0; v < kVertices; ++v) {
+    all.attrs.push_back({1980, 0});
+    all.edges.push_back({kMention, v, kHub, 1});
+  }
+  Graph graph = all.Build();
+  ASSERT_EQ(graph.InDegree(kMention, kHub), kVertices);
+  const auto apply = [&](const GraphDelta& delta) {
+    const ApplyBytes bytes = CountedApply(&graph, delta);
+    EXPECT_LE(bytes.commit, kCommitBytesBound);
+    all.Absorb(delta);
+    ExpectGraphsIdentical(graph, all.Build());
+    return bytes;
+  };
+  const auto new_user = [](GraphDelta* delta) {
+    delta->new_vertices.push_back({0, {1990, 0}});
+    return static_cast<VertexId>(delta->base_num_vertices +
+                                 delta->new_vertices.size() - 1);
+  };
+
+  {
+    SCOPED_TRACE("first delta: copies the columns, patches the hub");
+    GraphDelta delta;
+    delta.base_num_vertices = graph.num_vertices();
+    delta.edge_adds.push_back({kMention, new_user(&delta), kHub, 1});
+    // The counter sees the hub's run merged outside the commit.
+    EXPECT_GE(apply(delta).prepare, kVertices * sizeof(Edge));
+  }
+  {
+    SCOPED_TRACE("2,600 new follow runs take both follow adjacencies past V/4");
+    GraphDelta delta;
+    delta.base_num_vertices = graph.num_vertices();
+    for (VertexId v = 100; v < 2700; ++v) {
+      delta.edge_adds.push_back({kFollow, v, v + 1, 1});
+    }
+    const uint64_t compactions = graph.overlay_stats().compactions;
+    apply(delta);
+    EXPECT_EQ(graph.overlay_stats().compactions, compactions + 2);
+  }
+  {
+    SCOPED_TRACE("the hub's own run, exact-size, regrows at double capacity");
+    GraphDelta delta;
+    delta.base_num_vertices = graph.num_vertices();
+    delta.edge_adds.push_back({kMention, new_user(&delta), kHub, 1});
+    apply(delta);
+  }
+  {
+    SCOPED_TRACE("an insert and a fold merge into the hub's run in place");
+    const Edge* hub_run = graph.InEdges(kMention, kHub).data();
+    GraphDelta delta;
+    delta.base_num_vertices = graph.num_vertices();
+    delta.edge_adds.push_back({kMention, new_user(&delta), kHub, 1});
+    delta.edge_adds.push_back({kMention, 5, kHub, 3});
+    apply(delta);
+    EXPECT_EQ(graph.InEdges(kMention, kHub).data(), hub_run);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // picks it up — the concurrency test below is exactly the race the
 // warm-state lock exists for.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "hin/graph_builder.h"
 #include "hin/graph_delta.h"
 #include "hin/snapshot.h"
+#include "obs/metrics.h"
 #include "service/client.h"
 #include "service/json.h"
 #include "service/server.h"
@@ -431,6 +433,89 @@ TEST(ServiceDeltaTest, ApplyDeltaRacesInFlightQueries) {
     ASSERT_NE(candidates, nullptr);
     ASSERT_EQ(candidates->size(), expected.size()) << "vertex " << v;
   }
+  server.Shutdown();
+}
+
+// Two connections send the same one-batch stream at once. The writer lock
+// serializes them, so the second prepares against the graph the first
+// grew and fails validation (its base vertex count is stale): exactly one
+// commits, and the answers equal a cold attack over the base plus one
+// batch.
+TEST(ServiceDeltaTest, ConcurrentIdenticalStreamsCommitOnce) {
+  TestNetwork net = MakeNetwork(100, 44);
+  const DeltaStream stream = WriteDeltaStream(net.aux, 1, 45);
+  ServerConfig config;
+  config.num_workers = 2;
+  config.dehin = MakeDehinConfig();
+  config.mutable_aux = &net.aux;
+  Server server(&net.anonymized, &net.aux, config);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<ResponseCode> codes(2, ResponseCode::kInternal);
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < codes.size(); ++w) {
+    writers.emplace_back([&, w] {
+      auto client = Client::Connect("127.0.0.1", server.port());
+      if (!client.ok()) return;
+      auto response = client.value().ApplyDelta(stream.path());
+      if (response.ok()) codes[w] = response.value().code;
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  EXPECT_EQ(std::count(codes.begin(), codes.end(), ResponseCode::kOk), 1);
+  EXPECT_EQ(std::count(codes.begin(), codes.end(),
+                       ResponseCode::kInvalidRequest),
+            1);
+  EXPECT_EQ(net.aux.num_vertices(), stream.grown.num_vertices());
+  EXPECT_EQ(net.aux.num_edges(), stream.grown.num_edges());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  ExpectServedMatchesCold(&client.value(), net.anonymized, stream.grown);
+  server.Shutdown();
+}
+
+// The exclusive hold is visible: one service/apply_delta_hold_us sample
+// per committed batch, none for a rejected one, and the response's
+// hold_us (the holds summed) fits inside its apply_us.
+TEST(ServiceDeltaTest, HoldIsRecordedPerCommittedBatch) {
+  TestNetwork net = MakeNetwork(80, 46);
+  const DeltaStream stream = WriteDeltaStream(net.aux, 3, 47);
+  ServerConfig config;
+  config.num_workers = 1;
+  config.dehin = MakeDehinConfig();
+  config.mutable_aux = &net.aux;
+  Server server(&net.anonymized, &net.aux, config);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  const auto holds = [] {
+    const obs::MetricsSnapshot snapshot =
+        obs::MetricsRegistry::Global().Snapshot();
+    const obs::HistogramSnapshot* h =
+        snapshot.FindHistogram("service/apply_delta_hold_us");
+    return h == nullptr ? obs::HistogramSnapshot{} : *h;
+  };
+
+  const obs::HistogramSnapshot before = holds();
+  auto response = client.value().ApplyDelta(stream.path());
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response.value().code, ResponseCode::kOk)
+      << response.value().error;
+  const obs::HistogramSnapshot after = holds();
+  EXPECT_EQ(after.count - before.count, 3u);
+  const JsonValue& result = response.value().result;
+  const double hold_us = result.GetDouble("hold_us", -1);
+  const double apply_us = result.GetDouble("apply_us", -1);
+  EXPECT_GE(hold_us, 0);
+  EXPECT_LE(hold_us, apply_us);
+  // Each sample is truncated to whole microseconds, as is hold_us.
+  EXPECT_LE(static_cast<double>(after.sum - before.sum), hold_us);
+
+  // Replaying the stream fails validation at batch 0: no commit, no sample.
+  auto replay = client.value().ApplyDelta(stream.path());
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay.value().code, ResponseCode::kInvalidRequest);
+  EXPECT_EQ(holds().count, after.count);
   server.Shutdown();
 }
 
