@@ -68,6 +68,25 @@ obs::Histogram* CandidateSetHistogram(int max_distance) {
   return histogram;
 }
 
+// Why a scan stopped early; its candidates are partial, so this replaces
+// them.
+util::Status StopStatus(const util::CancelToken* cancel) {
+  return cancel != nullptr && cancel->deadline_exceeded()
+             ? util::Status::DeadlineExceeded("dehin: deadline exceeded")
+             : util::Status::Cancelled("dehin: cancelled");
+}
+
+// The memo a scan's LinkMatch calls use: the target's shared cache, or,
+// when the cross-call cache is ablated, a one-shard memo that
+// `local_memo` owns for the scan. LinkMatch is pure, so the memo's reach
+// changes only speed, never answers.
+MatchCache* ScanCache(MatchCache* shared, int max_distance,
+                      std::unique_ptr<MatchCache>* local_memo) {
+  if (shared != nullptr || max_distance <= 0) return shared;
+  *local_memo = std::make_unique<MatchCache>(/*num_shards=*/1);
+  return local_memo->get();
+}
+
 }  // namespace
 
 Dehin::Dehin(const hin::Graph* auxiliary, DehinConfig config)
@@ -270,13 +289,8 @@ util::Result<std::vector<hin::VertexId>> Dehin::Deanonymize(
   // stale-fingerprint rebuild must not free it out from under us.
   const std::shared_ptr<const TargetState> pinned = GetTargetState(target);
   const TargetState& state = *pinned;
-  // Per-call fallback memo when the cross-call cache is ablated.
   std::unique_ptr<MatchCache> local_memo;
-  MatchCache* cache = state.cache.get();
-  if (cache == nullptr && max_distance > 0) {
-    local_memo = std::make_unique<MatchCache>(/*num_shards=*/1);
-    cache = local_memo.get();
-  }
+  MatchCache* cache = ScanCache(state.cache.get(), max_distance, &local_memo);
   LocalStats local;
   local.cancel = cancel;
   std::vector<hin::VertexId> candidates;
@@ -310,22 +324,9 @@ util::Result<std::vector<hin::VertexId>> Dehin::Deanonymize(
     }
   }
   std::sort(candidates.begin(), candidates.end());
-  if (local.prefilter_rejects + local.cache_hits + local.full_tests > 0) {
-    prefilter_rejects_.Add(local.prefilter_rejects);
-    cache_hits_.Add(local.cache_hits);
-    full_tests_.Add(local.full_tests);
-    const GlobalDehinMetrics& global = GlobalMetrics();
-    global.prefilter_rejects->Add(local.prefilter_rejects);
-    global.cache_hits->Add(local.cache_hits);
-    global.full_tests->Add(local.full_tests);
-  }
-  if (local.stopped) {
-    // The scan ended early, so `candidates` is partial; report why instead.
-    // (Counters above still flushed: that work really ran.)
-    return cancel->deadline_exceeded()
-               ? util::Status::DeadlineExceeded("dehin: deadline exceeded")
-               : util::Status::Cancelled("dehin: cancelled");
-  }
+  // Flushed even when stopped: that work really ran.
+  FlushScanCounters(local);
+  if (local.stopped) return StopStatus(cancel);
   CandidateSetHistogram(max_distance)->Record(candidates.size());
   return candidates;
 }
@@ -348,12 +349,7 @@ util::Result<std::vector<hin::VertexId>> Dehin::DeanonymizeParallel(
   }
   HINPRIV_SPAN("dehin/deanonymize_parallel");
   const util::CancelToken* cancel = options.cancel;
-  auto stop_status = [cancel]() -> util::Status {
-    return cancel != nullptr && cancel->deadline_exceeded()
-               ? util::Status::DeadlineExceeded("dehin: deadline exceeded")
-               : util::Status::Cancelled("dehin: cancelled");
-  };
-  if (cancel != nullptr && cancel->ShouldStop()) return stop_status();
+  if (cancel != nullptr && cancel->ShouldStop()) return StopStatus(cancel);
   const std::shared_ptr<const TargetState> pinned = GetTargetState(target);
   const TargetState& state = *pinned;
 
@@ -405,15 +401,9 @@ util::Result<std::vector<hin::VertexId>> Dehin::DeanonymizeParallel(
       [&](size_t begin, size_t end) {
         LocalStats local;
         local.cancel = cancel;
-        // Per-grain fallback memo when the cross-call cache is ablated —
-        // narrower reuse than the serial per-call memo, but LinkMatch is
-        // pure, so only speed differs, never answers.
+        // Per grain: narrower reuse than the serial per-call memo.
         std::unique_ptr<MatchCache> local_memo;
-        MatchCache* cache = shared_cache;
-        if (cache == nullptr && max_distance > 0) {
-          local_memo = std::make_unique<MatchCache>(/*num_shards=*/1);
-          cache = local_memo.get();
-        }
+        MatchCache* cache = ScanCache(shared_cache, max_distance, &local_memo);
         std::vector<hin::VertexId>& accepted = grain_results[begin / grain];
         for (size_t i = begin; i < end; ++i) {
           if (local.stopped) break;
@@ -448,24 +438,17 @@ util::Result<std::vector<hin::VertexId>> Dehin::DeanonymizeParallel(
       },
       pf_options);
 
-  const uint64_t prefilter_rejects =
+  LocalStats totals;
+  totals.prefilter_rejects =
       total_prefilter_rejects.load(std::memory_order_relaxed);
-  const uint64_t cache_hits = total_cache_hits.load(std::memory_order_relaxed);
-  const uint64_t full_tests = total_full_tests.load(std::memory_order_relaxed);
-  if (prefilter_rejects + cache_hits + full_tests > 0) {
-    prefilter_rejects_.Add(prefilter_rejects);
-    cache_hits_.Add(cache_hits);
-    full_tests_.Add(full_tests);
-    const GlobalDehinMetrics& global = GlobalMetrics();
-    global.prefilter_rejects->Add(prefilter_rejects);
-    global.cache_hits->Add(cache_hits);
-    global.full_tests->Add(full_tests);
-  }
+  totals.cache_hits = total_cache_hits.load(std::memory_order_relaxed);
+  totals.full_tests = total_full_tests.load(std::memory_order_relaxed);
+  // Flushed even when stopped: that work really ran.
+  FlushScanCounters(totals);
+  // Some grain (or the claim loop) observed the stop, so the collected
+  // candidates are partial.
   if (run.stopped || grain_stopped.load(std::memory_order_relaxed)) {
-    // Some grain (or the claim loop) observed the stop, so the collected
-    // candidates are partial; report why instead. (Counters above still
-    // flushed: that work really ran.)
-    return stop_status();
+    return StopStatus(cancel);
   }
 
   // Deterministic merge: concatenate in grain order, then sort — the same
@@ -480,6 +463,19 @@ util::Result<std::vector<hin::VertexId>> Dehin::DeanonymizeParallel(
   std::sort(candidates.begin(), candidates.end());
   CandidateSetHistogram(max_distance)->Record(candidates.size());
   return candidates;
+}
+
+void Dehin::FlushScanCounters(const LocalStats& totals) const {
+  if (totals.prefilter_rejects + totals.cache_hits + totals.full_tests == 0) {
+    return;
+  }
+  prefilter_rejects_.Add(totals.prefilter_rejects);
+  cache_hits_.Add(totals.cache_hits);
+  full_tests_.Add(totals.full_tests);
+  const GlobalDehinMetrics& global = GlobalMetrics();
+  global.prefilter_rejects->Add(totals.prefilter_rejects);
+  global.cache_hits->Add(totals.cache_hits);
+  global.full_tests->Add(totals.full_tests);
 }
 
 bool Dehin::DegreesAdmit(const hin::Graph& target, hin::VertexId vt,

@@ -263,6 +263,10 @@ class Dehin {
     bool stopped = false;
   };
 
+  // Adds one scan's counters to the instance counters and their
+  // process-wide mirrors.
+  void FlushScanCounters(const LocalStats& totals) const;
+
   // Resolves (building on first use) the state for `target`. The returned
   // shared_ptr pins the state for the caller's whole evaluation, so a
   // concurrent rebuild or InvalidateTarget only unlinks it from the map.

@@ -38,7 +38,7 @@ struct ParallelEvalOptions {
   const util::CancelToken* cancel = nullptr;
 };
 
-// Multi-threaded EvaluateAttack on the work-stealing executor. Targets
+// Multi-threaded EvaluateAttack on an exec::Executor pool. Targets
 // are claimed dynamically one at a time (grain = 1), so a handful of
 // heavy, degree-skewed targets rebalance across workers instead of
 // stalling a static slice. Dehin::Deanonymize is thread-safe; with the

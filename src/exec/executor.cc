@@ -3,9 +3,11 @@
 #include <sched.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
+#include <exception>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -14,21 +16,9 @@ namespace hinpriv::exec {
 
 namespace {
 
-// Worker identity for the calling thread; set for the lifetime of
-// WorkerMain. tls_worker is the Executor::Worker*, stored untyped because
-// Worker is a private nested type.
+// The executor owning the calling thread; set for the lifetime of
+// WorkerMain.
 thread_local Executor* tls_executor = nullptr;
-thread_local void* tls_worker = nullptr;
-
-// splitmix64 finaliser; decorrelates sequential steal-seed draws.
-uint64_t MixSeed(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
 
 }  // namespace
 
@@ -76,28 +66,17 @@ Executor::Executor(size_t num_threads) {
   registry.GetGauge("exec/workers")->Set(static_cast<double>(n));
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  for (size_t i = 0; i < n; ++i) {
-    workers_[i]->thread = std::thread([this, i] { WorkerMain(i); });
+    workers_.emplace_back([this, i] { WorkerMain(i); });
   }
 }
 
 Executor::~Executor() {
   stop_.store(true, std::memory_order_seq_cst);
   NotifyWork();
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
-  // Single-threaded from here on. Anything still queued was fire-and-forget
-  // work submitted during shutdown; drop it.
-  for (auto& worker : workers_) {
-    while (void* item = worker->deque.PopBottom()) {
-      delete static_cast<Task*>(item);
-    }
-  }
-  for (Task* task : inject_high_) delete task;
-  for (Task* task : inject_normal_) delete task;
+  // Workers exit only once both FIFOs are empty; anything a task queued
+  // after that (fire-and-forget work submitted during shutdown) is
+  // dropped with the FIFOs.
+  for (std::thread& worker : workers_) worker.join();
 }
 
 Executor& Executor::Global() {
@@ -108,28 +87,21 @@ Executor& Executor::Global() {
 Executor* Executor::Current() { return tls_executor; }
 
 void Executor::Submit(std::function<void()> fn, Priority priority) {
-  Enqueue(new Task{std::move(fn), obs::CurrentRequestId()}, priority);
-}
-
-void Executor::Enqueue(Task* task, Priority priority) {
-  if (priority == Priority::kNormal && Current() == this) {
-    // Worker-local submission: LIFO on the own deque, stealable by idle
-    // siblings from the other end.
-    static_cast<Worker*>(tls_worker)->deque.PushBottom(task);
-  } else {
-    std::lock_guard<std::mutex> lock(inject_mu_);
-    if (priority == Priority::kHigh) {
-      inject_high_.push_back(task);
-      inject_high_size_.store(inject_high_.size(), std::memory_order_relaxed);
-      queue_high_gauge_->Set(static_cast<double>(inject_high_.size()));
-    } else {
-      inject_normal_.push_back(task);
-      inject_normal_size_.store(inject_normal_.size(),
-                                std::memory_order_relaxed);
-      queue_normal_gauge_->Set(static_cast<double>(inject_normal_.size()));
-    }
+  Task task{std::move(fn), obs::CurrentRequestId()};
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    (priority == Priority::kHigh ? queue_high_ : queue_normal_)
+        .push_back(std::move(task));
+    PublishQueueSizes();
   }
   NotifyWork();
+}
+
+void Executor::PublishQueueSizes() {
+  queue_high_gauge_->Set(static_cast<double>(queue_high_.size()));
+  queue_normal_gauge_->Set(static_cast<double>(queue_normal_.size()));
+  num_queued_.store(queue_high_.size() + queue_normal_.size(),
+                    std::memory_order_relaxed);
 }
 
 void Executor::NotifyWork() {
@@ -143,15 +115,13 @@ void Executor::NotifyWork() {
 }
 
 void Executor::WorkerMain(size_t index) {
-  Worker* self = workers_[index].get();
   tls_executor = this;
-  tls_worker = self;
   obs::SetCurrentThreadName("exec/worker-" + std::to_string(index));
   while (true) {
     // Snapshot the epoch before scanning: any enqueue we race with bumps
     // it, which turns the sleep below into an immediate rescan.
     const uint64_t epoch = wake_epoch_.load(std::memory_order_seq_cst);
-    if (RunOneTask(self, /*include_high=*/true)) continue;
+    if (RunOneTask()) continue;
     if (stop_.load(std::memory_order_seq_cst)) break;
     std::unique_lock<std::mutex> lock(idle_mu_);
     num_sleepers_.fetch_add(1, std::memory_order_seq_cst);
@@ -165,75 +135,27 @@ void Executor::WorkerMain(size_t index) {
     num_sleepers_.fetch_sub(1, std::memory_order_relaxed);
   }
   tls_executor = nullptr;
-  tls_worker = nullptr;
 }
 
-bool Executor::RunOneTask(Worker* self, bool include_high) {
-  Task* task = nullptr;
-  if (include_high && inject_high_size_.load(std::memory_order_relaxed) > 0) {
-    task = TryPopInjected(Priority::kHigh);
+bool Executor::RunOneTask() {
+  if (num_queued_.load(std::memory_order_relaxed) == 0) return false;
+  Task task;
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    std::deque<Task>& queue = queue_high_.empty() ? queue_normal_ : queue_high_;
+    if (queue.empty()) return false;
+    task = std::move(queue.front());
+    queue.pop_front();
+    PublishQueueSizes();
   }
-  if (task == nullptr) {
-    task = static_cast<Task*>(self->deque.PopBottom());
-  }
-  if (task == nullptr &&
-      inject_normal_size_.load(std::memory_order_relaxed) > 0) {
-    task = TryPopInjected(Priority::kNormal);
-  }
-  if (task == nullptr) task = TrySteal(self);
-  if (task == nullptr) return false;
-  RunTask(task);
-  return true;
-}
-
-Executor::Task* Executor::TryPopInjected(Priority priority) {
-  std::lock_guard<std::mutex> lock(inject_mu_);
-  std::deque<Task*>& queue =
-      priority == Priority::kHigh ? inject_high_ : inject_normal_;
-  if (queue.empty()) return nullptr;
-  Task* task = queue.front();
-  queue.pop_front();
-  if (priority == Priority::kHigh) {
-    inject_high_size_.store(inject_high_.size(), std::memory_order_relaxed);
-    queue_high_gauge_->Set(static_cast<double>(inject_high_.size()));
-  } else {
-    inject_normal_size_.store(inject_normal_.size(),
-                              std::memory_order_relaxed);
-    queue_normal_gauge_->Set(static_cast<double>(inject_normal_.size()));
-  }
-  return task;
-}
-
-Executor::Task* Executor::TrySteal(Worker* self) {
-  const size_t n = workers_.size();
-  if (n <= 1) return nullptr;
-  const uint64_t seed = MixSeed(
-      steal_seed_.fetch_add(0x9e3779b97f4a7c15ull, std::memory_order_relaxed));
-  const size_t start = static_cast<size_t>(seed % n);
-  // Two sweeps: the first may lose benign CAS races against siblings
-  // stealing from the same victim.
-  for (size_t round = 0; round < 2; ++round) {
-    for (size_t i = 0; i < n; ++i) {
-      Worker* victim = workers_[(start + i) % n].get();
-      if (victim == self) continue;
-      if (void* item = victim->deque.Steal()) {
-        steals_counter_->Increment();
-        return static_cast<Task*>(item);
-      }
-    }
-  }
-  return nullptr;
-}
-
-void Executor::RunTask(Task* task) {
-  obs::ScopedRequestId rid_scope(task->rid);
+  obs::ScopedRequestId rid_scope(task.rid);
   HINPRIV_SPAN("exec/task");
   tasks_counter_->Increment();
   try {
-    task->fn();
+    task.fn();
   } catch (...) {
-    // Fire-and-forget tasks have no joiner to receive this; TaskGroup and
-    // ParallelFor catch before it gets here.
+    // Fire-and-forget tasks have no joiner to receive this; ParallelFor
+    // catches before it gets here.
     uncaught_counter_->Increment();
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true)) {
@@ -242,11 +164,13 @@ void Executor::RunTask(Task* task) {
           "exec: uncaught exception in fire-and-forget task (dropped)\n");
     }
   }
-  delete task;
+  return true;
 }
 
-void Executor::ClaimLoop(const std::shared_ptr<PFState>& state) {
+void Executor::ClaimLoop(const std::shared_ptr<PFState>& state,
+                         bool forked) {
   state->active.fetch_add(1, std::memory_order_seq_cst);
+  bool claimed = false;
   while (true) {
     if (state->stop.load(std::memory_order_seq_cst)) break;
     // Peek before touching `cancel`: a straggler fork that starts after
@@ -263,6 +187,7 @@ void Executor::ClaimLoop(const std::shared_ptr<PFState>& state) {
     const size_t begin =
         state->next.fetch_add(state->grain, std::memory_order_seq_cst);
     if (begin >= state->n) break;
+    claimed = true;
     const size_t end = std::min(state->n, begin + state->grain);
     try {
       (*state->body)(begin, end);
@@ -275,6 +200,10 @@ void Executor::ClaimLoop(const std::shared_ptr<PFState>& state) {
       break;
     }
   }
+  // Counted before `active` drops, so the caller's join observes it. The
+  // caller never runs its own forks while it waits, so a fork that claimed
+  // a grain ran on a sibling worker.
+  if (forked && claimed) steals_counter_->Increment();
   if (state->active.fetch_sub(1, std::memory_order_seq_cst) == 1) {
     std::lock_guard<std::mutex> lock(state->mu);
     state->cv.notify_all();
@@ -303,11 +232,9 @@ ParallelForResult Executor::ParallelFor(
   const size_t avail = num_workers() - (Current() == this ? 1 : 0);
   const size_t forks = std::min(avail, chunks - 1);
   for (size_t i = 0; i < forks; ++i) {
-    Enqueue(new Task{[this, state] { ClaimLoop(state); },
-                     obs::CurrentRequestId()},
-            options.priority);
+    Submit([this, state] { ClaimLoop(state, /*forked=*/true); });
   }
-  ClaimLoop(state);
+  ClaimLoop(state, /*forked=*/false);
 
   // Close the claim range: bump `next` to at least n so any straggler fork
   // that starts after this point claims nothing. `claimed` captures the
@@ -334,63 +261,6 @@ ParallelForResult Executor::ParallelFor(
   result.stopped =
       state->stop.load(std::memory_order_seq_cst) && result.completed < n;
   return result;
-}
-
-TaskGroup::TaskGroup(Executor* executor)
-    : executor_(executor != nullptr ? executor : &Executor::Global()) {}
-
-TaskGroup::~TaskGroup() { WaitNoThrow(); }
-
-void TaskGroup::Run(std::function<void()> fn, Priority priority) {
-  pending_.fetch_add(1, std::memory_order_seq_cst);
-  executor_->Submit(
-      [this, fn = std::move(fn)] {
-        try {
-          fn();
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mu_);
-          if (!error_) error_ = std::current_exception();
-        }
-        if (pending_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-          std::lock_guard<std::mutex> lock(mu_);
-          cv_.notify_all();
-        }
-      },
-      priority);
-}
-
-void TaskGroup::WaitNoThrow() {
-  if (Executor::Current() == executor_) {
-    // Called from a worker of the same executor: helping keeps the worker
-    // productive and guarantees progress when the group's tasks sit in
-    // this worker's own deque. High-priority work is deliberately left to
-    // the main loop so a request task can't recurse into another request.
-    auto* self = static_cast<Executor::Worker*>(tls_worker);
-    while (pending_.load(std::memory_order_seq_cst) != 0) {
-      if (executor_->RunOneTask(self, /*include_high=*/false)) continue;
-      std::unique_lock<std::mutex> lock(mu_);
-      // Timed wait: the remaining tasks may be running on other workers,
-      // and their completion notify could race our scan-then-wait.
-      cv_.wait_for(lock, std::chrono::milliseconds(1), [&] {
-        return pending_.load(std::memory_order_seq_cst) == 0;
-      });
-    }
-  } else {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock,
-             [&] { return pending_.load(std::memory_order_seq_cst) == 0; });
-  }
-}
-
-void TaskGroup::Wait() {
-  WaitNoThrow();
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    error = error_;
-    error_ = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace hinpriv::exec

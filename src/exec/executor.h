@@ -5,6 +5,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -12,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/work_stealing_deque.h"
 #include "util/cancellation.h"
 
 namespace hinpriv::obs {
@@ -30,10 +30,16 @@ namespace hinpriv::exec {
 // Any other value passes through. Always returns at least 1.
 size_t ResolveThreads(size_t requested);
 
+// The largest worker count a configuration may request. Front-ends
+// (service::Server::Start, hinpriv_cli) refuse more before any thread
+// starts, so a negative count cast to size_t comes back as an error, not
+// as an abort in the pool's constructor.
+inline constexpr size_t kMaxWorkers = 1024;
+
 // Two-level task priority. kHigh is reserved for latency-critical control
 // work (service request admission); kNormal is throughput work (scan
 // grains, batch targets). Workers always drain kHigh submissions before
-// touching any normal-priority source, so request admission never starves
+// touching any normal-priority task, so request admission never starves
 // behind a backlog of scan grains.
 enum class Priority { kHigh, kNormal };
 
@@ -57,8 +63,6 @@ struct ParallelForOptions {
   // claimed (grains already claimed run to completion, so the executed set
   // stays exactly [0, completed)).
   const util::CancelToken* cancel = nullptr;
-  // Priority of the forked claim-loop tasks.
-  Priority priority = Priority::kNormal;
 };
 
 struct ParallelForResult {
@@ -68,24 +72,20 @@ struct ParallelForResult {
   bool stopped = false;
 };
 
-// Persistent work-stealing executor: a fixed pool of workers, one
-// Chase–Lev deque per worker, plus two mutex-backed injection queues for
-// submissions from non-worker threads (and for all kHigh work).
-//
-// Scheduling order in each worker: high injection queue, own deque
-// (LIFO), normal injection queue, then stealing from sibling deques
-// (random victim order, FIFO from the victim's top).
-//
-// Submissions from inside a worker of the same executor go to that
-// worker's own deque (stealable by idle siblings); everything else goes
-// through the injection queues. Idle workers sleep on a condition
-// variable behind a seq_cst epoch/sleeper-count handshake, so an enqueue
-// from any thread can never be missed.
+// Persistent executor: a fixed pool of workers over two mutex-backed
+// FIFOs, one per priority. A worker takes the oldest kHigh task first,
+// then the oldest kNormal one; every submission, ParallelFor's forked
+// claim loops included, goes through them. Idle workers sleep on a
+// condition variable behind a seq_cst epoch/sleeper-count handshake, so
+// an enqueue from any thread can never be missed.
 //
 // Obs wiring: exec/tasks, exec/steals, exec/parallel_fors counters;
 // exec/queue_high, exec/queue_normal, exec/workers gauges; each executed
 // task runs under an "exec/task" trace span on a thread named
-// "exec/worker-N".
+// "exec/worker-N". exec/steals counts the forked claim loops that claimed
+// at least one grain, each on a worker other than the ParallelFor's
+// caller; exec/queue_normal counts queued forks with the other kNormal
+// tasks.
 class Executor {
  public:
   // ResolveThreads() is applied to num_threads (0 = one worker per CPU
@@ -106,8 +106,8 @@ class Executor {
   size_t num_workers() const { return workers_.size(); }
 
   // Fire-and-forget. fn must not throw (uncaught exceptions are counted,
-  // reported to stderr once, and dropped); use TaskGroup or ParallelFor
-  // when exceptions need to propagate to a joiner.
+  // reported to stderr once, and dropped); use ParallelFor when exceptions
+  // need to propagate to a joiner.
   void Submit(std::function<void()> fn, Priority priority = Priority::kNormal);
 
   // Runs body(begin, end) over subranges that exactly tile [0, n). Grains
@@ -122,8 +122,6 @@ class Executor {
                                 const ParallelForOptions& options = {});
 
  private:
-  friend class TaskGroup;
-
   struct Task {
     std::function<void()> fn;
     // Request id active on the submitting thread, re-installed around fn()
@@ -132,34 +130,26 @@ class Executor {
     uint64_t rid = 0;
   };
 
-  struct Worker {
-    WorkStealingDeque deque;
-    std::thread thread;
-  };
-
   struct PFState;
 
   void WorkerMain(size_t index);
-  // Finds and runs one task; high injection is only consulted by the
-  // worker main loop (include_high), never by helpers nested inside a
-  // running task, so a request task can't recurse into another request.
-  bool RunOneTask(Worker* self, bool include_high);
-  Task* TryPopInjected(Priority priority);
-  Task* TrySteal(Worker* self);
-  void Enqueue(Task* task, Priority priority);
+  // Pops and runs the oldest kHigh task, else the oldest kNormal one;
+  // false when both FIFOs are empty.
+  bool RunOneTask();
+  // Under queue_mu_: refreshes the two queue gauges and num_queued_.
+  void PublishQueueSizes();
   void NotifyWork();
-  void RunTask(Task* task);
-  void ClaimLoop(const std::shared_ptr<PFState>& state);
+  // Runs grains until the range is exhausted, stopped or cancelled.
+  // `forked` marks a claim loop that runs as a task rather than inline in
+  // ParallelFor's caller.
+  void ClaimLoop(const std::shared_ptr<PFState>& state, bool forked);
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-
-  std::mutex inject_mu_;
-  std::deque<Task*> inject_high_;
-  std::deque<Task*> inject_normal_;
-  // Mirrors of the queue sizes so the hot scheduling path can skip the
-  // mutex when a queue is empty.
-  std::atomic<size_t> inject_high_size_{0};
-  std::atomic<size_t> inject_normal_size_{0};
+  std::mutex queue_mu_;
+  std::deque<Task> queue_high_;    // guarded by queue_mu_
+  std::deque<Task> queue_normal_;  // guarded by queue_mu_
+  // Mirror of the total queued count so an idle scan can skip the mutex
+  // when both FIFOs are empty.
+  std::atomic<size_t> num_queued_{0};
 
   // Sleep/wake handshake: a producer bumps wake_epoch_ after enqueueing
   // and only then reads num_sleepers_; a would-be sleeper increments
@@ -171,43 +161,15 @@ class Executor {
   std::atomic<size_t> num_sleepers_{0};
   std::atomic<bool> stop_{false};
 
-  std::atomic<uint64_t> steal_seed_{0x9e3779b97f4a7c15ull};
-
   obs::Counter* tasks_counter_;
   obs::Counter* steals_counter_;
   obs::Counter* parallel_fors_counter_;
   obs::Counter* uncaught_counter_;
   obs::Gauge* queue_high_gauge_;
   obs::Gauge* queue_normal_gauge_;
-};
 
-// Fork/join scope over an executor: Run() submits tasks, Wait() blocks
-// until all of them finished and rethrows the first exception any of them
-// threw. Wait() from a worker of the same executor helps run queued work
-// (own deque, steals, normal injection — never high injection) instead of
-// blocking the worker. Destruction waits for stragglers but swallows
-// their exceptions; call Wait() to observe them.
-class TaskGroup {
- public:
-  // nullptr selects Executor::Global().
-  explicit TaskGroup(Executor* executor = nullptr);
-  ~TaskGroup();
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  void Run(std::function<void()> fn, Priority priority = Priority::kNormal);
-  void Wait();
-
-  Executor* executor() const { return executor_; }
-
- private:
-  void WaitNoThrow();
-
-  Executor* executor_;
-  std::atomic<size_t> pending_{0};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::exception_ptr error_;  // guarded by mu_
+  // Declared last: the threads use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace hinpriv::exec

@@ -200,7 +200,7 @@ util::Result<Request> DecodeRequest(const JsonValue& doc) {
   }
   // Range-checked as the int64 it arrived as, then narrowed.
   const int64_t max_distance = doc.GetInt("max_distance", -1);
-  if (max_distance > 32) {
+  if (max_distance > kMaxDistance) {
     return util::Status::InvalidArgument("'max_distance' out of range");
   }
   request.max_distance =

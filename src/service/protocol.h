@@ -60,6 +60,10 @@ namespace hinpriv::service {
 // length prefix must not drive a giant allocation.
 inline constexpr uint32_t kMaxFrameBytes = 16u << 20;
 
+// The deepest max_distance a request, or a server's default, may ask
+// for; beyond it DecodeRequest and Server::Start refuse.
+inline constexpr int kMaxDistance = 32;
+
 // Candidate sets can be nearly the whole auxiliary graph for weakly
 // identified targets; an attack_one answer encodes at most this many so
 // one response cannot approach kMaxFrameBytes. The count and the

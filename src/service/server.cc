@@ -122,6 +122,17 @@ Server::Server(const hin::Graph* target, std::unique_ptr<Handler> handler,
 Server::~Server() { Shutdown(); }
 
 util::Status Server::Start() {
+  // Checked before anything starts, so a refused server stays inert.
+  if (config_.default_max_distance < 0 ||
+      config_.default_max_distance > kMaxDistance) {
+    return util::Status::InvalidArgument(
+        "default_max_distance must be in [0, " +
+        std::to_string(kMaxDistance) + "]");
+  }
+  if (config_.num_workers > exec::kMaxWorkers) {
+    return util::Status::InvalidArgument(
+        "num_workers must be at most " + std::to_string(exec::kMaxWorkers));
+  }
   if (started_.exchange(true)) {
     return util::Status::InvalidArgument("server already started");
   }

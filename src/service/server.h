@@ -34,16 +34,18 @@ struct ServerConfig {
   // 0 = kernel-assigned ephemeral port (read back via Server::port()).
   uint16_t port = 0;
   // Size of the execution pool every server owns (0 = one worker per CPU
-  // the process may run on). Each admitted request runs as one task at
-  // Priority::kHigh and intra-query scan grains at kNormal, so admitted
-  // requests never starve behind another query's scan work. attack_one
-  // runs Dehin::DeanonymizeParallel, which scans serially on one worker.
+  // the process may run on; at most exec::kMaxWorkers). Each admitted
+  // request runs as one task at Priority::kHigh and intra-query scan
+  // grains at kNormal, so admitted requests never starve behind another
+  // query's scan work. attack_one runs Dehin::DeanonymizeParallel, which
+  // scans serially on one worker.
   size_t num_workers = 4;
   // Admission control: at most this many admitted requests wait for a
   // worker (floored at one); beyond that a request sheds with BUSY
   // instead of queueing into certain deadline misses.
   size_t queue_capacity = 128;
-  // Default max neighbor distance n for requests that omit it.
+  // Default max neighbor distance n for requests that omit it, in
+  // [0, kMaxDistance].
   int default_max_distance = 1;
   // Default per-request deadline for requests that omit it; 0 = none.
   double default_deadline_ms = 0.0;
@@ -113,7 +115,7 @@ class Handler {
 
 // The resident de-anonymization attack service. It owns the sockets (a
 // single-threaded epoll EventLoop that only parses frames and hands them
-// off), admission into an owned work-stealing pool (one kHigh task per
+// off), admission into an owned executor pool (one kHigh task per
 // admitted request), deadlines, the `risk` and `sleep` verbs, the admin
 // verbs and the introspection tick (both on a dedicated admin thread, so
 // they respond while the pool is saturated), the slow-query log and the
@@ -152,7 +154,8 @@ class Server {
 
   // Binds, listens, spawns the event loop, admin and worker threads, and
   // starts the handler (which warms its state so the first request does
-  // not pay the build).
+  // not pay the build). InvalidArgument, before any thread starts, when
+  // default_max_distance or num_workers is out of range.
   util::Status Start();
 
   // The actually-bound port (differs from config.port when that was 0).

@@ -8,13 +8,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <future>
+#include <latch>
 #include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "exec/work_stealing_deque.h"
+#include "obs/metrics.h"
 #include "util/cancellation.h"
 
 namespace hinpriv::exec {
@@ -47,91 +48,6 @@ TEST(ResolveThreadsTest, NonZeroPassesThrough) {
   EXPECT_EQ(ResolveThreads(64), 64u);
 }
 
-TEST(WorkStealingDequeTest, OwnerPopsLifo) {
-  WorkStealingDeque deque(4);
-  int values[3] = {1, 2, 3};
-  deque.PushBottom(&values[0]);
-  deque.PushBottom(&values[1]);
-  deque.PushBottom(&values[2]);
-  EXPECT_EQ(deque.ApproxSize(), 3u);
-  EXPECT_EQ(deque.PopBottom(), &values[2]);
-  EXPECT_EQ(deque.PopBottom(), &values[1]);
-  EXPECT_EQ(deque.PopBottom(), &values[0]);
-  EXPECT_EQ(deque.PopBottom(), nullptr);
-}
-
-TEST(WorkStealingDequeTest, ThiefStealsFifo) {
-  WorkStealingDeque deque(4);
-  int values[3] = {1, 2, 3};
-  deque.PushBottom(&values[0]);
-  deque.PushBottom(&values[1]);
-  deque.PushBottom(&values[2]);
-  EXPECT_EQ(deque.Steal(), &values[0]);
-  EXPECT_EQ(deque.Steal(), &values[1]);
-  // Owner takes the freshest remaining item.
-  EXPECT_EQ(deque.PopBottom(), &values[2]);
-  EXPECT_EQ(deque.Steal(), nullptr);
-}
-
-TEST(WorkStealingDequeTest, GrowsPastInitialCapacity) {
-  WorkStealingDeque deque(2);
-  std::vector<int> values(1000);
-  for (int& v : values) deque.PushBottom(&v);
-  EXPECT_EQ(deque.ApproxSize(), values.size());
-  for (size_t i = values.size(); i-- > 0;) {
-    EXPECT_EQ(deque.PopBottom(), &values[i]);
-  }
-}
-
-// Conservation stress: every pushed item is taken exactly once, whether by
-// the owner or a thief. The interesting interleavings are the last-element
-// CAS race and steals racing a concurrent Grow.
-TEST(WorkStealingDequeTest, ConcurrentStealConservesItems) {
-  constexpr int kItems = 20000;
-  constexpr int kThieves = 3;
-  WorkStealingDeque deque(8);
-  std::vector<std::atomic<int>> taken(kItems);
-  for (auto& cell : taken) cell.store(0);
-  std::vector<int> values(kItems);
-  std::iota(values.begin(), values.end(), 0);
-
-  std::atomic<bool> done{false};
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      while (!done.load(std::memory_order_acquire)) {
-        if (void* item = deque.Steal()) {
-          taken[*static_cast<int*>(item)].fetch_add(1);
-        }
-      }
-      // Final sweep so nothing is stranded if the owner finished first.
-      while (void* item = deque.Steal()) {
-        taken[*static_cast<int*>(item)].fetch_add(1);
-      }
-    });
-  }
-
-  // Owner: push in bursts, pop some back, so bottom moves both ways.
-  for (int i = 0; i < kItems; ++i) {
-    deque.PushBottom(&values[i]);
-    if (i % 3 == 0) {
-      if (void* item = deque.PopBottom()) {
-        taken[*static_cast<int*>(item)].fetch_add(1);
-      }
-    }
-  }
-  while (void* item = deque.PopBottom()) {
-    taken[*static_cast<int*>(item)].fetch_add(1);
-  }
-  done.store(true, std::memory_order_release);
-  for (std::thread& thief : thieves) thief.join();
-
-  for (int i = 0; i < kItems; ++i) {
-    ASSERT_EQ(taken[i].load(), 1) << "item " << i;
-  }
-}
-
 TEST(ExecutorTest, SubmitRunsTasks) {
   // Declared before the executor, so they outlive it: the wait below can
   // return while the last task still holds `mu` or notifies `cv`, and the
@@ -156,19 +72,17 @@ TEST(ExecutorTest, SubmitRunsTasks) {
 }
 
 TEST(ExecutorTest, CurrentIdentifiesWorkerThreads) {
+  // Declared before the executor, which joins the task before it dies.
+  std::promise<Executor*> seen;
   Executor executor(2);
   EXPECT_EQ(Executor::Current(), nullptr);
-  TaskGroup group(&executor);
-  std::atomic<Executor*> seen{nullptr};
-  group.Run([&] { seen.store(Executor::Current()); });
-  group.Wait();
-  EXPECT_EQ(seen.load(), &executor);
+  executor.Submit([&] { seen.set_value(Executor::Current()); });
+  EXPECT_EQ(seen.get_future().get(), &executor);
 }
 
 // With one worker pinned by a blocker, a high-priority submission must be
 // scheduled ahead of every already-queued normal task.
 TEST(ExecutorTest, HighPriorityRunsBeforeQueuedNormalWork) {
-  Executor executor(1);
   std::mutex mu;
   std::condition_variable cv;
   bool release = false;
@@ -176,10 +90,10 @@ TEST(ExecutorTest, HighPriorityRunsBeforeQueuedNormalWork) {
 
   std::vector<int> order;
   std::mutex order_mu;
-  std::atomic<int> remaining{4};
+  std::latch done(4);
+  Executor executor(1);
 
-  TaskGroup group(&executor);
-  group.Run([&] {
+  executor.Submit([&] {
     blocker_running.store(true);
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return release; });
@@ -187,49 +101,27 @@ TEST(ExecutorTest, HighPriorityRunsBeforeQueuedNormalWork) {
   while (!blocker_running.load()) std::this_thread::yield();
 
   auto record = [&](int tag) {
-    std::lock_guard<std::mutex> lock(order_mu);
-    order.push_back(tag);
-    remaining.fetch_sub(1);
+    {
+      std::lock_guard<std::mutex> lock(order_mu);
+      order.push_back(tag);
+    }
+    done.count_down();
   };
-  group.Run([&] { record(1); }, Priority::kNormal);
-  group.Run([&] { record(2); }, Priority::kNormal);
-  group.Run([&] { record(3); }, Priority::kNormal);
-  group.Run([&] { record(100); }, Priority::kHigh);
+  executor.Submit([&] { record(1); }, Priority::kNormal);
+  executor.Submit([&] { record(2); }, Priority::kNormal);
+  executor.Submit([&] { record(3); }, Priority::kNormal);
+  executor.Submit([&] { record(100); }, Priority::kHigh);
 
   {
     std::lock_guard<std::mutex> lock(mu);
     release = true;
   }
   cv.notify_all();
-  group.Wait();
+  done.wait();
 
+  std::lock_guard<std::mutex> lock(order_mu);
   ASSERT_EQ(order.size(), 4u);
   EXPECT_EQ(order.front(), 100);
-}
-
-TEST(TaskGroupTest, WaitPropagatesFirstException) {
-  Executor executor(2);
-  TaskGroup group(&executor);
-  group.Run([] { throw std::runtime_error("task boom"); });
-  group.Run([] {});
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-  // The error is consumed; a second Wait is clean.
-  group.Wait();
-}
-
-TEST(TaskGroupTest, NestedForkJoinFromWorkerContext) {
-  Executor executor(2);
-  TaskGroup outer(&executor);
-  std::atomic<int> inner_ran{0};
-  outer.Run([&] {
-    TaskGroup inner(&executor);
-    for (int i = 0; i < 16; ++i) {
-      inner.Run([&] { inner_ran.fetch_add(1); });
-    }
-    inner.Wait();
-  });
-  outer.Wait();
-  EXPECT_EQ(inner_ran.load(), 16);
 }
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
@@ -268,16 +160,85 @@ TEST(ParallelForTest, SingleWorkerExecutorRunsInline) {
 }
 
 TEST(ParallelForTest, NestedInsideWorkerDoesNotDeadlock) {
-  Executor executor(2);
-  TaskGroup group(&executor);
   std::atomic<uint64_t> sum{0};
-  group.Run([&] {
+  std::promise<void> done;
+  Executor executor(2);
+  executor.Submit([&] {
     executor.ParallelFor(64, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) sum.fetch_add(i + 1);
     });
+    done.set_value();
   });
-  group.Wait();
+  done.get_future().wait();
   EXPECT_EQ(sum.load(), 64u * 65u / 2);
+}
+
+// Called from inside a worker of a 2-worker pool, ParallelFor forks one
+// claim loop into the kNormal FIFO, and only the sibling can run it. Each
+// grain waits until the other has started, so the caller cannot take
+// both: the fork must claim one on the other thread.
+TEST(ParallelForTest, SiblingWorkerRunsTheForkFromInsideAWorker) {
+  obs::Counter* steals =
+      obs::MetricsRegistry::Global().GetCounter("exec/steals");
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  std::thread::id ran_on[2];
+  bool saw_other[2] = {false, false};
+  std::promise<void> done;
+  Executor executor(2);
+  const uint64_t steals_before = steals->Value();
+
+  executor.Submit([&] {
+    ParallelForOptions options;
+    options.grain = 1;
+    executor.ParallelFor(
+        2,
+        [&](size_t begin, size_t) {
+          std::unique_lock<std::mutex> lock(mu);
+          ran_on[begin] = std::this_thread::get_id();
+          ++started;
+          cv.notify_all();
+          saw_other[begin] = cv.wait_for(lock, std::chrono::seconds(10),
+                                         [&] { return started == 2; });
+        },
+        options);
+    done.set_value();
+  });
+  done.get_future().wait();
+
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_TRUE(saw_other[0]);
+  EXPECT_TRUE(saw_other[1]);
+  EXPECT_NE(ran_on[0], ran_on[1]);
+  EXPECT_EQ(steals->Value() - steals_before, 1u);
+}
+
+// From inside the only worker there is no sibling to fork to: the caller
+// runs every grain inline and nothing counts as a steal.
+TEST(ParallelForTest, OnlyWorkerForksNothing) {
+  obs::Counter* steals =
+      obs::MetricsRegistry::Global().GetCounter("exec/steals");
+  std::atomic<uint64_t> sum{0};
+  std::promise<void> done;
+  Executor executor(1);
+  const uint64_t steals_before = steals->Value();
+
+  executor.Submit([&] {
+    ParallelForOptions options;
+    options.grain = 1;
+    executor.ParallelFor(
+        16,
+        [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) sum.fetch_add(i + 1);
+        },
+        options);
+    done.set_value();
+  });
+  done.get_future().wait();
+
+  EXPECT_EQ(sum.load(), 16u * 17u / 2);
+  EXPECT_EQ(steals->Value(), steals_before);
 }
 
 TEST(ParallelForTest, BodyExceptionPropagates) {
@@ -366,23 +327,26 @@ TEST(DefaultGrainTest, ResolvesTargetChunksWithClamp) {
 // Repeated mixed load: ParallelFors racing fire-and-forget tasks across
 // two executors. Mostly a TSan target.
 TEST(ExecutorStressTest, MixedLoadCompletes) {
+  std::atomic<uint64_t> total{0};
+  // Declared before the executors, which join the tasks before it dies.
+  std::latch done(16);
   Executor a(3);
   Executor b(2);
-  std::atomic<uint64_t> total{0};
-  TaskGroup group(&a);
   for (int round = 0; round < 8; ++round) {
-    group.Run([&] {
+    a.Submit([&] {
       b.ParallelFor(512, [&](size_t begin, size_t end) {
         total.fetch_add(end - begin);
       });
+      done.count_down();
     });
-    group.Run([&] {
+    a.Submit([&] {
       a.ParallelFor(512, [&](size_t begin, size_t end) {
         total.fetch_add(end - begin);
       });
+      done.count_down();
     });
   }
-  group.Wait();
+  done.wait();
   EXPECT_EQ(total.load(), 16u * 512u);
 }
 

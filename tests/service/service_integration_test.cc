@@ -363,6 +363,36 @@ TEST(ServiceIntegrationTest, ShutdownWithIdleConnectionsCompletes) {
   EXPECT_TRUE(server.finished());
 }
 
+// An out-of-range setting is refused before any thread starts: nothing
+// is bound, and the destructor has nothing to drain.
+void ExpectStartRefused(const ServerConfig& config) {
+  const TestNetwork net = MakeNetwork(30, 16);
+  Server server(&net.anonymized, &net.aux, config);
+  const util::Status status = server.Start();
+  EXPECT_EQ(status.code(), util::Status::Code::kInvalidArgument)
+      << status.ToString();
+  EXPECT_EQ(server.port(), 0);
+  EXPECT_FALSE(server.finished());
+}
+
+TEST(ServiceIntegrationTest, StartRefusesNegativeDefaultMaxDistance) {
+  ServerConfig config;
+  config.default_max_distance = -3;
+  ExpectStartRefused(config);
+}
+
+TEST(ServiceIntegrationTest, StartRefusesDefaultMaxDistanceBeyondWireLimit) {
+  ServerConfig config;
+  config.default_max_distance = kMaxDistance + 1;
+  ExpectStartRefused(config);
+}
+
+TEST(ServiceIntegrationTest, StartRefusesWorkersBeyondBound) {
+  ServerConfig config;
+  config.num_workers = exec::kMaxWorkers + 1;
+  ExpectStartRefused(config);
+}
+
 // Reads one response frame from a raw connection.
 util::Result<Response> ReadResponse(int fd) {
   auto frame = ReadFrame(fd);

@@ -27,9 +27,33 @@ function(run_cli)
   endif()
 endfunction()
 
+# Runs the CLI and requires the `error: ...` exit 1 that an out-of-range
+# flag gets before any thread starts (not an abort in a cast-wrapped
+# reserve). The timeout stops a `serve` that wrongly starts serving.
+function(run_cli_refused)
+  execute_process(
+    COMMAND "${HINPRIV_CLI}" ${ARGN}
+    WORKING_DIRECTORY "${WORK_DIR}"
+    TIMEOUT 60
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "^error: ")
+    message(FATAL_ERROR
+            "hinpriv_cli ${ARGN}: want exit 1 with 'error: ...', got "
+            "rc=${rc}:\n${out}\n${err}")
+  endif()
+endfunction()
+
 run_cli(generate --users=300 --seed=7 --out=net.graph)
 run_cli(anonymize --in=net.graph --scheme=kdda --out=anon.graph
         --mapping=mapping.tsv)
+run_cli_refused(attack --target=anon.graph --aux=net.graph --threads=-1)
+run_cli_refused(serve --target=anon.graph --aux=net.graph --port=0
+                --workers=-1)
+run_cli_refused(audit --in=net.graph --max_distance=-2)
+run_cli_refused(serve --target=anon.graph --aux=net.graph --port=0
+                --max_distance=-3)
 run_cli(attack --target=anon.graph --aux=net.graph --mapping=mapping.tsv
         --threads=2 --max_distance=1 --heartbeat_sec=0
         --metrics-json=metrics.json --trace-out=run.trace.json)

@@ -70,6 +70,20 @@ int Fail(const util::Status& status) {
   return 1;
 }
 
+// An integer flag refused outside [lo, hi], checked before any cast to a
+// narrower or unsigned type could wrap it.
+util::Result<int64_t> IntFlagIn(const util::FlagParser& flags,
+                                const std::string& name, int64_t lo,
+                                int64_t hi) {
+  const int64_t value = flags.GetInt(name);
+  if (value < lo || value > hi) {
+    return util::Status::InvalidArgument("--" + name + " must be in [" +
+                                         std::to_string(lo) + ", " +
+                                         std::to_string(hi) + "]");
+  }
+  return value;
+}
+
 int Usage() {
   std::printf(
       "hinpriv_cli <command> [flags]\n"
@@ -366,6 +380,12 @@ int RunAttack(int argc, char** argv) {
     std::printf("%s", flags.Usage("hinpriv_cli attack").c_str());
     return 0;
   }
+  const auto max_distance =
+      IntFlagIn(flags, "max_distance", 0, service::kMaxDistance);
+  if (!max_distance.ok()) return Fail(max_distance.status());
+  const auto threads_flag = IntFlagIn(
+      flags, "threads", 0, static_cast<int64_t>(exec::kMaxWorkers));
+  if (!threads_flag.ok()) return Fail(threads_flag.status());
   const std::string metrics_path = flags.GetString("metrics_json");
   const std::string trace_path = flags.GetString("trace_out");
   // Long attacks stop at a target boundary on SIGINT/SIGTERM and still
@@ -390,13 +410,13 @@ int RunAttack(int argc, char** argv) {
     config.saturation_fraction = 0.5;
   }
   core::Dehin dehin(&aux.value(), config);
-  const int n = static_cast<int>(flags.GetInt("max_distance"));
+  const int n = static_cast<int>(max_distance.value());
   const double heartbeat_sec = flags.GetDouble("heartbeat_sec");
 
   // One executor serves both parallel shapes: across-target evaluation
   // (one task per target) and the intra-query candidate scan (grains of
   // one target's scan). --threads=1 gives it one worker.
-  const size_t threads = static_cast<size_t>(flags.GetInt("threads"));
+  const size_t threads = static_cast<size_t>(threads_flag.value());
   auto pool = std::make_unique<exec::Executor>(exec::ResolveThreads(threads));
 
   // Across-target path: score every target through
@@ -530,6 +550,9 @@ int RunAudit(int argc, char** argv) {
     std::printf("%s", flags.Usage("hinpriv_cli audit").c_str());
     return 0;
   }
+  const auto max_distance =
+      IntFlagIn(flags, "max_distance", 0, service::kMaxDistance);
+  if (!max_distance.ok()) return Fail(max_distance.status());
   auto graph = hin::LoadGraphAuto(flags.GetString("in"));
   if (!graph.ok()) return Fail(graph.status());
   core::SignatureOptions options;
@@ -539,7 +562,7 @@ int RunAudit(int argc, char** argv) {
   }
   options.link_types = core::AllLinkTypes(graph.value());
   const auto ladder = core::NetworkPrivacyRisk(
-      graph.value(), options, static_cast<int>(flags.GetInt("max_distance")));
+      graph.value(), options, static_cast<int>(max_distance.value()));
   std::printf("privacy risk of %s (%zu users):\n",
               flags.GetString("in").c_str(), graph.value().num_vertices());
   for (const auto& level : ladder) {
@@ -822,6 +845,12 @@ int RunServe(int argc, char** argv) {
     std::printf("%s", flags.Usage("hinpriv_cli serve").c_str());
     return 0;
   }
+  const auto workers = IntFlagIn(flags, "workers", 0,
+                                 static_cast<int64_t>(exec::kMaxWorkers));
+  if (!workers.ok()) return Fail(workers.status());
+  const auto max_distance =
+      IntFlagIn(flags, "max_distance", 0, service::kMaxDistance);
+  if (!max_distance.ok()) return Fail(max_distance.status());
   const std::string trace_path = flags.GetString("trace_out");
   if (!trace_path.empty()) {
     obs::SetCurrentThreadName("main");
@@ -845,9 +874,9 @@ int RunServe(int argc, char** argv) {
   service::ServerConfig config;
   config.host = flags.GetString("host");
   config.port = static_cast<uint16_t>(flags.GetInt("port"));
-  config.num_workers = static_cast<size_t>(flags.GetInt("workers"));
+  config.num_workers = static_cast<size_t>(workers.value());
   config.queue_capacity = static_cast<size_t>(flags.GetInt("queue_capacity"));
-  config.default_max_distance = static_cast<int>(flags.GetInt("max_distance"));
+  config.default_max_distance = static_cast<int>(max_distance.value());
   config.default_deadline_ms = flags.GetDouble("deadline_ms");
   config.metrics_json_path = flags.GetString("metrics_json");
   config.dehin.match = core::DefaultTqqMatchOptions();
