@@ -35,11 +35,6 @@ void MatchCache::Invalidate(
   }
 }
 
-void MatchCache::InvalidateAll() {
-  flush_floor_.store(epoch_.fetch_add(1, std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-}
-
 size_t MatchCache::MaxPopulatedDepth() const {
   size_t max_depth = 0;
   for (const Shard& shard : shards_) {
@@ -54,25 +49,6 @@ size_t MatchCache::size() const {
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& map : shard.by_depth) total += map.size();
-  }
-  return total;
-}
-
-std::vector<MatchCacheShardStats> MatchCache::ShardStats() const {
-  std::vector<MatchCacheShardStats> stats;
-  stats.reserve(shards_.size());
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    stats.push_back(shard.stats);
-  }
-  return stats;
-}
-
-MatchCacheShardStats MatchCache::TotalStats() const {
-  MatchCacheShardStats total;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.stats;
   }
   return total;
 }
@@ -92,6 +68,12 @@ obs::Counter* MatchCache::GlobalMissCounter() {
 obs::Counter* MatchCache::GlobalInsertCounter() {
   static obs::Counter* counter =
       obs::MetricsRegistry::Global().GetCounter("match_cache/inserts");
+  return counter;
+}
+
+obs::Counter* MatchCache::GlobalStaleCounter() {
+  static obs::Counter* counter =
+      obs::MetricsRegistry::Global().GetCounter("match_cache/stale");
   return counter;
 }
 

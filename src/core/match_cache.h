@@ -35,33 +35,17 @@ namespace hinpriv::core {
 // Growth deltas invalidate epoch-wise instead of flushing: every entry
 // carries the epoch it was inserted in, and Invalidate() bumps the epoch
 // while recording, per depth, which auxiliary vertices went stale. A
-// lookup whose entry epoch is at or below the vertex's stale mark (or the
-// global flush floor) misses; untouched entries keep hitting across the
-// batch. Invalidate()/InvalidateAll() require external exclusion against
-// concurrent Lookup/Insert (the service's apply_delta holds its warm-state
-// lock exclusively); stale entries are discarded lazily by overwriting
-// inserts.
+// lookup whose entry epoch is at or below the vertex's stale mark misses;
+// untouched entries keep hitting across the batch. Invalidate() requires
+// external exclusion against concurrent Lookup/Insert (the service's
+// apply_delta holds its warm-state lock exclusively); stale entries are
+// discarded lazily by overwriting inserts.
 //
-// Per-shard probe accounting (see MatchCache::ShardStats). There are no
-// evictions to count: the cache is unbounded by design and dropped
-// wholesale with its owning Dehin target state.
-struct MatchCacheShardStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t inserts = 0;
-  // Misses that found an entry whose epoch was invalidated — the measure
-  // of how much a growth delta actually cost this shard.
-  uint64_t stale = 0;
-
-  MatchCacheShardStats& operator+=(const MatchCacheShardStats& o) {
-    hits += o.hits;
-    misses += o.misses;
-    inserts += o.inserts;
-    stale += o.stale;
-    return *this;
-  }
-};
-
+// Probe outcomes go to process-wide registry counters:
+// match_cache/{hits,misses,inserts}, and match_cache/stale for the misses
+// that found an invalidated entry (what a growth delta actually cost).
+// There are no evictions to count: the cache is unbounded by design and
+// dropped wholesale with its owning Dehin target state.
 class MatchCache {
  public:
   explicit MatchCache(size_t num_shards = 1);
@@ -77,6 +61,7 @@ class MatchCache {
   std::optional<bool> Lookup(int depth, uint64_t pair_key) const {
     const Shard& shard = shards_[ShardIndex(pair_key)];
     std::optional<bool> result;
+    bool stale = false;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       const size_t d = static_cast<size_t>(depth) - 1;
@@ -86,22 +71,16 @@ class MatchCache {
           if (EntryValid(d, pair_key, it->second.epoch)) {
             result = it->second.value;
           } else {
-            ++shard.stats.stale;
+            stale = true;
           }
         }
       }
-      // Per-shard tallies ride the lock already held, so they cost nothing
-      // extra in synchronization.
-      if (result.has_value()) {
-        ++shard.stats.hits;
-      } else {
-        ++shard.stats.misses;
-      }
     }
-    // Process-wide mirror for --metrics-json; striped and relaxed, outside
-    // the shard lock.
+    // Registry counters are striped and relaxed; bumped outside the shard
+    // lock.
     (result.has_value() ? GlobalHitCounter() : GlobalMissCounter())
         ->Increment();
+    if (stale) GlobalStaleCounter()->Increment();
     return result;
   }
 
@@ -116,7 +95,6 @@ class MatchCache {
       // replaced in place; LinkMatch results are deterministic per epoch,
       // so same-epoch overwrites are value-identical.
       shard.by_depth[d].insert_or_assign(pair_key, Entry{value, epoch});
-      ++shard.stats.inserts;
     }
     GlobalInsertCounter()->Increment();
   }
@@ -129,10 +107,6 @@ class MatchCache {
   void Invalidate(
       const std::vector<std::vector<hin::VertexId>>& dirty_by_depth);
 
-  // Conservative fallback: every existing entry goes stale (still O(1) —
-  // nothing is walked or freed). Same exclusion requirement.
-  void InvalidateAll();
-
   // Deepest depth any shard has memoized — bounds the closure radius an
   // invalidation needs. Takes every shard lock; not the hot path.
   size_t MaxPopulatedDepth() const;
@@ -141,14 +115,6 @@ class MatchCache {
   // stale ones (takes every shard lock; for observability, not the hot
   // path).
   size_t size() const;
-
-  size_t num_shards() const { return shards_.size(); }
-
-  // Per-shard probe outcomes, index-aligned with the shard array — the
-  // spread across entries shows whether the striped locking is balanced.
-  std::vector<MatchCacheShardStats> ShardStats() const;
-  // Sum over shards.
-  MatchCacheShardStats TotalStats() const;
 
  private:
   struct Entry {
@@ -160,27 +126,23 @@ class MatchCache {
     // by_depth[d] memoizes depth d+1; depths appear lazily as the recursion
     // reaches them, so the vector stays as short as max_distance.
     std::vector<std::unordered_map<uint64_t, Entry>> by_depth;
-    // Guarded by mu (mutable: Lookup is const).
-    mutable MatchCacheShardStats stats;
   };
 
   // Registry instruments shared by every MatchCache in the process,
-  // resolved once ("match_cache/hits|misses|inserts").
+  // resolved once ("match_cache/hits|misses|inserts|stale").
   static obs::Counter* GlobalHitCounter();
   static obs::Counter* GlobalMissCounter();
   static obs::Counter* GlobalInsertCounter();
+  static obs::Counter* GlobalStaleCounter();
 
   size_t ShardIndex(uint64_t pair_key) const {
     return util::Mix64(pair_key) & shard_mask_;
   }
 
-  // An entry is valid when it postdates both the global flush floor and
-  // its aux vertex's per-depth stale mark. dirty_ is only written under
-  // the callers' exclusion contract, so plain reads here are race-free.
+  // An entry is valid when it postdates its aux vertex's per-depth stale
+  // mark. dirty_ is only written under the callers' exclusion contract, so
+  // plain reads here are race-free.
   bool EntryValid(size_t d, uint64_t pair_key, uint32_t entry_epoch) const {
-    if (entry_epoch <= flush_floor_.load(std::memory_order_relaxed)) {
-      return false;
-    }
     if (d < dirty_.size()) {
       const auto& row = dirty_[d];
       const hin::VertexId va =
@@ -195,8 +157,6 @@ class MatchCache {
   // Current insertion epoch; bumped by each invalidation. Atomic so
   // relaxed reads in Insert are well-defined without taking a lock.
   std::atomic<uint32_t> epoch_{1};
-  // Entries at or below this epoch are stale regardless of vertex.
-  std::atomic<uint32_t> flush_floor_{0};
   // dirty_[d][va]: the epoch at which (·, va, depth d+1) entries went
   // stale; 0 (or out of range) means never invalidated.
   std::vector<std::vector<uint32_t>> dirty_;

@@ -14,26 +14,12 @@
 
 namespace hinpriv::eval {
 
-AttackMetrics EvaluateAttackParallel(
-    const core::Dehin& dehin, const hin::Graph& target,
-    const std::vector<hin::VertexId>& ground_truth, int max_distance,
-    const ParallelEvalOptions& options) {
+size_t AttackTargets(const core::Dehin& dehin, const hin::Graph& target,
+                     int max_distance, const ParallelEvalOptions& options,
+                     const TargetCandidatesFn& on_target) {
   HINPRIV_SPAN("eval/attack_parallel");
-  AttackMetrics metrics;
-  metrics.num_targets = target.num_vertices();
-  if (metrics.num_targets == 0) return metrics;
-  // Mismatched inputs would read ground_truth[vt] out of bounds in the
-  // workers; validate up front (same contract as the serial
-  // EvaluateAttack) and report "nothing evaluated".
-  if (ground_truth.size() < target.num_vertices()) {
-    std::fprintf(stderr,
-                 "EvaluateAttackParallel: ground truth covers %zu of %zu "
-                 "target vertices; refusing to evaluate\n",
-                 ground_truth.size(),
-                 static_cast<size_t>(target.num_vertices()));
-    return AttackMetrics{};
-  }
-  const core::DehinStats stats_before = dehin.stats();
+  const size_t num_targets = target.num_vertices();
+  if (num_targets == 0) return 0;
 
   // Executor selection: explicit handle, else the shared global pool
   // (num_threads == 0), else a transient pool of the requested size —
@@ -45,19 +31,11 @@ AttackMetrics EvaluateAttackParallel(
     if (options.num_threads == 0) {
       executor = &exec::Executor::Global();
     } else {
-      transient = std::make_unique<exec::Executor>(
-          std::min(exec::ResolveThreads(options.num_threads),
-                   static_cast<size_t>(metrics.num_targets)));
+      transient = std::make_unique<exec::Executor>(std::min(
+          exec::ResolveThreads(options.num_threads), num_targets));
       executor = transient.get();
     }
   }
-
-  // Per-target result slots. Workers fill disjoint indices; the serial
-  // reduction below walks them in target order, so the floating-point
-  // sums are bit-identical to the serial EvaluateAttack.
-  const size_t num_targets = metrics.num_targets;
-  std::vector<size_t> candidate_counts(num_targets, 0);
-  std::vector<uint8_t> contains_truth(num_targets, 0);
 
   // Heartbeat state shared by the workers: whichever worker first notices
   // the interval elapsed claims the beat with a CAS and prints one line,
@@ -84,13 +62,7 @@ AttackMetrics EvaluateAttackParallel(
       [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
           const auto vt = static_cast<hin::VertexId>(i);
-          const auto candidates = dehin.Deanonymize(target, vt, max_distance);
-          candidate_counts[i] = candidates.size();
-          contains_truth[i] =
-              std::binary_search(candidates.begin(), candidates.end(),
-                                 ground_truth[vt])
-                  ? 1
-                  : 0;
+          on_target(vt, dehin.Deanonymize(target, vt, max_distance));
           const size_t done =
               completed.fetch_add(1, std::memory_order_relaxed) + 1;
           if (heartbeat_ns > 0) {
@@ -116,15 +88,52 @@ AttackMetrics EvaluateAttackParallel(
       },
       pf_options);
   progress_gauge->Set(1.0);
+  return run.completed;
+}
+
+AttackMetrics EvaluateAttackParallel(
+    const core::Dehin& dehin, const hin::Graph& target,
+    const std::vector<hin::VertexId>& ground_truth, int max_distance,
+    const ParallelEvalOptions& options) {
+  AttackMetrics metrics;
+  metrics.num_targets = target.num_vertices();
+  if (metrics.num_targets == 0) return metrics;
+  // Mismatched inputs would read ground_truth[vt] out of bounds in the
+  // workers; validate up front (same contract as the serial
+  // EvaluateAttack) and report "nothing evaluated".
+  if (ground_truth.size() < target.num_vertices()) {
+    std::fprintf(stderr,
+                 "EvaluateAttackParallel: ground truth covers %zu of %zu "
+                 "target vertices; refusing to evaluate\n",
+                 ground_truth.size(),
+                 static_cast<size_t>(target.num_vertices()));
+    return AttackMetrics{};
+  }
+  const core::DehinStats stats_before = dehin.stats();
+
+  // Per-target result slots. Workers fill disjoint indices; the serial
+  // reduction below walks them in target order, so the floating-point
+  // sums are bit-identical to the serial EvaluateAttack.
+  std::vector<size_t> candidate_counts(metrics.num_targets, 0);
+  std::vector<uint8_t> contains_truth(metrics.num_targets, 0);
+  metrics.num_evaluated = AttackTargets(
+      dehin, target, max_distance, options,
+      [&](hin::VertexId vt, const std::vector<hin::VertexId>& candidates) {
+        candidate_counts[vt] = candidates.size();
+        contains_truth[vt] = std::binary_search(candidates.begin(),
+                                                candidates.end(),
+                                                ground_truth[vt])
+                                 ? 1
+                                 : 0;
+      });
 
   // Serial reduction over the evaluated prefix, in target order — the
   // same association the serial evaluator uses.
-  metrics.num_evaluated = run.completed;
   const double aux_size =
       static_cast<double>(dehin.auxiliary().num_vertices());
   double reduction_sum = 0.0;
   double candidate_sum = 0.0;
-  for (size_t i = 0; i < run.completed; ++i) {
+  for (size_t i = 0; i < metrics.num_evaluated; ++i) {
     if (contains_truth[i]) ++metrics.num_containing_truth;
     if (contains_truth[i] && candidate_counts[i] == 1) {
       ++metrics.num_unique_correct;

@@ -80,7 +80,6 @@ struct SnapshotMetrics {
   obs::Counter* loads;
   obs::Counter* bytes_mapped;
   obs::Histogram* load_us;
-  obs::Gauge* mlocked;
 };
 
 const SnapshotMetrics& GlobalSnapshotMetrics() {
@@ -90,7 +89,6 @@ const SnapshotMetrics& GlobalSnapshotMetrics() {
         registry.GetCounter("hin/snapshot_loads"),
         registry.GetCounter("hin/snapshot_bytes_mapped"),
         registry.GetHistogram("hin/snapshot_load_us"),
-        registry.GetGauge("hin/snapshot_mlocked"),
     };
   }();
   return metrics;
@@ -279,11 +277,9 @@ util::Result<Graph> SnapshotReader::Load(const std::string& path,
   HINPRIV_SPAN("hin/snapshot_load");
   const auto start = std::chrono::steady_clock::now();
 
-  util::MappedFile::Options map_options;
-  map_options.lock = options.mlock;
   auto mapped = [&]() -> util::Result<util::MappedFile> {
     HINPRIV_SPAN("hin/snapshot_map");
-    return util::MappedFile::Open(path, map_options);
+    return util::MappedFile::Open(path);
   }();
   if (!mapped.ok()) return mapped.status();
   auto file = std::make_shared<util::MappedFile>(std::move(mapped).value());
@@ -561,7 +557,6 @@ util::Result<Graph> SnapshotReader::Load(const std::string& path,
   const SnapshotMetrics& metrics = GlobalSnapshotMetrics();
   metrics.loads->Increment();
   metrics.bytes_mapped->Add(file_bytes);
-  metrics.mlocked->Set(file->mlocked() ? 1.0 : 0.0);
   metrics.load_us->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)

@@ -45,8 +45,6 @@ namespace hinpriv::hin {
 // (neighbor ranges, per-vertex sort order, nonzero strengths).
 
 struct SnapshotOptions {
-  // Pin the mapping in RAM (mlock); failure is soft (see util::MappedFile).
-  bool mlock = false;
   // Also validate edge payloads (O(E), faults in the edge sections).
   bool verify_edges = false;
 };

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/trace.h"
-
 namespace hinpriv::obs {
 
 WindowedAggregator::WindowedAggregator(MetricsRegistry* registry,
@@ -11,12 +9,7 @@ WindowedAggregator::WindowedAggregator(MetricsRegistry* registry,
     : registry_(registry != nullptr ? registry : &MetricsRegistry::Global()),
       options_(std::move(options)) {
   options_.ring_capacity = std::max<size_t>(2, options_.ring_capacity);
-  if (options_.tick.count() <= 0) {
-    options_.tick = std::chrono::milliseconds(1000);
-  }
 }
-
-WindowedAggregator::~WindowedAggregator() { Stop(); }
 
 std::chrono::steady_clock::time_point WindowedAggregator::Now() const {
   return options_.clock ? options_.clock() : std::chrono::steady_clock::now();
@@ -29,34 +22,6 @@ void WindowedAggregator::SampleNow() {
   std::lock_guard<std::mutex> lock(mu_);
   ring_.push_back(std::move(sample));
   while (ring_.size() > options_.ring_capacity) ring_.pop_front();
-}
-
-void WindowedAggregator::Start() {
-  std::lock_guard<std::mutex> lock(sampler_mu_);
-  if (sampler_.joinable()) return;
-  sampler_stop_ = false;
-  sampler_ = std::thread([this] { SamplerLoop(); });
-}
-
-void WindowedAggregator::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(sampler_mu_);
-    sampler_stop_ = true;
-  }
-  sampler_cv_.notify_all();
-  if (sampler_.joinable()) sampler_.join();
-}
-
-void WindowedAggregator::SamplerLoop() {
-  SetCurrentThreadName("obs/windowed_sampler");
-  while (true) {
-    SampleNow();
-    std::unique_lock<std::mutex> lock(sampler_mu_);
-    if (sampler_cv_.wait_for(lock, options_.tick,
-                             [this] { return sampler_stop_; })) {
-      return;
-    }
-  }
 }
 
 bool WindowedAggregator::PickWindow(double window_sec,

@@ -2,24 +2,24 @@
 #define HINPRIV_OBS_WINDOWED_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <string_view>
-#include <thread>
 
 #include "obs/metrics.h"
 
 namespace hinpriv::obs {
 
-// Rolling-window view over a MetricsRegistry: samples the registry's
-// instruments on a timer into a bounded ring of timestamped snapshots and
-// derives windowed statistics by differencing — counter rates (q/s, shed/s)
-// and histogram percentiles (p50/p95/p99 of only the samples recorded
-// inside the window). This is what turns the export-at-exit registry into
-// a live product-metrics plane: the resident service's `stats` verb, the
-// `serve` heartbeat, and the server's health state all read through it.
+// Rolling-window view over a MetricsRegistry: each SampleNow() records the
+// registry's instruments into a bounded ring of timestamped snapshots, and
+// windowed statistics are derived by differencing — counter rates (q/s,
+// shed/s) and histogram percentiles (p50/p95/p99 of only the samples
+// recorded inside the window). This is what turns the export-at-exit
+// registry into a live product-metrics plane: the resident service's
+// `stats` verb, the `serve` heartbeat, and the server's health state all
+// read through it. The caller owns the timer (the server samples on its
+// admin thread's introspection tick).
 //
 // Window semantics: a query for `window_sec` differences the newest sample
 // against the newest retained sample at least that old; when history is
@@ -28,14 +28,11 @@ namespace hinpriv::obs {
 // rates never divide by a window that was not observed. With fewer than two
 // samples every delta is zero over zero seconds.
 //
-// Sampling is cold-path (one registry snapshot per tick, default 1/s);
-// queries take the same mutex and are serving-path cheap. Thread-safe.
+// Sampling is cold-path (one registry snapshot per SampleNow()); queries
+// take the same mutex and are serving-path cheap. Thread-safe.
 struct WindowedAggregatorOptions {
-  // Interval between background samples (Start()); also the granularity of
-  // every window.
-  std::chrono::milliseconds tick{1000};
-  // Snapshots retained; tick * ring_capacity bounds the widest window
-  // (default 64 ticks ≳ a 60s window at the default tick).
+  // Snapshots retained; the sampling interval times ring_capacity bounds
+  // the widest window (64 samples at 1/s ≳ a 60s window).
   size_t ring_capacity = 64;
   // Test seam: overrides the steady clock used to stamp samples.
   std::function<std::chrono::steady_clock::time_point()> clock;
@@ -46,18 +43,11 @@ class WindowedAggregator {
   // nullptr registry selects MetricsRegistry::Global().
   explicit WindowedAggregator(MetricsRegistry* registry = nullptr,
                               WindowedAggregatorOptions options = {});
-  ~WindowedAggregator();  // implies Stop()
 
   WindowedAggregator(const WindowedAggregator&) = delete;
   WindowedAggregator& operator=(const WindowedAggregator&) = delete;
 
-  // Spawns the sampler thread (one SampleNow per tick). Idempotent.
-  void Start();
-  // Joins the sampler thread; retained samples stay queryable. Idempotent.
-  void Stop();
-
-  // Takes one sample immediately (also what the sampler thread calls).
-  // Deterministic drive for tests and for callers that own their own timer.
+  // Takes one sample now; every window is a difference of two samples.
   void SampleNow();
 
   struct CounterWindow {
@@ -94,18 +84,12 @@ class WindowedAggregator {
   // Newest and base samples for a window; returns false with < 2 samples.
   bool PickWindow(double window_sec, const TimedSample** base,
                   const TimedSample** latest) const;
-  void SamplerLoop();
 
   MetricsRegistry* registry_;
   WindowedAggregatorOptions options_;
 
   mutable std::mutex mu_;
   std::deque<TimedSample> ring_;
-
-  std::mutex sampler_mu_;
-  std::condition_variable sampler_cv_;
-  bool sampler_stop_ = false;
-  std::thread sampler_;
 };
 
 }  // namespace hinpriv::obs

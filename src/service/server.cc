@@ -84,12 +84,7 @@ Server::Server(const hin::Graph* target, std::unique_ptr<Handler> handler,
     : target_(target),
       config_(std::move(config)),
       handler_(std::move(handler)),
-      window_(nullptr,
-              obs::WindowedAggregatorOptions{
-                  std::chrono::milliseconds(
-                      std::max(1, config_.introspection_tick_ms)),
-                  kIntrospectionRing,
-                  {}}),
+      window_(nullptr, obs::WindowedAggregatorOptions{kIntrospectionRing, {}}),
       slow_log_(kSlowLogCapacity) {
   config_.queue_capacity = std::max<size_t>(1, config_.queue_capacity);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();

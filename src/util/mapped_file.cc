@@ -11,8 +11,7 @@
 
 namespace hinpriv::util {
 
-Result<MappedFile> MappedFile::Open(const std::string& path,
-                                    const Options& options) {
+Result<MappedFile> MappedFile::Open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return Status::IoError("cannot open for mmap: " + path + ": " +
@@ -43,18 +42,13 @@ Result<MappedFile> MappedFile::Open(const std::string& path,
                            std::strerror(errno));
   }
   ::madvise(mapping, size, MADV_WILLNEED);  // advisory; ignore failure
-  bool mlocked = false;
-  if (options.lock) {
-    mlocked = ::mlock(mapping, size) == 0;
-  }
-  return MappedFile(static_cast<const uint8_t*>(mapping), size, path, mlocked);
+  return MappedFile(static_cast<const uint8_t*>(mapping), size, path);
 }
 
 MappedFile::MappedFile(MappedFile&& other) noexcept
     : data_(std::exchange(other.data_, nullptr)),
       size_(std::exchange(other.size_, 0)),
-      path_(std::move(other.path_)),
-      mlocked_(std::exchange(other.mlocked_, false)) {}
+      path_(std::move(other.path_)) {}
 
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   if (this != &other) {
@@ -64,7 +58,6 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
     path_ = std::move(other.path_);
-    mlocked_ = std::exchange(other.mlocked_, false);
   }
   return *this;
 }

@@ -24,17 +24,9 @@ namespace hinpriv::util {
 // from data() before a move remain valid afterwards.
 class MappedFile {
  public:
-  struct Options {
-    // Pin the mapping in physical memory (mlock). Failure — typically
-    // RLIMIT_MEMLOCK — is recorded in mlocked() but is not an error: the
-    // mapping still works, pages just stay evictable.
-    bool lock = false;
-  };
-
   // Maps `path` read-only and hints the kernel to start readahead for the
   // whole range (madvise MADV_WILLNEED); pages still fault in lazily.
-  static Result<MappedFile> Open(const std::string& path,
-                                 const Options& options);
+  static Result<MappedFile> Open(const std::string& path);
 
   MappedFile(MappedFile&& other) noexcept;
   MappedFile& operator=(MappedFile&& other) noexcept;
@@ -45,17 +37,14 @@ class MappedFile {
   const uint8_t* data() const { return data_; }
   size_t size() const { return size_; }
   const std::string& path() const { return path_; }
-  // True when Options::lock was requested and mlock succeeded.
-  bool mlocked() const { return mlocked_; }
 
  private:
-  MappedFile(const uint8_t* data, size_t size, std::string path, bool mlocked)
-      : data_(data), size_(size), path_(std::move(path)), mlocked_(mlocked) {}
+  MappedFile(const uint8_t* data, size_t size, std::string path)
+      : data_(data), size_(size), path_(std::move(path)) {}
 
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;
   std::string path_;
-  bool mlocked_ = false;
 };
 
 }  // namespace hinpriv::util

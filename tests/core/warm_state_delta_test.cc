@@ -115,6 +115,9 @@ TEST(WarmStateDeltaTest, SkippedInvalidationIsNotAnEmptyClosure) {
 }
 
 TEST(WarmStateDeltaTest, MatchCacheEpochInvalidation) {
+  obs::Counter* stale =
+      obs::MetricsRegistry::Global().GetCounter("match_cache/stale");
+  const uint64_t stale_before = stale->Value();
   MatchCache cache(4);
   // Depth 1 entries for aux vertices 10 and 20; depth 2 for 10.
   cache.Insert(1, MatchCache::PairKey(1, 10), true);
@@ -131,7 +134,7 @@ TEST(WarmStateDeltaTest, MatchCacheEpochInvalidation) {
   auto deeper = cache.Lookup(2, MatchCache::PairKey(3, 10));
   ASSERT_TRUE(deeper.has_value());  // depth 2 row was not dirtied
   EXPECT_TRUE(*deeper);
-  EXPECT_EQ(cache.TotalStats().stale, 1u);
+  EXPECT_EQ(stale->Value(), stale_before + 1);
 
   // Re-inserting after the invalidation postdates the stale mark.
   cache.Insert(1, MatchCache::PairKey(1, 10), false);
@@ -144,20 +147,6 @@ TEST(WarmStateDeltaTest, MatchCacheEpochInvalidation) {
   EXPECT_FALSE(cache.Lookup(1, MatchCache::PairKey(1, 10)).has_value());
   EXPECT_FALSE(cache.Lookup(2, MatchCache::PairKey(3, 10)).has_value());
   EXPECT_TRUE(cache.Lookup(1, MatchCache::PairKey(2, 20)).has_value());
-}
-
-TEST(WarmStateDeltaTest, MatchCacheInvalidateAll) {
-  MatchCache cache(2);
-  cache.Insert(1, MatchCache::PairKey(1, 5), true);
-  cache.Insert(3, MatchCache::PairKey(2, 6), false);
-  cache.InvalidateAll();
-  EXPECT_FALSE(cache.Lookup(1, MatchCache::PairKey(1, 5)).has_value());
-  EXPECT_FALSE(cache.Lookup(3, MatchCache::PairKey(2, 6)).has_value());
-  // Entries inserted after the flush are live again.
-  cache.Insert(1, MatchCache::PairKey(1, 5), true);
-  EXPECT_TRUE(cache.Lookup(1, MatchCache::PairKey(1, 5)).has_value());
-  // The stale entries are still counted in size() until overwritten.
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 }  // namespace

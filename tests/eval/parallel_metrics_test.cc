@@ -1,6 +1,7 @@
 #include "eval/parallel_metrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
@@ -130,6 +131,53 @@ TEST(ParallelMetricsTest, ExplicitExecutorMatchesSerial) {
   EXPECT_EQ(parallel.precision, serial.precision);
   EXPECT_EQ(parallel.reduction_rate, serial.reduction_rate);
   EXPECT_EQ(parallel.mean_candidate_count, serial.mean_candidate_count);
+}
+
+// The shared loop hands each evaluated target to its caller exactly once,
+// with the candidate set a serial Deanonymize returns. A run cancelled from
+// inside the loop (deterministic, no timing) hands over exactly the prefix
+// [0, returned) and nothing past it.
+TEST(ParallelMetricsTest, AttackTargetsHandsEachEvaluatedTargetOnce) {
+  const ExperimentDataset dataset = MakeDataset(9);
+  core::DehinConfig config;
+  config.match = core::DefaultTqqMatchOptions();
+  core::Dehin dehin(&dataset.auxiliary, config);
+  const size_t num_targets = dataset.target.num_vertices();
+  std::vector<std::atomic<int>> calls(num_targets);
+  std::vector<std::vector<hin::VertexId>> answers(num_targets);
+  ParallelEvalOptions options;
+  options.num_threads = 4;
+  const size_t evaluated = AttackTargets(
+      dehin, dataset.target, 1, options,
+      [&](hin::VertexId vt, const std::vector<hin::VertexId>& candidates) {
+        if (calls[vt].fetch_add(1) == 0) answers[vt] = candidates;
+      });
+  ASSERT_EQ(evaluated, num_targets);
+  for (size_t i = 0; i < num_targets; ++i) {
+    const auto vt = static_cast<hin::VertexId>(i);
+    EXPECT_EQ(calls[i].load(), 1) << "target " << i;
+    EXPECT_EQ(answers[i], dehin.Deanonymize(dataset.target, vt, 1))
+        << "target " << i;
+  }
+
+  for (auto& count : calls) count.store(0);
+  util::CancelToken cancel;
+  options.cancel = &cancel;
+  std::atomic<size_t> handed{0};
+  const size_t prefix = AttackTargets(
+      dehin, dataset.target, 1, options,
+      [&](hin::VertexId vt, const std::vector<hin::VertexId>&) {
+        calls[vt].fetch_add(1);
+        if (handed.fetch_add(1) + 1 == num_targets / 4) cancel.Cancel();
+      });
+  // Only the targets already claimed when the token fired (at most one per
+  // thread) finish past the quarter mark.
+  EXPECT_GE(prefix, num_targets / 4);
+  EXPECT_LT(prefix, num_targets);
+  EXPECT_EQ(handed.load(), prefix);
+  for (size_t i = 0; i < num_targets; ++i) {
+    EXPECT_EQ(calls[i].load(), i < prefix ? 1 : 0) << "target " << i;
+  }
 }
 
 // Recomputes the metrics the evaluator should report for the exact prefix

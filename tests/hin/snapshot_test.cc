@@ -104,19 +104,6 @@ TEST(SnapshotTest, VerifyEdgesAcceptsWellFormedSnapshot) {
   ExpectGraphsEqual(graph, loaded.value());
 }
 
-TEST(SnapshotTest, MlockRequestIsSoft) {
-  const Graph graph = GenerateNetwork(100, 4);
-  const TempPath temp("mlock.snap");
-  const std::string& path = temp.path();
-  ASSERT_TRUE(SaveGraphSnapshot(graph, path).ok());
-  SnapshotOptions options;
-  options.mlock = true;
-  // mlock may fail under RLIMIT_MEMLOCK; the load must succeed regardless.
-  auto loaded = LoadGraphSnapshot(path, options);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectGraphsEqual(graph, loaded.value());
-}
-
 TEST(SnapshotTest, LoadGraphAutoSniffsSnapshotMagic) {
   const Graph graph = GenerateNetwork(200, 5);
   const TempPath temp("auto.snap");

@@ -4,7 +4,10 @@
 #   generate -> anonymize -> attack --threads=2 --metrics-json --trace-out
 #
 # then validates that the metrics snapshot and the Chrome trace are
-# well-formed JSON with the expected structure. Driven as
+# well-formed JSON with the expected structure. Around it: every
+# out-of-range numeric flag and a mapping row naming no auxiliary vertex
+# must be refused, and `attack --out` must write the same TSV at every
+# --threads, with and without --mapping. Driven as
 #
 #   cmake -DHINPRIV_CLI=<path> -DWORK_DIR=<dir> -P cli_telemetry_smoke.cmake
 
@@ -43,6 +46,19 @@ function(run_cli_refused)
             "hinpriv_cli ${ARGN}: want exit 1 with 'error: ...', got "
             "rc=${rc}:\n${out}\n${err}")
   endif()
+  set(refused_err "${err}" PARENT_SCOPE)
+endfunction()
+
+# run_cli_refused, and the message must name `what` (the flag or the row
+# refused): a `query` that got past its checks would exit 1 too, failing
+# to connect.
+function(run_cli_refused_for what)
+  run_cli_refused(${ARGN})
+  string(FIND "${refused_err}" "${what}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "hinpriv_cli ${ARGN}: the refusal does not name "
+                        "'${what}':\n${refused_err}")
+  endif()
 endfunction()
 
 run_cli(generate --users=300 --seed=7 --out=net.graph)
@@ -54,9 +70,84 @@ run_cli_refused(serve --target=anon.graph --aux=net.graph --port=0
 run_cli_refused(audit --in=net.graph --max_distance=-2)
 run_cli_refused(serve --target=anon.graph --aux=net.graph --port=0
                 --max_distance=-3)
+run_cli_refused_for(--threads
+                    attack --target=anon.graph --aux=net.graph --threads=four)
+run_cli_refused_for(--port
+                    serve --target=anon.graph --aux=net.graph --port=70000)
+run_cli_refused_for(--queue_capacity serve --target=anon.graph
+                    --aux=net.graph --port=0 --queue_capacity=-1)
+run_cli_refused_for(--queue_capacity serve --target=anon.graph
+                    --aux=net.graph --port=0 --queue_capacity=0)
+run_cli_refused_for(--mlock
+                    serve --target=anon.graph --aux=net.graph --port=0 --mlock)
+run_cli_refused_for(--port stats --port=70000)
+run_cli_refused_for(--port query --port=0 --method=health)
+run_cli_refused_for(--port query --port=70000 --method=health)
+run_cli_refused_for(--target_id
+                    query --method=attack_one --target_id=4294967297)
+run_cli_refused_for(--target_id
+                    query --method=attack_one --target_id=4294967295)
+run_cli_refused_for(--target_id query --method=attack_one --target_id=-2)
+run_cli_refused_for(--max_distance
+                    query --method=attack_one --target_id=1 --max_distance=33)
+run_cli_refused_for(--max_distance
+                    query --method=attack_one --target_id=1 --max_distance=-2)
+run_cli_refused_for(--users generate --users=-1 --out=refused.graph)
+run_cli_refused_for(--users generate --users=1 --out=refused.graph)
+run_cli_refused_for(--users generate --users=4294967296 --out=refused.graph)
+run_cli_refused_for(--attr_growth_max
+                    grow --in=net.graph --attr_growth_max=4294967301)
+run_cli_refused_for(--attr_growth_max
+                    grow --in=net.graph --attr_growth_max=0)
+run_cli_refused_for(--strength_growth_max
+                    grow --in=net.graph --strength_growth_max=-1)
+run_cli_refused_for(--strength_growth_max
+                    grow --in=net.graph --strength_growth_max=4294967296)
+foreach(scheme kdegreeX kdegree kdegree1 kdegree4294967296 bucketX bucket0
+               bucket4294967296)
+  run_cli_refused_for(--scheme=${scheme} anonymize --in=net.graph
+                      --scheme=${scheme} --out=refused.graph)
+endforeach()
+
+# A mapping row whose original id names no auxiliary vertex (4294967297
+# would narrow to vertex 1) is refused, not scored.
+file(WRITE "${WORK_DIR}/bad_mapping.tsv" "0\t4294967297\n")
+run_cli_refused_for("bad mapping row"
+                    attack --target=anon.graph --aux=net.graph
+                    --mapping=bad_mapping.tsv --max_distance=1)
+
+# A TSV that cannot be written fails the run instead of being lost.
+if(EXISTS /dev/full)
+  run_cli_refused_for("cannot write" attack --target=anon.graph
+                      --aux=net.graph --max_distance=1 --out=/dev/full)
+endif()
+
+# One attack path: the per-target TSV is the same at every --threads, with
+# and without --mapping.
+foreach(threads 1 3)
+  run_cli(attack --target=anon.graph --aux=net.graph --threads=${threads}
+          --max_distance=1 --heartbeat_sec=0 --out=t${threads}.tsv)
+  run_cli(attack --target=anon.graph --aux=net.graph --threads=${threads}
+          --max_distance=1 --heartbeat_sec=0 --mapping=mapping.tsv
+          --out=t${threads}_mapping.tsv)
+endforeach()
 run_cli(attack --target=anon.graph --aux=net.graph --mapping=mapping.tsv
-        --threads=2 --max_distance=1 --heartbeat_sec=0
+        --threads=2 --max_distance=1 --heartbeat_sec=0 --out=t2_mapping.tsv
         --metrics-json=metrics.json --trace-out=run.trace.json)
+foreach(tsv t1_mapping.tsv t3.tsv t3_mapping.tsv t2_mapping.tsv)
+  execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E compare_files "${WORK_DIR}/t1.tsv"
+            "${WORK_DIR}/${tsv}"
+    RESULT_VARIABLE differ)
+  if(NOT differ EQUAL 0)
+    message(FATAL_ERROR "attack --out: ${tsv} differs from t1.tsv")
+  endif()
+endforeach()
+file(STRINGS "${WORK_DIR}/t1.tsv" rows)
+list(LENGTH rows num_rows)
+if(NOT num_rows EQUAL 301)
+  message(FATAL_ERROR "t1.tsv: ${num_rows} lines, want a header + 300 rows")
+endif()
 
 # --- metrics.json -----------------------------------------------------------
 
